@@ -2,15 +2,12 @@
 
 #include <sys/stat.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <map>
-#include <optional>
-#include <thread>
+#include <mutex>
+#include <shared_mutex>
 #include <unordered_set>
 
-#include "src/common/backoff.h"
 #include "src/common/crc32.h"
 #include "src/obs/stopwatch.h"
 #include "src/store/group_committer.h"
@@ -185,7 +182,7 @@ void BmehStore::StartGroupCommit(const StoreOptions& options) {
   committer_ = std::make_unique<GroupCommitter>(
       gc, [this](std::span<const Wal::LogRecord> recs,
                  std::vector<Status>* results) {
-        auto lock = LockExclusive();
+        auto lock = plane_.LockExclusive();
         ApplyBatchLocked(recs, results);
       });
   if (metrics_ != nullptr) committer_->AttachMetrics(metrics_);
@@ -236,7 +233,7 @@ void BmehStore::AttachObservability(const StoreOptions& options) {
   range_retried_latency_ = metrics_->GetHistogram("range_retried_latency_ns");
   checkpoint_latency_ = metrics_->GetHistogram("checkpoint_latency_ns");
   wal_append_latency_ = metrics_->GetHistogram("wal_append_latency_ns");
-  store_->AttachMetrics(metrics_, &op_mutex_, options.metrics_label);
+  store_->AttachMetrics(metrics_, &plane_.mutex(), options.metrics_label);
   if (tree_ != nullptr) {
     tree_->set_split_latency_histogram(
         metrics_->GetHistogram("split_latency_ns"));
@@ -252,20 +249,21 @@ void BmehStore::AttachObservability(const StoreOptions& options) {
   const std::string label = options.metrics_label;
   metrics_source_ =
       metrics_->AddSource([this, label](obs::RegistrySnapshot* s) {
-        std::shared_lock<std::shared_mutex> lock(op_mutex_);
+        std::shared_lock<std::shared_mutex> lock(plane_.mutex());
         // With optimistic reads on, tree-shape gauges are sampled from
         // the published (immutable) structure under the epoch guard with
         // version validation — never through the writer-view walk, which
         // a concurrent mutation's copy-on-write scope would race.
         IndexStructureStats ts;
         bool sampled = false;
-        if (olc_enabled_) {
-          epoch::Guard guard(epoch_mgr_);
-          for (int i = 0; guard.pinned() && i < kOlcReadAttempts && !sampled;
+        if (plane_.optimistic()) {
+          epoch::Guard guard(plane_.epoch());
+          for (int i = 0; guard.pinned() &&
+                          i < ReadPlane::kOptimisticAttempts && !sampled;
                ++i) {
             sampled = tree_->SampleStatsOptimistic(&ts);
           }
-          const epoch::EpochStats es = epoch_mgr_->Stats();
+          const epoch::EpochStats es = plane_.epoch()->Stats();
           s->gauges[label + "epoch_deferred_frees"] =
               static_cast<int64_t>(es.deferred);
           s->counters[label + "epoch_retired_total"] = es.retired_total;
@@ -308,7 +306,7 @@ void BmehStore::AttachObservability(const StoreOptions& options) {
 }
 
 BmehStore::SampledState BmehStore::SampleStateForMetrics() const {
-  std::shared_lock<std::shared_mutex> lock(op_mutex_);
+  std::shared_lock<std::shared_mutex> lock(plane_.mutex());
   SampledState st;
   st.records = tree_->Stats().records;
   st.height = tree_->height();
@@ -337,10 +335,10 @@ BmehStore::~BmehStore() {
     watchdog_->Unregister(checkpoint_hb_);
     checkpoint_hb_ = nullptr;
   }
-  if (olc_enabled_) {
+  if (plane_.optimistic()) {
     // The tree (and everything it retired) dies with this store; drain
     // limbo now so the global manager does not hold dead stores' nodes.
-    epoch_mgr_->Drain();
+    plane_.epoch()->Drain();
   }
 }
 
@@ -399,6 +397,7 @@ Result<std::unique_ptr<BmehStore>> BmehStore::OpenExisting(
     out->tree_ = std::make_unique<BmehTree>(options.schema, options.tree);
     out->poisoned_ = Status::DataLoss(
         "superblock lost to corruption; store is read-only degraded");
+    out->EnableOptimisticReads(options);
     return out;
   }
   out->image_head_ = head;
@@ -500,122 +499,7 @@ Result<std::unique_ptr<BmehStore>> BmehStore::OpenExisting(
 }
 
 void BmehStore::EnableOptimisticReads(const StoreOptions& options) {
-  if (!options.optimistic_reads) return;
-  if (tree_ == nullptr || tree_->degraded() || report_.degraded) {
-    // Degraded stores answer DataLoss from quarantined buckets; keep the
-    // strict locked path rather than auditing it under the OLC protocol.
-    return;
-  }
-  epoch_mgr_ = epoch::EpochManager::Global();
-  if (!tree_->concurrent_reads_enabled()) {
-    tree_->EnableConcurrentReads(epoch_mgr_);
-  }
-  olc_enabled_ = true;
-}
-
-namespace {
-/// Conflicts resolve in microseconds (one publication), so retry fast
-/// and shallow before surrendering to the shared lock.
-BackoffPolicy OlcReadRetryPolicy() {
-  BackoffPolicy p;
-  p.max_attempts = BmehStore::kOlcReadAttempts;
-  p.base_delay_us = 1;
-  p.max_delay_us = 100;
-  p.total_budget_us = 1000;
-  return p;
-}
-}  // namespace
-
-std::shared_lock<std::shared_mutex> BmehStore::LockShared() const {
-  // Back off while any mutator is waiting for or holding the lock.  The
-  // reader could just as well block on the rwlock — the writer holds it
-  // exclusively anyway — but a timed sleep keeps readers off the rwlock's
-  // futex, which is what prevents the release-time thundering herd the
-  // member comment describes.  No livelock: the gate drops the moment the
-  // last pending mutator releases.  Capped exponential backoff keeps the
-  // wakeup count low across a long hold (e.g. a checkpoint) while adding
-  // at most ~1ms of post-release latency.
-  uint64_t park_us = 10;
-  while (writers_pending_.load(std::memory_order_acquire) > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(park_us));
-    park_us = std::min<uint64_t>(park_us * 2, 1000);
-  }
-  return std::shared_lock<std::shared_mutex>(op_mutex_);
-}
-
-bool BmehStore::TryGetOptimistic(const PseudoKey& key, Result<uint64_t>* res) {
-  // The conflict-free pass is the hot path: no clock reads and no shared
-  // cache-line traffic.  Retry bookkeeping materializes on first conflict.
-  std::optional<Backoff> backoff;
-  uint64_t t0 = 0;
-  for (int attempt = 0;;) {
-    bool conflict = false;
-    bool unpinned = false;
-    Result<uint64_t> found = [&]() -> Result<uint64_t> {
-      epoch::Guard guard(epoch_mgr_);
-      if (!guard.pinned()) {
-        // All epoch reader slots taken: no reclamation protection, so the
-        // optimistic descent is unsafe.  Degrade to the locked path.
-        unpinned = true;
-        return Status::Unavailable("epoch reader slots exhausted");
-      }
-      return tree_->SearchOptimistic(key, &conflict);
-    }();
-    if (unpinned) break;
-    if (!conflict) {
-      if (attempt > 0 && search_retried_latency_ != nullptr) {
-        search_retried_latency_->Record(obs::MonotonicNanos() - t0);
-      }
-      *res = std::move(found);
-      return true;
-    }
-    if (read_retries_total_ != nullptr) read_retries_total_->Inc();
-    if (++attempt >= kOlcReadAttempts) break;
-    if (!backoff.has_value()) {
-      if (search_retried_latency_ != nullptr) t0 = obs::MonotonicNanos();
-      backoff.emplace(OlcReadRetryPolicy(),
-                      backoff_seed_.fetch_add(1, std::memory_order_relaxed));
-    }
-    SleepUs(backoff->NextDelayUs());  // Sleeps outside the epoch guard.
-  }
-  if (read_fallbacks_total_ != nullptr) read_fallbacks_total_->Inc();
-  return false;
-}
-
-bool BmehStore::TryRangeOptimistic(const RangePredicate& pred,
-                                   std::vector<Record>* out, Status* st) {
-  std::optional<Backoff> backoff;
-  uint64_t t0 = 0;
-  for (int attempt = 0;;) {
-    bool conflict = false;
-    bool unpinned = false;
-    Status walked = [&] {
-      epoch::Guard guard(epoch_mgr_);
-      if (!guard.pinned()) {  // Slots exhausted: take the locked path.
-        unpinned = true;
-        return Status::Unavailable("epoch reader slots exhausted");
-      }
-      return tree_->RangeSearchOptimistic(pred, out, &conflict);
-    }();
-    if (unpinned) break;
-    if (!conflict) {
-      if (attempt > 0 && range_retried_latency_ != nullptr) {
-        range_retried_latency_->Record(obs::MonotonicNanos() - t0);
-      }
-      *st = std::move(walked);
-      return true;
-    }
-    if (read_retries_total_ != nullptr) read_retries_total_->Inc();
-    if (++attempt >= kOlcReadAttempts) break;
-    if (!backoff.has_value()) {
-      if (range_retried_latency_ != nullptr) t0 = obs::MonotonicNanos();
-      backoff.emplace(OlcReadRetryPolicy(),
-                      backoff_seed_.fetch_add(1, std::memory_order_relaxed));
-    }
-    SleepUs(backoff->NextDelayUs());
-  }
-  if (read_fallbacks_total_ != nullptr) read_fallbacks_total_->Inc();
-  return false;
+  if (options.optimistic_reads) plane_.EnableOptimistic(tree_.get());
 }
 
 Result<std::unique_ptr<BmehStore>> BmehStore::Open(
@@ -835,7 +719,7 @@ Status BmehStore::Write(const WriteBatch& batch,
              &inject_op_delay_ns_);
   op.set_count(batch.size());
   Status st = [&]() -> Status {
-    auto lock = LockExclusive();
+    auto lock = plane_.LockExclusive();
     Status applied = ApplyBatchLocked(batch.records(), per_record);
     op.set_lsn(wal_->next_lsn() - 1);
     return applied;
@@ -871,7 +755,7 @@ Status BmehStore::Put(const PseudoKey& key, uint64_t payload) {
       // event keeps lsn 0 rather than racing for it.
       return committer_->Submit({Wal::kOpInsert, key, payload});
     }
-    auto lock = LockExclusive();
+    auto lock = plane_.LockExclusive();
     BMEH_RETURN_NOT_OK(poisoned_);
     BMEH_RETURN_NOT_OK(LogMutation({Wal::kOpInsert, key, payload}));
     op.set_lsn(wal_->next_lsn() - 1);
@@ -888,14 +772,12 @@ Result<uint64_t> BmehStore::Get(const PseudoKey& key) {
   OpScope op("get", search_latency_, tracer_, oplog_, shard_index_,
              &inject_op_delay_ns_);
   Result<uint64_t> res = [&]() -> Result<uint64_t> {
-    Result<uint64_t> found{uint64_t{0}};
-    if (olc_enabled_ && TryGetOptimistic(key, &found)) {
-      // Lock-free fast path: no shared lock, so this read did not wait
-      // out a concurrent writer's WAL fsync.
-    } else {
-      auto lock = LockShared();
-      found = tree_->Search(key);
-    }
+    // The optimistic path takes no lock, so it does not wait out a
+    // concurrent writer's WAL fsync.
+    Result<uint64_t> found = plane_.Read(
+        [&](bool* conflict) { return tree_->SearchOptimistic(key, conflict); },
+        [&] { return tree_->Search(key); }, read_retries_total_,
+        read_fallbacks_total_, search_retried_latency_);
     if (!found.ok() && found.status().IsKeyError() &&
         (report_.image_lost || report_.wal_data_loss)) {
       // When a whole image or a WAL suffix is gone, *any* absent key may
@@ -920,7 +802,7 @@ Status BmehStore::Delete(const PseudoKey& key) {
     if (committer_ != nullptr) {
       return committer_->Submit({Wal::kOpDelete, key, 0});
     }
-    auto lock = LockExclusive();
+    auto lock = plane_.LockExclusive();
     BMEH_RETURN_NOT_OK(poisoned_);
     BMEH_RETURN_NOT_OK(LogMutation({Wal::kOpDelete, key, 0}));
     op.set_lsn(wal_->next_lsn() - 1);
@@ -938,13 +820,12 @@ Status BmehStore::Range(const RangePredicate& pred,
   OpScope op("range", range_latency_, tracer_, oplog_, shard_index_,
              &inject_op_delay_ns_);
   Status st = [&]() -> Status {
-    Status walked;
-    if (olc_enabled_ && TryRangeOptimistic(pred, out, &walked)) {
-      // Lock-free fast path (see Get).
-    } else {
-      auto lock = LockShared();
-      walked = tree_->RangeSearch(pred, out);
-    }
+    Status walked = plane_.Read(
+        [&](bool* conflict) {
+          return tree_->RangeSearchOptimistic(pred, out, conflict);
+        },
+        [&] { return tree_->RangeSearch(pred, out); }, read_retries_total_,
+        read_fallbacks_total_, range_retried_latency_);
     if (walked.ok() && (report_.image_lost || report_.wal_data_loss)) {
       // The surviving matches are in `out`, but records destroyed with
       // the image / WAL suffix can no longer be enumerated.
@@ -976,7 +857,7 @@ Status BmehStore::MaybeAutoCheckpointLocked() {
 }
 
 Status BmehStore::Checkpoint() {
-  auto lock = LockExclusive();
+  auto lock = plane_.LockExclusive();
   return CheckpointLocked();
 }
 
@@ -1088,7 +969,7 @@ Status BmehStore::ArchiveWalLocked() {
 }
 
 Result<BmehStore::BackupSnapshot> BmehStore::BeginBackup() {
-  std::unique_lock<std::shared_mutex> lock(op_mutex_);
+  std::unique_lock<std::shared_mutex> lock(plane_.mutex());
   BMEH_RETURN_NOT_OK(poisoned_);
   if (degraded()) {
     return Status::DataLoss(
@@ -1123,13 +1004,13 @@ Result<BmehStore::BackupSnapshot> BmehStore::BeginBackup() {
 }
 
 Status BmehStore::ReadPageForBackup(PageId id, std::vector<uint8_t>* out) {
-  std::shared_lock<std::shared_mutex> lock(op_mutex_);
+  std::shared_lock<std::shared_mutex> lock(plane_.mutex());
   out->resize(store_->page_size());
   return store_->Read(id, *out);
 }
 
 void BmehStore::EndBackup() {
-  std::unique_lock<std::shared_mutex> lock(op_mutex_);
+  std::unique_lock<std::shared_mutex> lock(plane_.mutex());
   if (backup_pins_ == 0) return;
   if (--backup_pins_ > 0) return;
   // Last pin released: perform the frees checkpoints deferred.  A failed

@@ -5,18 +5,16 @@
 // exclusive lock.  Readers come in two flavors:
 //  * the classic coarse-grained recipe — shared lock for Search and
 //    RangeSearch — for any MultiKeyIndex;
-//  * an optimistic lock-free path (default, BMEH-tree only): descend the
-//    published structure validating slot version words (even = stable,
-//    odd = write in progress), retry on conflict with bounded backoff,
-//    and fall back to the shared lock if contention persists.  Replaced
-//    nodes are retired through epoch-based reclamation, so readers never
-//    touch freed memory.  See arena.h / bmeh_olc_read.cc for the
-//    protocol and DESIGN.md §13 for the proof sketch.
-// The remaining locked path is write-preferring (same discipline as
-// BmehStore): mutators raise writers_pending_ for their whole exclusive
-// tenure and locked readers back off on capped timed sleeps, so fallback
-// churn can neither starve writers (glibc's rwlock prefers readers) nor
-// stage a futex thundering herd at release time.
+//  * an optimistic lock-free path (default, BMEH-tree only, degraded
+//    trees from LoadFromTolerant included): descend the published
+//    structure validating slot version words (even = stable, odd = write
+//    in progress), retry on conflict with bounded backoff, and fall back
+//    to the shared lock if contention persists.  Replaced nodes are
+//    retired through epoch-based reclamation, so readers never touch
+//    freed memory.  See arena.h / bmeh_olc_read.cc for the protocol and
+//    DESIGN.md §13 for the proof sketch.
+// Both flavors, and the write-preferring gate on the lock, come from the
+// ReadPlane that BmehStore uses too (src/store/read_plane.h).
 //
 // Observability: construct with a MetricsRegistry to get per-operation
 // counters (`index_*_total`, plus `index_read_retries_total` and
@@ -32,32 +30,22 @@
 #ifndef BMEH_STORE_CONCURRENT_INDEX_H_
 #define BMEH_STORE_CONCURRENT_INDEX_H_
 
-#include <algorithm>
-#include <atomic>
 #include <memory>
-#include <mutex>
-#include <optional>
-#include <shared_mutex>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "src/common/backoff.h"
 #include "src/common/epoch.h"
 #include "src/core/bmeh_tree.h"
 #include "src/hashdir/multikey_index.h"
 #include "src/obs/metrics.h"
+#include "src/store/read_plane.h"
 
 namespace bmeh {
 
 /// \brief Thread-safe wrapper around a MultiKeyIndex (see file comment).
 class ConcurrentIndex {
  public:
-  /// Optimistic-read retry tuning: a conflict means a writer published
-  /// mid-descent, which lasts microseconds, so retries are quick and the
-  /// shared-lock fallback is only for pathological churn.
-  static constexpr int kReadAttempts = 4;
-
   /// \brief Takes ownership of `index`.  `metrics` (optional) must
   /// outlive this object.  `optimistic_reads` enables the lock-free read
   /// path when the index is a BmehTree (ignored otherwise).
@@ -67,14 +55,8 @@ class ConcurrentIndex {
       : index_(std::move(index)) {
     BMEH_CHECK(index_ != nullptr);
     if (optimistic_reads) {
-      auto* tree = dynamic_cast<BmehTree*>(index_.get());
-      if (tree != nullptr && !tree->degraded()) {
-        epoch_ = epoch::EpochManager::Global();
-        if (!tree->concurrent_reads_enabled()) {
-          tree->EnableConcurrentReads(epoch_);
-        }
-        tree_olc_ = tree;
-      }
+      tree_olc_ = dynamic_cast<BmehTree*>(index_.get());
+      if (tree_olc_ != nullptr) plane_.EnableOptimistic(tree_olc_);
     }
     if (metrics != nullptr) {
       metrics_ = metrics;
@@ -123,7 +105,7 @@ class ConcurrentIndex {
   Status Insert(const PseudoKey& key, uint64_t payload) {
     if (inserts_ != nullptr) inserts_->Inc();
     obs::ScopedLatency timer(insert_latency_);
-    auto lock = LockExclusive();
+    auto lock = plane_.LockExclusive();
     return index_->Insert(key, payload);
   }
 
@@ -136,7 +118,7 @@ class ConcurrentIndex {
   Status InsertBatch(std::span<const Record> records) {
     if (inserts_ != nullptr) inserts_->Inc(records.size());
     obs::ScopedLatency timer(insert_latency_);
-    auto lock = LockExclusive();
+    auto lock = plane_.LockExclusive();
     Status first;
     for (const Record& rec : records) {
       Status st = index_->Insert(rec.key, rec.payload);
@@ -148,49 +130,18 @@ class ConcurrentIndex {
   Result<uint64_t> Search(const PseudoKey& key) {
     if (searches_ != nullptr) searches_->Inc();
     obs::ScopedLatency timer(search_latency_);
-    if (tree_olc_ != nullptr) {
-      // Conflict-free pass reads no clock and touches no shared state;
-      // retry bookkeeping materializes on first conflict.
-      std::optional<Backoff> backoff;
-      uint64_t t0 = 0;
-      for (int attempt = 0;;) {
-        bool conflict = false;
-        bool unpinned = false;
-        Result<uint64_t> r = [&]() -> Result<uint64_t> {
-          epoch::Guard g(epoch_);
-          if (!g.pinned()) {
-            // All epoch reader slots taken: no reclamation protection, so
-            // the optimistic descent is unsafe.  Take the locked path.
-            unpinned = true;
-            return Status::Unavailable("epoch reader slots exhausted");
-          }
-          return tree_olc_->SearchOptimistic(key, &conflict);
-        }();
-        if (unpinned) break;
-        if (!conflict) {
-          if (attempt > 0 && search_retried_latency_ != nullptr) {
-            search_retried_latency_->Record(obs::MonotonicNanos() - t0);
-          }
-          return r;
-        }
-        if (read_retries_ != nullptr) read_retries_->Inc();
-        if (++attempt >= kReadAttempts) break;
-        if (!backoff.has_value()) {
-          if (search_retried_latency_ != nullptr) t0 = obs::MonotonicNanos();
-          backoff.emplace(ReadRetryPolicy(), NextBackoffSeed());
-        }
-        SleepUs(backoff->NextDelayUs());  // Outside the guard.
-      }
-      if (read_fallbacks_ != nullptr) read_fallbacks_->Inc();
-    }
-    auto lock = LockShared();
-    return index_->Search(key);
+    return plane_.Read(
+        [&](bool* conflict) {
+          return tree_olc_->SearchOptimistic(key, conflict);
+        },
+        [&] { return index_->Search(key); }, read_retries_, read_fallbacks_,
+        search_retried_latency_);
   }
 
   Status Delete(const PseudoKey& key) {
     if (deletes_ != nullptr) deletes_->Inc();
     obs::ScopedLatency timer(delete_latency_);
-    auto lock = LockExclusive();
+    auto lock = plane_.LockExclusive();
     return index_->Delete(key);
   }
 
@@ -200,7 +151,7 @@ class ConcurrentIndex {
   Status DeleteBatch(std::span<const PseudoKey> keys) {
     if (deletes_ != nullptr) deletes_->Inc(keys.size());
     obs::ScopedLatency timer(delete_latency_);
-    auto lock = LockExclusive();
+    auto lock = plane_.LockExclusive();
     Status first;
     for (const PseudoKey& key : keys) {
       Status st = index_->Delete(key);
@@ -212,48 +163,21 @@ class ConcurrentIndex {
   Status RangeSearch(const RangePredicate& pred, std::vector<Record>* out) {
     if (ranges_ != nullptr) ranges_->Inc();
     obs::ScopedLatency timer(range_latency_);
-    if (tree_olc_ != nullptr) {
-      std::optional<Backoff> backoff;
-      uint64_t t0 = 0;
-      for (int attempt = 0;;) {
-        bool conflict = false;
-        bool unpinned = false;
-        Status st = [&] {
-          epoch::Guard g(epoch_);
-          if (!g.pinned()) {  // Slots exhausted: take the locked path.
-            unpinned = true;
-            return Status::Unavailable("epoch reader slots exhausted");
-          }
-          return tree_olc_->RangeSearchOptimistic(pred, out, &conflict);
-        }();
-        if (unpinned) break;
-        if (!conflict) {
-          if (attempt > 0 && range_retried_latency_ != nullptr) {
-            range_retried_latency_->Record(obs::MonotonicNanos() - t0);
-          }
-          return st;
-        }
-        if (read_retries_ != nullptr) read_retries_->Inc();
-        if (++attempt >= kReadAttempts) break;
-        if (!backoff.has_value()) {
-          if (range_retried_latency_ != nullptr) t0 = obs::MonotonicNanos();
-          backoff.emplace(ReadRetryPolicy(), NextBackoffSeed());
-        }
-        SleepUs(backoff->NextDelayUs());
-      }
-      if (read_fallbacks_ != nullptr) read_fallbacks_->Inc();
-    }
-    auto lock = LockShared();
-    return index_->RangeSearch(pred, out);
+    return plane_.Read(
+        [&](bool* conflict) {
+          return tree_olc_->RangeSearchOptimistic(pred, out, conflict);
+        },
+        [&] { return index_->RangeSearch(pred, out); }, read_retries_,
+        read_fallbacks_, range_retried_latency_);
   }
 
   IndexStructureStats Stats() const {
-    auto lock = LockShared();
+    auto lock = plane_.LockShared();
     return index_->Stats();
   }
 
   Status Validate() const {
-    auto lock = LockShared();
+    auto lock = plane_.LockShared();
     return index_->Validate();
   }
 
@@ -263,58 +187,6 @@ class ConcurrentIndex {
   bool optimistic_reads_enabled() const { return tree_olc_ != nullptr; }
 
  private:
-  /// RAII exclusive hold of mutex_ that keeps writers_pending_ raised for
-  /// the writer's whole tenure — acquisition wait AND hold — mirroring
-  /// BmehStore's write-preferring gate: glibc's rwlock prefers readers,
-  /// so a stream of shared-lock fallback readers could otherwise starve
-  /// writers indefinitely and pile up parked on the rwlock futex (whose
-  /// release then wakes the whole crowd before the writer can continue).
-  /// Only ever constructed as a prvalue from LockExclusive().
-  class ExclusiveLock {
-   public:
-    explicit ExclusiveLock(const ConcurrentIndex* c) : c_(c) {
-      c_->writers_pending_.fetch_add(1, std::memory_order_acquire);
-      lock_ = std::unique_lock<std::shared_mutex>(c_->mutex_);
-    }
-    ~ExclusiveLock() {
-      lock_.unlock();
-      c_->writers_pending_.fetch_sub(1, std::memory_order_release);
-    }
-    ExclusiveLock(ExclusiveLock&&) = delete;
-
-   private:
-    const ConcurrentIndex* c_;
-    std::unique_lock<std::shared_mutex> lock_;
-  };
-
-  ExclusiveLock LockExclusive() const { return ExclusiveLock(this); }
-
-  /// Write-preferring shared acquisition: back off on short capped timed
-  /// sleeps while any mutator is waiting or holding, so readers neither
-  /// starve writers nor park on the rwlock futex.  No livelock: the gate
-  /// drops the moment the last pending mutator releases.
-  std::shared_lock<std::shared_mutex> LockShared() const {
-    uint64_t park_us = 10;
-    while (writers_pending_.load(std::memory_order_acquire) > 0) {
-      SleepUs(park_us);
-      park_us = std::min<uint64_t>(park_us * 2, 1000);
-    }
-    return std::shared_lock<std::shared_mutex>(mutex_);
-  }
-
-  static BackoffPolicy ReadRetryPolicy() {
-    BackoffPolicy p;
-    p.max_attempts = kReadAttempts;
-    p.base_delay_us = 1;
-    p.max_delay_us = 100;
-    p.total_budget_us = 1000;
-    return p;
-  }
-
-  uint64_t NextBackoffSeed() {
-    return backoff_seed_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   /// Tree-shape sample for the metrics source.  With the lock-free path
   /// on, this must NOT use the writer-view accessors: a concurrent
   /// mutation's copy-on-write scope would race the sampler.  Sample the
@@ -323,9 +195,9 @@ class ConcurrentIndex {
   /// interleaving.
   void SampleStatsForMetrics(IndexStructureStats* out) const {
     if (tree_olc_ != nullptr) {
-      epoch::Guard g(epoch_);
-      for (int attempt = 0; g.pinned() && attempt < kReadAttempts;
-           ++attempt) {
+      epoch::Guard g(plane_.epoch());
+      for (int attempt = 0;
+           g.pinned() && attempt < ReadPlane::kOptimisticAttempts; ++attempt) {
         if (tree_olc_->SampleStatsOptimistic(out)) return;
       }
     }
@@ -335,12 +207,9 @@ class ConcurrentIndex {
   // Note: Search() mutates the underlying I/O counters, which is benign
   // from any thread because IoCounter is atomic; the registry source
   // above snapshots them likewise.
-  mutable std::shared_mutex mutex_;
-  mutable std::atomic<int> writers_pending_{0};
+  ReadPlane plane_;
   std::unique_ptr<MultiKeyIndex> index_;
   BmehTree* tree_olc_ = nullptr;  // Non-null once lock-free reads are on.
-  epoch::EpochManager* epoch_ = nullptr;
-  std::atomic<uint64_t> backoff_seed_{0x9e3779b97f4a7c15ull};
   obs::MetricsRegistry* metrics_ = nullptr;
   uint64_t metrics_source_ = 0;
   obs::Counter* inserts_ = nullptr;

@@ -19,43 +19,24 @@ fail() {
   exit 1
 }
 
-# build
-OUT=$("$CLI" build --db "$DB" --n 3000 --dist normal --b 8 --seed 7)
-echo "$OUT" | grep -q "3000 records" || fail "build did not report 3000 records"
+# a plain file that is not a store, for the refusal checks below
+echo "not a bmeh store" > "$DB"
 
-# stats + validation
-OUT=$("$CLI" stats --db "$DB")
-echo "$OUT" | grep -q "records:           3000" || fail "stats records"
-echo "$OUT" | grep -q "validation:        OK" || fail "stats validation"
+# stats and dot refuse a non-store file, and a missing path, which they
+# must not create
+for VERB in stats dot; do
+  if "$CLI" $VERB --db "$DB" > /dev/null 2>&1; then
+    fail "$VERB on a non-store file should fail"
+  fi
+  if "$CLI" $VERB --db "$DB.missing" > /dev/null 2>&1; then
+    fail "$VERB on a missing path should fail"
+  fi
+  [ ! -e "$DB.missing" ] || fail "$VERB created a store at a missing path"
+done
 
-# put / get
-"$CLI" put --db "$DB" --key 123,456 --value 999 > /dev/null
-OUT=$("$CLI" get --db "$DB" --key 123,456)
-echo "$OUT" | grep -q -- "-> 999" || fail "get after put"
-
-# duplicate put must fail
-if "$CLI" put --db "$DB" --key 123,456 --value 1 > /dev/null 2>&1; then
-  fail "duplicate put should fail"
-fi
-
-# range over the put key
-OUT=$("$CLI" range --db "$DB" --d0 0..2000 --d1 0..2000)
-echo "$OUT" | grep -q "(123, 456) -> 999" || fail "range did not find the key"
-
-# delete, then get must fail
-"$CLI" del --db "$DB" --key 123,456 > /dev/null
-if "$CLI" get --db "$DB" --key 123,456 > /dev/null 2>&1; then
-  fail "get after delete should fail"
-fi
-
-# dot output is a digraph
-OUT=$("$CLI" dot --db "$DB")
-echo "$OUT" | grep -q "digraph" || fail "dot output"
-
-# storeinfo rejects a raw tree image (it is not a BmehStore file) instead
-# of misreading it
+# storeinfo rejects a non-store file instead of misreading it
 if "$CLI" storeinfo --db "$DB" > /dev/null 2>&1; then
-  fail "storeinfo on a raw tree image should fail"
+  fail "storeinfo on a non-store file should fail"
 fi
 
 # unknown command errors out
@@ -157,11 +138,14 @@ grep -q '"traceEvents"' "$TRACE" || fail "trace file is not Chrome JSON"
 grep -q '"name": "put"' "$TRACE" || fail "trace has no put span"
 grep -q '"cat": "wal"' "$TRACE" || fail "trace has no WAL span"
 
-# tree-image stats still answers in the legacy format (checked above) and
-# trace on a raw tree image must fail cleanly
+# trace on a non-store file must fail cleanly
 if "$CLI" trace --db "$DB" --out "$TRACE" > /dev/null 2>&1; then
-  fail "trace on a raw tree image should fail"
+  fail "trace on a non-store file should fail"
 fi
+
+# dot renders a store file's directory
+OUT=$("$CLI" dot --db "$REPAIRED") || fail "dot on a store file exited non-zero"
+echo "$OUT" | grep -q "digraph" || fail "dot output"
 
 # ---- resource exhaustion: --max-pages quota ----
 

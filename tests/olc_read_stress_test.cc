@@ -2,7 +2,9 @@
 // under ThreadSanitizer: reader threads descend the published structure
 // with version validation while a writer mutates a small hot domain and
 // a splitter forces directory growth by streaming fresh keys into
-// capacity-4 pages.
+// capacity-4 pages.  The read plane's retry, fallback and degraded-tree
+// behaviour is checked through both of its owners, ConcurrentIndex and
+// BmehStore.
 //
 // Torn reads are detectable by construction: every record's payload is a
 // pure function of its key, so any payload mismatch on a successful read
@@ -14,7 +16,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <functional>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -22,6 +31,8 @@
 #include "src/common/epoch.h"
 #include "src/common/random.h"
 #include "src/metrics/experiment.h"
+#include "src/pagestore/page_store.h"
+#include "src/store/bmeh_store.h"
 #include "src/store/concurrent_index.h"
 
 namespace bmeh {
@@ -34,6 +45,32 @@ uint64_t StressSeed() {
 
 uint64_t PayloadFor(uint32_t a, uint32_t b) {
   return (static_cast<uint64_t>(a) << 32) | b;
+}
+
+uint64_t PayloadOf(const PseudoKey& key) {
+  return PayloadFor(key.component(0), key.component(1));
+}
+
+// One read/write surface over both read-plane owners, so a scenario runs
+// unchanged against ConcurrentIndex and BmehStore.
+Status Put(ConcurrentIndex* c, const PseudoKey& k, uint64_t v) {
+  return c->Insert(k, v);
+}
+Status Put(BmehStore* s, const PseudoKey& k, uint64_t v) {
+  return s->Put(k, v);
+}
+Status Del(ConcurrentIndex* c, const PseudoKey& k) { return c->Delete(k); }
+Status Del(BmehStore* s, const PseudoKey& k) { return s->Delete(k); }
+Result<uint64_t> Get(ConcurrentIndex* c, const PseudoKey& k) {
+  return c->Search(k);
+}
+Result<uint64_t> Get(BmehStore* s, const PseudoKey& k) { return s->Get(k); }
+Status Scan(ConcurrentIndex* c, const RangePredicate& p,
+            std::vector<Record>* out) {
+  return c->RangeSearch(p, out);
+}
+Status Scan(BmehStore* s, const RangePredicate& p, std::vector<Record>* out) {
+  return s->Range(p, out);
 }
 
 // No-op sleeps: conflict backoff becomes a pure retry loop, so the
@@ -59,6 +96,15 @@ struct Harness {
   BmehTree* tree = nullptr;  // borrowed; owned by index
   std::unique_ptr<ConcurrentIndex> index;
 };
+
+// An in-memory BmehStore with capacity-4 pages, charging `registry`.
+std::unique_ptr<BmehStore> OpenMemStore(obs::MetricsRegistry* registry) {
+  StoreOptions opts;
+  opts.tree = TreeOptions::Make(2, 4);
+  opts.metrics = registry;
+  return BmehStore::Open(std::make_unique<InMemoryPageStore>(), opts)
+      .ValueOrDie();
+}
 
 TEST(OlcReadStressTest, ReadersWritersSplitterNoTornReads) {
   ScopedNoSleep no_sleep;
@@ -168,50 +214,328 @@ TEST(OlcReadStressTest, ReadersWritersSplitterNoTornReads) {
   EXPECT_GT(snap.counter("index_ranges_total"), 0u);
 }
 
-TEST(OlcReadStressTest, RetryCounterAdvancesOnGuaranteedConflict) {
-  // Deterministic conflict: the commit hook parks the writer mid-commit
-  // (publication seq odd) until a reader has charged at least one retry.
-  // A seqlock-validated RangeSearch in that window MUST conflict.
-  ScopedNoSleep no_sleep;
-  Harness h;
-  ASSERT_NE(h.tree, nullptr);
-  ASSERT_TRUE(h.index->Insert(PseudoKey({1u, 1u}), PayloadFor(1, 1)).ok());
+// Deterministic conflict: the commit hook parks the writer mid-commit
+// (publication seq odd) until the reader has charged a retry for every
+// optimistic attempt.  A seqlock-validated range read in that window MUST
+// conflict each time, so it ends in the shared-lock fallback — which
+// waits for the writer to finish and still returns a coherent answer.
+// `prefix` names the owner's retry counters ("index_" / "store_").
+template <typename Owner>
+void ParkedCommitForcesFallback(Owner* owner, BmehTree* tree,
+                                obs::MetricsRegistry* registry,
+                                const std::string& prefix) {
+  ASSERT_TRUE(Put(owner, PseudoKey({1u, 1u}), PayloadFor(1, 1)).ok());
 
-  obs::Counter* retries = h.registry.GetCounter("index_read_retries_total");
+  obs::Counter* retries = registry->GetCounter(prefix + "read_retries_total");
+  const auto attempts = static_cast<uint64_t>(ReadPlane::kOptimisticAttempts);
   std::atomic<bool> in_commit{false};
-  h.tree->SetCommitHookForTesting([&] {
+  tree->SetCommitHookForTesting([&] {
     in_commit.store(true, std::memory_order_release);
-    // Park until the reader has burned every optimistic attempt (each
-    // one conflicts while we hold the seq odd), which forces it onto the
-    // shared-lock fallback.  Bounded: the reader needs no lock we hold.
-    const auto want = static_cast<uint64_t>(ConcurrentIndex::kReadAttempts);
-    while (retries->value() < want) std::this_thread::yield();
+    // Bounded: the reader needs no lock we hold to burn its attempts.
+    while (retries->value() < attempts) std::this_thread::yield();
   });
 
   std::thread reader([&] {
     while (!in_commit.load(std::memory_order_acquire)) {
       std::this_thread::yield();
     }
-    RangePredicate pred(h.index->schema());
+    RangePredicate pred(owner->schema());
     std::vector<Record> out;
-    // Conflicts through every optimistic attempt (writer is parked until
-    // we charge a retry), then falls back to the shared lock, which waits
-    // for the writer to finish — and still returns a coherent answer.
-    ASSERT_TRUE(h.index->RangeSearch(pred, &out).ok());
+    ASSERT_TRUE(Scan(owner, pred, &out).ok());
     ASSERT_EQ(out.size(), 2u);
+    for (const Record& rec : out) EXPECT_EQ(rec.payload, PayloadOf(rec.key));
   });
 
-  ASSERT_TRUE(h.index->Insert(PseudoKey({2u, 2u}), PayloadFor(2, 2)).ok());
+  ASSERT_TRUE(Put(owner, PseudoKey({2u, 2u}), PayloadFor(2, 2)).ok());
   reader.join();
-  h.tree->SetCommitHookForTesting(nullptr);
+  tree->SetCommitHookForTesting(nullptr);
 
-  const auto snap = h.registry.Snapshot();
-  EXPECT_GE(snap.counter("index_read_retries_total"), 1u);
-  EXPECT_GE(snap.counter("index_read_fallbacks_total"), 1u);
-  const auto* retried = snap.histogram("range_retried_latency_ns");
+  const auto snap = registry->Snapshot();
+  EXPECT_GE(snap.counter(prefix + "read_retries_total"), attempts);
+  EXPECT_GE(snap.counter(prefix + "read_fallbacks_total"), 1u);
   // The fallback path (not a late success) served the read, so the
   // retried-success histogram may be empty; it must exist either way.
-  ASSERT_NE(retried, nullptr);
+  ASSERT_NE(snap.histogram("range_retried_latency_ns"), nullptr);
+}
+
+TEST(OlcReadStressTest, RetryCounterAdvancesOnGuaranteedConflict) {
+  ScopedNoSleep no_sleep;
+  {
+    SCOPED_TRACE("ConcurrentIndex");
+    Harness h;
+    ASSERT_NE(h.tree, nullptr);
+    ParkedCommitForcesFallback(h.index.get(), h.tree, &h.registry, "index_");
+  }
+  {
+    SCOPED_TRACE("BmehStore");
+    obs::MetricsRegistry registry;
+    auto store = OpenMemStore(&registry);
+    ParkedCommitForcesFallback(store.get(), store->mutable_tree(), &registry,
+                               "store_");
+  }
+}
+
+// Runs `read` on a fresh thread while parked threads lease every slot of
+// the global epoch manager — the one the read plane pins — so the read's
+// guard comes back unpinned.
+void WithEpochSlotsExhausted(const std::function<void()>& read) {
+  epoch::EpochManager* mgr = epoch::EpochManager::Global();
+  std::mutex mu;
+  std::condition_variable cv;
+  int ready = 0;
+  bool release = false;
+  std::vector<std::thread> holders;
+  for (int i = 0; i < epoch::EpochManager::kMaxThreads; ++i) {
+    holders.emplace_back([&] {
+      // The lease outlives the guard: the slot stays taken until this
+      // thread exits.
+      { epoch::Guard g(mgr); }
+      std::unique_lock<std::mutex> lock(mu);
+      ++ready;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return ready == epoch::EpochManager::kMaxThreads; });
+  }
+  std::thread reader([&] {
+    {
+      epoch::Guard probe(mgr);
+      EXPECT_FALSE(probe.pinned()) << "an epoch slot is still free";
+    }
+    read();
+  });
+  reader.join();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  for (std::thread& t : holders) t.join();
+}
+
+TEST(OlcReadStressTest, UnpinnedGuardFallsBackOnStore) {
+  obs::MetricsRegistry registry;
+  auto store = OpenMemStore(&registry);
+  ASSERT_TRUE(store->optimistic_reads_enabled());
+  const PseudoKey key({3u, 4u});
+  ASSERT_TRUE(store->Put(key, PayloadOf(key)).ok());
+
+  WithEpochSlotsExhausted([&] {
+    auto got = store->Get(key);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, PayloadOf(key));
+  });
+
+  const auto snap = registry.Snapshot();
+  EXPECT_EQ(snap.counter("store_read_fallbacks_total"), 1u);
+  EXPECT_EQ(snap.counter("store_read_retries_total"), 0u);
+}
+
+TEST(OlcReadStressTest, UnpinnedGuardFallsBackOnIndex) {
+  Harness h;
+  ASSERT_TRUE(h.index->optimistic_reads_enabled());
+  const PseudoKey key({3u, 4u});
+  ASSERT_TRUE(h.index->Insert(key, PayloadOf(key)).ok());
+
+  WithEpochSlotsExhausted([&] {
+    RangePredicate pred(h.index->schema());
+    std::vector<Record> out;
+    ASSERT_TRUE(h.index->RangeSearch(pred, &out).ok());
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].key, key);
+    EXPECT_EQ(out[0].payload, PayloadOf(key));
+  });
+
+  const auto snap = h.registry.Snapshot();
+  EXPECT_EQ(snap.counter("index_read_fallbacks_total"), 1u);
+  EXPECT_EQ(snap.counter("index_read_retries_total"), 0u);
+}
+
+constexpr int kDegradedPageSize = 512;
+
+StoreOptions DegradedOpts() {
+  StoreOptions o;
+  o.tree = TreeOptions::Make(2, 8);
+  o.page_size = kDegradedPageSize;
+  o.wal_sync_every = 0;
+  return o;
+}
+
+// Builds a store file whose checkpoint image lost its last page to bit
+// rot, as in the corruption matrix's
+// ImageTailCorruptionQuarantinesOnlyLostBuckets: the tail lies deep in
+// the serialized pages section, so the directory survives and a tolerant
+// load quarantines only the buckets whose records sat on that page.  `keys` receives every stored key (payload =
+// PayloadOf(key)); `image_head` the image chain's first page.
+void BuildDegradedStoreFile(const std::string& path,
+                            std::vector<PseudoKey>* keys,
+                            PageId* image_head) {
+  std::remove(path.c_str());
+  {
+    auto store = BmehStore::Open(path, DegradedOpts());
+    ASSERT_TRUE(store.ok()) << store.status();
+    for (uint32_t i = 1; i <= 300; ++i) {
+      keys->push_back(PseudoKey({(i * 2654435761u) & 0x7fffffffu, i}));
+      ASSERT_TRUE((*store)->Put(keys->back(), PayloadOf(keys->back())).ok());
+    }
+    ASSERT_TRUE((*store)->Checkpoint().ok());
+  }
+  auto info = BmehStore::Inspect(path);
+  ASSERT_TRUE(info.ok()) << info.status();
+  *image_head = info->image_head;
+  PageId victim = kInvalidPageId;
+  {
+    auto file = FilePageStore::OpenForRecovery(path);
+    ASSERT_TRUE(file.ok()) << file.status();
+    std::vector<uint8_t> buf(kDegradedPageSize);
+    for (PageId id = info->image_head; id != kInvalidPageId;) {
+      victim = id;
+      ASSERT_TRUE((*file)->Read(id, buf).ok());
+      std::memcpy(&id, buf.data(), 4);
+    }
+  }
+  ASSERT_NE(victim, kInvalidPageId);
+  const long offset =
+      static_cast<long>(victim) *
+          (kDegradedPageSize + FilePageStore::kPageTrailerSize) +
+      77;
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  char byte = 0;
+  f.seekg(offset);
+  ASSERT_TRUE(f.read(&byte, 1));
+  byte = static_cast<char>(byte ^ 0xff);
+  f.seekp(offset);
+  ASSERT_TRUE(f.write(&byte, 1));
+}
+
+// Two readers (Get sweeps plus a full-domain Range) beside one writer
+// that deletes and re-inserts keys in healthy buckets.  Lock-free reads
+// of a degraded tree must stay exact: keys in a quarantined bucket always
+// answer DataLoss, keys present throughout always answer their payload,
+// and Range answers DataLoss with only genuine records, every key present
+// throughout among them.
+template <typename Owner>
+void DegradedReadsStayExact(Owner* owner, BmehTree* tree,
+                            const std::vector<PseudoKey>& keys) {
+  ScopedNoSleep no_sleep;
+  std::vector<PseudoKey> stable, churn, lost;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    auto got = Get(owner, keys[i]);
+    if (got.ok()) {
+      ASSERT_EQ(*got, PayloadOf(keys[i]));
+      (i % 4 == 0 ? churn : stable).push_back(keys[i]);
+    } else {
+      ASSERT_TRUE(got.status().IsDataLoss()) << got.status();
+      lost.push_back(keys[i]);
+    }
+  }
+  ASSERT_FALSE(lost.empty()) << "the fixture must quarantine some bucket";
+  ASSERT_FALSE(stable.empty());
+  ASSERT_FALSE(churn.empty());
+  const std::set<PseudoKey> genuine(keys.begin(), keys.end());
+
+  // Widen each commit's publication window so readers collide with it.
+  tree->SetCommitHookForTesting([] { std::this_thread::yield(); });
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> wrong{0};
+  std::atomic<uint64_t> write_errors{0};
+  std::atomic<uint64_t> passes{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      const RangePredicate all(owner->schema());
+      do {
+        for (const PseudoKey& k : stable) {
+          auto got = Get(owner, k);
+          if (!got.ok() || *got != PayloadOf(k)) wrong.fetch_add(1);
+        }
+        for (const PseudoKey& k : lost) {
+          if (!Get(owner, k).status().IsDataLoss()) wrong.fetch_add(1);
+        }
+        for (const PseudoKey& k : churn) {
+          auto got = Get(owner, k);
+          if (got.ok() ? *got != PayloadOf(k) : !got.status().IsKeyError()) {
+            wrong.fetch_add(1);
+          }
+        }
+        std::vector<Record> out;
+        if (!Scan(owner, all, &out).IsDataLoss()) wrong.fetch_add(1);
+        std::set<PseudoKey> seen;
+        for (const Record& rec : out) {
+          if (genuine.count(rec.key) == 0 ||
+              rec.payload != PayloadOf(rec.key) ||
+              !seen.insert(rec.key).second) {
+            wrong.fetch_add(1);
+          }
+        }
+        for (const PseudoKey& k : stable) {
+          if (seen.count(k) == 0) wrong.fetch_add(1);
+        }
+        passes.fetch_add(1, std::memory_order_relaxed);
+      } while (!stop.load(std::memory_order_acquire));
+    });
+  }
+
+  std::thread writer([&] {
+    for (int round = 0; round < 3; ++round) {
+      for (const PseudoKey& k : churn) {
+        if (!Del(owner, k).ok()) write_errors.fetch_add(1);
+        if (!Put(owner, k, PayloadOf(k)).ok()) write_errors.fetch_add(1);
+      }
+    }
+  });
+  writer.join();
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  tree->SetCommitHookForTesting(nullptr);
+
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(write_errors.load(), 0u);
+  EXPECT_GE(passes.load(), 2u);
+}
+
+TEST(OlcReadStressTest, DegradedStoreReadsLockFree) {
+  const std::string path =
+      ::testing::TempDir() + "/bmeh_olc_degraded_store.db";
+  std::vector<PseudoKey> keys;
+  PageId head = kInvalidPageId;
+  ASSERT_NO_FATAL_FAILURE(BuildDegradedStoreFile(path, &keys, &head));
+  {
+    auto opened = BmehStore::Open(path, DegradedOpts());
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    auto store = std::move(opened).ValueOrDie();
+    ASSERT_TRUE(store->degraded());
+    ASSERT_GT(store->recovery_report().quarantined_buckets, 0u);
+    ASSERT_TRUE(store->optimistic_reads_enabled());
+    DegradedReadsStayExact(store.get(), store->mutable_tree(), keys);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(OlcReadStressTest, DegradedIndexReadsLockFree) {
+  const std::string path =
+      ::testing::TempDir() + "/bmeh_olc_degraded_index.db";
+  std::vector<PseudoKey> keys;
+  PageId head = kInvalidPageId;
+  ASSERT_NO_FATAL_FAILURE(BuildDegradedStoreFile(path, &keys, &head));
+  std::unique_ptr<BmehTree> loaded;
+  {
+    auto file = FilePageStore::OpenForRecovery(path);
+    ASSERT_TRUE(file.ok()) << file.status();
+    TreeLoadReport report;
+    auto tree = BmehTree::LoadFromTolerant(file->get(), head, &report);
+    ASSERT_TRUE(tree.ok()) << tree.status();
+    loaded = std::move(tree).ValueOrDie();
+  }
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded->degraded());
+  BmehTree* tree = loaded.get();
+  ConcurrentIndex index(std::move(loaded));
+  ASSERT_TRUE(index.optimistic_reads_enabled());
+  DegradedReadsStayExact(&index, tree, keys);
 }
 
 TEST(OlcReadStressTest, MidPublishPageSplitConflictsInsteadOfKeyError) {

@@ -1,35 +1,17 @@
-// bmeh_cli — command-line front end for the BMEH-tree.
-//
-//   bmeh_cli build  --db FILE [--dims D] [--width W] [--b B] [--phi P]
-//                   [--n N] [--dist uniform|normal|clustered|diagonal]
-//                   [--seed S]
-//       Generates N keys from the given distribution, bulk-loads a tree,
-//       and saves it to FILE.
+// bmeh_cli — command-line front end for BMEH-tree stores.
 //
 //   bmeh_cli stats  --db FILE [--json] [--ops N]
-//       On a raw tree image: prints structural statistics.  On a
-//       BmehStore file: opens it with a metrics registry attached and
-//       prints every counter, gauge and latency summary — Prometheus-
-//       style text by default, one JSON object with --json.  With
-//       --ops N a probe workload (N gets, N put/delete pairs, one range,
-//       one checkpoint) is run first so the latency histograms have
-//       samples; without it the exposition reflects the open/replay only
-//       and the file is not modified.
-//
-//   bmeh_cli get    --db FILE --key C1,C2[,...]
-//       Exact-match lookup.
-//
-//   bmeh_cli put    --db FILE --key C1,C2[,...] --value V
-//       Inserts a record and saves the tree back.
-//
-//   bmeh_cli del    --db FILE --key C1,C2[,...]
-//       Deletes a record and saves the tree back.
-//
-//   bmeh_cli range  --db FILE [--d0 LO..HI] [--d1 LO..HI] ...
-//       Partial-range query; unconstrained dimensions match everything.
+//       Opens a BmehStore file (or sharded directory) with a metrics
+//       registry attached and prints every counter, gauge and latency
+//       summary — Prometheus-style text by default, one JSON object with
+//       --json.  With --ops N a probe workload (N gets, N put/delete
+//       pairs, one range, one checkpoint) is run first so the latency
+//       histograms have samples; without it the exposition reflects the
+//       open/replay only and the file is not modified.
 //
 //   bmeh_cli dot    --db FILE
-//       Prints the directory as Graphviz dot (small trees only).
+//       Prints the directory of a BmehStore file (a shard file of a
+//       sharded store works too) as Graphviz dot (small trees only).
 //
 //   bmeh_cli storeinfo --db FILE [--json]
 //       Prints the durable state of a BmehStore file (checkpoint
@@ -61,8 +43,8 @@
 //   bmeh_cli storebuild --db FILE [--dims D] [--width W] [--b B] [--phi P]
 //                   [--n N] [--dist NAME] [--seed S] [--page-size P]
 //                   [--leave-wal K] [--max-pages M] [--batch B] [--shards N]
-//       Creates a durable BmehStore file (checkpoint + WAL, unlike `build`
-//       which writes a raw tree image) holding N generated records.  With
+//       Creates a durable BmehStore file (checkpoint + WAL) holding N
+//       generated records.  With
 //       --leave-wal K the last K mutations stay in the write-ahead log and
 //       the final close skips its checkpoint, leaving the file exactly as
 //       a crash would — the fixture the recovery tooling is tested on.
@@ -178,23 +160,6 @@ Args Parse(int argc, char** argv) {
   return args;
 }
 
-PseudoKey ParseKey(const std::string& text, const KeySchema& schema) {
-  std::vector<uint32_t> comps;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) comma = text.size();
-    comps.push_back(static_cast<uint32_t>(
-        std::strtoul(text.substr(pos, comma - pos).c_str(), nullptr, 10)));
-    pos = comma + 1;
-  }
-  if (static_cast<int>(comps.size()) != schema.dims()) {
-    Die("key has " + std::to_string(comps.size()) + " components, tree has " +
-        std::to_string(schema.dims()) + " dimensions");
-  }
-  return PseudoKey(std::span<const uint32_t>(comps.data(), comps.size()));
-}
-
 workload::Distribution ParseDist(const std::string& name) {
   if (name == "uniform") return workload::Distribution::kUniform;
   if (name == "normal") return workload::Distribution::kNormal;
@@ -204,160 +169,6 @@ workload::Distribution ParseDist(const std::string& name) {
     return workload::Distribution::kAdversarialPrefix;
   }
   Die("unknown distribution: " + name);
-}
-
-// The tree image head is stored in the page-store page right after the
-// header (the save is always the first allocation of a fresh store).
-constexpr PageId kHeadPage = 1;
-
-std::unique_ptr<BmehTree> Load(const std::string& path) {
-  auto store = FilePageStore::Open(path);
-  if (!store.ok()) Die(store.status().ToString());
-  auto tree = BmehTree::LoadFrom(store->get(), kHeadPage);
-  if (!tree.ok()) Die(tree.status().ToString());
-  return std::move(tree).ValueOrDie();
-}
-
-void Save(BmehTree* tree, const std::string& path) {
-  auto store = FilePageStore::Create(path);
-  if (!store.ok()) Die(store.status().ToString());
-  auto head = tree->SaveTo(store->get());
-  if (!head.ok()) Die(head.status().ToString());
-  if (*head != kHeadPage) Die("unexpected image head page");
-  Status st = (*store)->Sync();
-  if (!st.ok()) Die(st.ToString());
-}
-
-int CmdBuild(const Args& args) {
-  const std::string db = args.Get("db");
-  if (db.empty()) Die("build requires --db");
-  const int dims = args.GetInt("dims", 2);
-  const int width = args.GetInt("width", 31);
-  const int b = args.GetInt("b", 16);
-  const int phi = args.GetInt("phi", 6);
-  const uint64_t n = static_cast<uint64_t>(args.GetInt("n", 40000));
-
-  workload::WorkloadSpec spec;
-  spec.distribution = ParseDist(args.Get("dist", "uniform"));
-  spec.dims = dims;
-  spec.width = width;
-  spec.seed = static_cast<uint64_t>(args.GetInt("seed", 1986));
-
-  KeySchema schema(dims, width);
-  BmehTree tree(schema, TreeOptions::Make(dims, b, phi));
-  std::vector<Record> records;
-  records.reserve(n);
-  auto keys = workload::GenerateKeys(spec, n);
-  for (uint64_t i = 0; i < n; ++i) records.push_back({keys[i], i});
-  Status st = tree.BulkLoad(std::move(records));
-  if (!st.ok()) Die(st.ToString());
-  st = tree.Validate();
-  if (!st.ok()) Die(st.ToString());
-  Save(&tree, db);
-  const auto stats = tree.Stats();
-  std::printf("built %s: %llu records (%s), %llu pages, %llu nodes, "
-              "%d levels\n",
-              db.c_str(), static_cast<unsigned long long>(stats.records),
-              workload::DistributionName(spec.distribution),
-              static_cast<unsigned long long>(stats.data_pages),
-              static_cast<unsigned long long>(stats.directory_nodes),
-              tree.height());
-  return 0;
-}
-
-int CmdStats(const Args& args) {
-  auto tree = Load(args.Get("db"));
-  const auto stats = tree->Stats();
-  std::printf("schema:            %s\n", tree->schema().ToString().c_str());
-  std::printf("records:           %llu\n",
-              static_cast<unsigned long long>(stats.records));
-  std::printf("data pages:        %llu (capacity %d, load factor %.3f)\n",
-              static_cast<unsigned long long>(stats.data_pages),
-              tree->page_capacity(),
-              stats.LoadFactor(tree->page_capacity()));
-  std::printf("directory nodes:   %llu\n",
-              static_cast<unsigned long long>(stats.directory_nodes));
-  std::printf("directory entries: %llu allocated, %llu in use\n",
-              static_cast<unsigned long long>(stats.directory_entries),
-              static_cast<unsigned long long>(stats.directory_entries_used));
-  std::printf("levels (balanced): %d\n", tree->height());
-  Status st = tree->Validate();
-  std::printf("validation:        %s\n", st.ToString().c_str());
-  return st.ok() ? 0 : 1;
-}
-
-int CmdGet(const Args& args) {
-  auto tree = Load(args.Get("db"));
-  PseudoKey key = ParseKey(args.Get("key"), tree->schema());
-  auto r = tree->Search(key);
-  if (!r.ok()) {
-    std::printf("%s\n", r.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("%s -> %llu\n", key.ToString().c_str(),
-              static_cast<unsigned long long>(*r));
-  return 0;
-}
-
-int CmdPut(const Args& args) {
-  auto tree = Load(args.Get("db"));
-  PseudoKey key = ParseKey(args.Get("key"), tree->schema());
-  const uint64_t value =
-      std::strtoull(args.Get("value", "0").c_str(), nullptr, 10);
-  Status st = tree->Insert(key, value);
-  if (!st.ok()) Die(st.ToString());
-  Save(tree.get(), args.Get("db"));
-  std::printf("inserted %s -> %llu\n", key.ToString().c_str(),
-              static_cast<unsigned long long>(value));
-  return 0;
-}
-
-int CmdDel(const Args& args) {
-  auto tree = Load(args.Get("db"));
-  PseudoKey key = ParseKey(args.Get("key"), tree->schema());
-  Status st = tree->Delete(key);
-  if (!st.ok()) Die(st.ToString());
-  Save(tree.get(), args.Get("db"));
-  std::printf("deleted %s\n", key.ToString().c_str());
-  return 0;
-}
-
-int CmdRange(const Args& args) {
-  auto tree = Load(args.Get("db"));
-  RangePredicate pred(tree->schema());
-  for (int j = 0; j < tree->schema().dims(); ++j) {
-    const std::string flag = "d" + std::to_string(j);
-    if (!args.Has(flag)) continue;
-    const std::string text = args.Get(flag);
-    const size_t dots = text.find("..");
-    if (dots == std::string::npos) Die("--" + flag + " wants LO..HI");
-    pred.Constrain(
-        j,
-        static_cast<uint32_t>(
-            std::strtoul(text.substr(0, dots).c_str(), nullptr, 10)),
-        static_cast<uint32_t>(
-            std::strtoul(text.substr(dots + 2).c_str(), nullptr, 10)));
-  }
-  std::vector<Record> out;
-  Status st = tree->RangeSearch(pred, &out);
-  if (!st.ok()) Die(st.ToString());
-  const size_t show = std::min<size_t>(out.size(), 20);
-  for (size_t i = 0; i < show; ++i) {
-    std::printf("%s -> %llu\n", out[i].key.ToString().c_str(),
-                static_cast<unsigned long long>(out[i].payload));
-  }
-  if (out.size() > show) {
-    std::printf("... and %zu more\n", out.size() - show);
-  }
-  std::printf("%zu records matched %s\n", out.size(),
-              pred.ToString().c_str());
-  return 0;
-}
-
-int CmdDot(const Args& args) {
-  auto tree = Load(args.Get("db"));
-  std::fputs(tree->ToDot().c_str(), stdout);
-  return 0;
 }
 
 /// JSON string escaper for the --json expositions (quotes, backslashes,
@@ -561,7 +372,7 @@ StoreOptions MakeStoreOptions(const Args& args) {
 }
 
 /// True when `path` is a BmehStore file (superblock magic at the first
-/// data page) rather than a raw tree image.
+/// data page).
 bool IsStoreFile(const std::string& path) {
   auto file = FilePageStore::OpenForRecovery(path);
   if (!file.ok()) return false;
@@ -570,6 +381,20 @@ bool IsStoreFile(const std::string& path) {
   return internal::ReadStoreSuperblock(file->get(), (*file)->first_data_page(),
                                        &image_head, &generation, &wal_head)
       .ok();
+}
+
+/// Opens the store file at --db for a verb that inspects it (stats, trace,
+/// dot).  Anything else is refused — including a missing path, which
+/// BmehStore::Open would create — so a mistyped path never becomes a store.
+std::unique_ptr<BmehStore> OpenStoreFile(const Args& args,
+                                         const StoreOptions& options) {
+  const std::string db = args.Get("db");
+  if (!IsStoreFile(db)) {
+    Die(args.command + " requires a BmehStore file (storebuild)");
+  }
+  auto store = BmehStore::Open(db, options);
+  if (!store.ok()) Die(store.status().ToString());
+  return std::move(store).ValueOrDie();
 }
 
 /// The probe workload `stats --ops` and `trace` run so the latency
@@ -666,38 +491,39 @@ int CmdStoreStatsSharded(const Args& args) {
 }
 
 int CmdStoreStats(const Args& args) {
-  const std::string db = args.Get("db");
   obs::MetricsRegistry registry;
   StoreOptions options = MakeStoreOptions(args);
   options.metrics = &registry;
-  auto store = BmehStore::Open(db, options);
-  if (!store.ok()) Die(store.status().ToString());
-  RunProbeOps(store->get(), args.GetInt("ops", 0));
+  auto store = OpenStoreFile(args, options);
+  RunProbeOps(store.get(), args.GetInt("ops", 0));
   // Snapshot while the store's sources are still attached, then suppress
   // the close-time checkpoint: a stats command must not rewrite a crash
   // fixture's WAL into an image behind the user's back.
   const std::string exposition = args.Has("json")
                                      ? registry.JsonExposition()
                                      : registry.TextExposition();
-  (*store)->SimulateCrashForTesting();
+  store->SimulateCrashForTesting();
   std::fputs(exposition.c_str(), stdout);
   return 0;
 }
 
+int CmdDot(const Args& args) {
+  auto store = OpenStoreFile(args, MakeStoreOptions(args));
+  std::fputs(store->tree().ToDot().c_str(), stdout);
+  store->SimulateCrashForTesting();  // see CmdStoreStats
+  return 0;
+}
+
 int CmdTrace(const Args& args) {
-  const std::string db = args.Get("db");
-  if (db.empty()) Die("trace requires --db");
-  if (!IsStoreFile(db)) Die("trace requires a BmehStore file (storebuild)");
   const std::string out_path = args.Get("out", "trace.json");
   obs::Tracer tracer(static_cast<size_t>(args.GetInt("spans", 4096)));
   obs::MetricsRegistry registry;
   StoreOptions options = MakeStoreOptions(args);
   options.tracer = &tracer;
   options.metrics = &registry;
-  auto store = BmehStore::Open(db, options);
-  if (!store.ok()) Die(store.status().ToString());
-  RunProbeOps(store->get(), args.GetInt("ops", 100));
-  (*store)->SimulateCrashForTesting();  // see CmdStoreStats
+  auto store = OpenStoreFile(args, options);
+  RunProbeOps(store.get(), args.GetInt("ops", 100));
+  store->SimulateCrashForTesting();  // see CmdStoreStats
   const std::string json = tracer.ToChromeTraceJson();
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) Die("cannot open " + out_path + " for writing");
@@ -1452,21 +1278,11 @@ int CmdCorrupt(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args = Parse(argc, argv);
-  if (args.command == "build") return CmdBuild(args);
   if (args.command == "stats") {
-    // One verb, three kinds of target: sharded directories and store
-    // files get the full metrics exposition, raw tree images keep the
-    // classic structural report.
-    if (ShardedStore::IsShardedDir(args.Get("db"))) {
-      return CmdStoreStatsSharded(args);
-    }
-    return IsStoreFile(args.Get("db")) ? CmdStoreStats(args)
-                                       : CmdStats(args);
+    return ShardedStore::IsShardedDir(args.Get("db"))
+               ? CmdStoreStatsSharded(args)
+               : CmdStoreStats(args);
   }
-  if (args.command == "get") return CmdGet(args);
-  if (args.command == "put") return CmdPut(args);
-  if (args.command == "del") return CmdDel(args);
-  if (args.command == "range") return CmdRange(args);
   if (args.command == "dot") return CmdDot(args);
   if (args.command == "storeinfo") return CmdStoreInfo(args);
   if (args.command == "storebuild") return CmdStoreBuild(args);
