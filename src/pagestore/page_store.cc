@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <mutex>
 #include <new>
@@ -36,44 +37,6 @@ std::unordered_map<std::string, std::string>& DirSyncFailures() {
 int g_inject_dir_sync_errors = 0;
 
 }  // namespace
-
-Status SyncDirectory(const std::string& dir) {
-  {
-    std::lock_guard<std::mutex> lock(DirSyncMutex());
-    auto it = DirSyncFailures().find(dir);
-    if (it != DirSyncFailures().end()) {
-      return Status::IoError("fsync dir: " + dir + ": " + it->second +
-                             " (sticky: durability of earlier entries is "
-                             "unknown)");
-    }
-    if (g_inject_dir_sync_errors > 0) {
-      --g_inject_dir_sync_errors;
-      DirSyncFailures().emplace(dir, "injected failure");
-      return Status::IoError("fsync dir: " + dir + ": injected failure");
-    }
-  }
-  int fd;
-  do {
-    fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  } while (fd < 0 && errno == EINTR);
-  if (fd < 0) {
-    return Status::IoError("open dir for fsync: " + dir + ": " +
-                           std::strerror(errno));
-  }
-  int rc;
-  do {
-    rc = ::fsync(fd);
-  } while (rc != 0 && errno == EINTR);
-  const int saved = errno;
-  ::close(fd);
-  if (rc != 0) {
-    const std::string reason = std::strerror(saved);
-    std::lock_guard<std::mutex> lock(DirSyncMutex());
-    DirSyncFailures().emplace(dir, reason);
-    return Status::IoError("fsync dir: " + dir + ": " + reason);
-  }
-  return Status::OK();
-}
 
 void internal::InjectDirSyncErrorsForTesting(int count) {
   std::lock_guard<std::mutex> lock(DirSyncMutex());
@@ -382,6 +345,16 @@ Status PreadFull(int fd, uint8_t* buf, size_t n, off_t off,
   return Status::OK();
 }
 
+/// fsync(2) that survives EINTR.  Any other failure is returned as is:
+/// the caller must treat it as lost durability, never as transient.
+int FsyncRetryEintr(int fd) {
+  for (;;) {
+    if (SimulateEintr()) continue;
+    const int rc = ::fsync(fd);
+    if (rc == 0 || errno != EINTR) return rc;
+  }
+}
+
 /// pwrite counterpart of PreadFull.
 Status PwriteFull(int fd, const uint8_t* buf, size_t n, off_t off,
                   const std::string& what) {
@@ -427,6 +400,150 @@ uint64_t EintrRetriesForTesting() {
 }
 
 }  // namespace internal
+
+// ---------------------------------------------------------------------------
+// Durable file helpers
+// ---------------------------------------------------------------------------
+
+Status SyncDirectory(const std::string& dir) {
+  {
+    std::lock_guard<std::mutex> lock(DirSyncMutex());
+    auto it = DirSyncFailures().find(dir);
+    if (it != DirSyncFailures().end()) {
+      return Status::IoError("fsync dir: " + dir + ": " + it->second +
+                             " (sticky: durability of earlier entries is "
+                             "unknown)");
+    }
+    if (g_inject_dir_sync_errors > 0) {
+      --g_inject_dir_sync_errors;
+      DirSyncFailures().emplace(dir, "injected failure");
+      return Status::IoError("fsync dir: " + dir + ": injected failure");
+    }
+  }
+  const int fd = OpenRetryEintr(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    return Status::IoError("open dir for fsync: " + dir + ": " +
+                           std::strerror(errno));
+  }
+  const int rc = FsyncRetryEintr(fd);
+  const int saved = errno;
+  ::close(fd);
+  if (rc != 0) {
+    const std::string reason = std::strerror(saved);
+    std::lock_guard<std::mutex> lock(DirSyncMutex());
+    DirSyncFailures().emplace(dir, reason);
+    return Status::IoError("fsync dir: " + dir + ": " + reason);
+  }
+  return Status::OK();
+}
+
+bool PathExists(const std::string& path, bool* is_dir) {
+  struct stat st;
+  if (::stat(path.c_str(), &st) != 0) return false;
+  if (is_dir != nullptr) *is_dir = S_ISDIR(st.st_mode);
+  return true;
+}
+
+std::string ParentDir(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  if (slash == 0) return "/";
+  return path.substr(0, slash);
+}
+
+Status EnsureDir(const std::string& dir) {
+  bool is_dir = false;
+  if (PathExists(dir, &is_dir)) {
+    if (!is_dir) return Status::Invalid(dir + " exists and is not a directory");
+    return Status::OK();
+  }
+  if (::mkdir(dir.c_str(), 0755) != 0) {
+    return Status::IoError("cannot create " + dir + ": " +
+                           std::strerror(errno));
+  }
+  // Persist the new directory's own entry: a crash must not drop it (and
+  // everything later written inside it) from its parent.
+  return SyncDirectory(ParentDir(dir));
+}
+
+Status ReadWholeFile(const std::string& path, std::vector<uint8_t>* out) {
+  const int fd = OpenRetryEintr(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    return Status::IoError("cannot open " + path + ": " +
+                           std::strerror(errno));
+  }
+  struct stat st;
+  Status result;
+  if (::fstat(fd, &st) != 0) {
+    result = Status::IoError("stat " + path + ": " + std::strerror(errno));
+  } else {
+    out->resize(static_cast<size_t>(st.st_size));
+    result = PreadFull(fd, out->data(), out->size(), 0, "read " + path);
+  }
+  ::close(fd);
+  return result;
+}
+
+Status WriteFileDurable(const std::string& dir, const std::string& name,
+                        std::span<const uint8_t> bytes) {
+  const std::string final_path = dir + "/" + name;
+  const std::string tmp_path = final_path + ".tmp";
+  const int fd =
+      OpenRetryEintr(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) {
+    return Status::IoError("cannot create " + tmp_path + ": " +
+                           std::strerror(errno));
+  }
+  Status st =
+      PwriteFull(fd, bytes.data(), bytes.size(), 0, "write " + tmp_path);
+  if (st.ok() && FsyncRetryEintr(fd) != 0) {
+    st = Status::IoError("fsync " + tmp_path + ": " + std::strerror(errno));
+  }
+  ::close(fd);
+  if (st.ok() && ::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
+    st = Status::IoError("cannot publish " + final_path + ": " +
+                         std::strerror(errno));
+  }
+  if (!st.ok()) {
+    std::remove(tmp_path.c_str());
+    return st;
+  }
+  // The rename is not durable until the directory entry is synced.
+  return SyncDirectory(dir);
+}
+
+Status WriteSealedText(const std::string& dir, const std::string& name,
+                       std::string body) {
+  char seal[32];
+  std::snprintf(seal, sizeof(seal), "crc %08x\n",
+                Crc32(body.data(), body.size()));
+  body += seal;
+  return WriteFileDurable(
+      dir, name,
+      std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(body.data()),
+                               body.size()));
+}
+
+Result<std::string> ReadSealedText(const std::string& path,
+                                   const std::string& what) {
+  std::vector<uint8_t> raw;
+  BMEH_RETURN_NOT_OK(ReadWholeFile(path, &raw));
+  std::string text(raw.begin(), raw.end());
+  const size_t crc_pos = text.rfind("crc ");
+  if (crc_pos == std::string::npos ||
+      (crc_pos != 0 && text[crc_pos - 1] != '\n')) {
+    return Status::Corruption(what + " missing its crc seal: " + path);
+  }
+  uint32_t want = 0;
+  if (std::sscanf(text.c_str() + crc_pos, "crc %x", &want) != 1) {
+    return Status::Corruption(what + " crc seal unreadable: " + path);
+  }
+  if (Crc32(text.data(), crc_pos) != want) {
+    return Status::Corruption(what + " checksum mismatch: " + path);
+  }
+  text.resize(crc_pos);
+  return text;
+}
 
 FilePageStore::FilePageStore(int fd, int page_size, int format_version,
                              uint32_t epoch)

@@ -410,6 +410,40 @@ class FilePageStore : public PageStore {
 /// the caller may retry once the path problem clears.
 Status SyncDirectory(const std::string& dir);
 
+/// \brief True when `path` exists; `*is_dir` (optional) receives whether
+/// it is a directory.
+bool PathExists(const std::string& path, bool* is_dir = nullptr);
+
+/// \brief The directory containing `path` ("." when it has no slash).
+std::string ParentDir(const std::string& path);
+
+/// \brief Creates directory `dir` unless it already exists, then fsyncs
+/// its parent so the new entry survives a crash.  Invalid when `dir`
+/// exists and is not a directory.
+Status EnsureDir(const std::string& dir);
+
+/// \brief Reads the whole file at `path` into `out`.
+Status ReadWholeFile(const std::string& path, std::vector<uint8_t>* out);
+
+/// \brief Publishes `bytes` as `dir/name` the crash-safe way: write a
+/// temp file, fsync it, rename it over the final name, fsync `dir`.  A
+/// crash at any point leaves either the complete file or none.  Every
+/// syscall absorbs EINTR; a failed fsync is an IoError, never ignored.
+Status WriteFileDurable(const std::string& dir, const std::string& name,
+                        std::span<const uint8_t> bytes);
+
+/// \brief Seals a text manifest: appends a "crc %08x" line holding the
+/// CRC-32 of `body` and publishes the result with WriteFileDurable.  The
+/// one format of every text manifest (MANIFEST, BACKUPSET, SHARDBACKUP).
+Status WriteSealedText(const std::string& dir, const std::string& name,
+                       std::string body);
+
+/// \brief Reads a file written by WriteSealedText and returns its body
+/// without the seal.  Corruption when the seal is missing, unreadable or
+/// does not match; `what` names the artifact in the message.
+Result<std::string> ReadSealedText(const std::string& path,
+                                   const std::string& what);
+
 namespace internal {
 
 /// \brief Testing seam: the next `count` SyncDirectory() calls fail as if
@@ -422,7 +456,8 @@ void InjectDirSyncErrorsForTesting(int count);
 void ResetStickyDirSyncErrorsForTesting();
 
 /// \brief Testing seam for the EINTR-retry loops around the file page
-/// store's syscalls (pread / pwrite / open).  Arms the injector so that,
+/// store's syscalls (pread / pwrite / open / fsync, and the same calls
+/// in the durable file helpers above).  Arms the injector so that,
 /// starting with the `nth` intercepted syscall (0-based), the next
 /// `count` syscalls fail with EINTR before reaching the kernel.  Every
 /// syscall site must absorb the interruption and retry — EINTR is a

@@ -1,9 +1,6 @@
 #include "src/store/backup.h"
 
 #include <dirent.h>
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -46,96 +43,6 @@ uint64_t GetU64(const uint8_t* p) {
   uint64_t v = 0;
   for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
   return v;
-}
-
-bool PathExists(const std::string& path, bool* is_dir) {
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) return false;
-  if (is_dir != nullptr) *is_dir = S_ISDIR(st.st_mode);
-  return true;
-}
-
-std::string ParentDir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
-}
-
-Status EnsureDir(const std::string& dir) {
-  bool is_dir = false;
-  if (PathExists(dir, &is_dir)) {
-    if (!is_dir) return Status::Invalid(dir + " exists and is not a directory");
-    return Status::OK();
-  }
-  if (::mkdir(dir.c_str(), 0755) != 0) {
-    return Status::IoError("cannot create " + dir + ": " +
-                           std::strerror(errno));
-  }
-  // Persist the new directory's own entry; losing the whole set directory
-  // from its parent on a crash would silently void the backup.
-  return SyncDirectory(ParentDir(dir));
-}
-
-Status ReadWholeFile(const std::string& path, std::vector<uint8_t>* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-  out->clear();
-  uint8_t buf[1 << 16];
-  size_t k;
-  while ((k = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->insert(out->end(), buf, buf + k);
-  }
-  const bool bad = std::ferror(f) != 0;
-  std::fclose(f);
-  if (bad) return Status::IoError("read failed: " + path);
-  return Status::OK();
-}
-
-/// Writes `bytes` as `dir/name` with the crash-safe dance every sealed
-/// artifact in this codebase uses: temp file, fsync, rename, directory
-/// fsync.  A kill at any point leaves either the complete file or none.
-Status WriteFileDurable(const std::string& dir, const std::string& name,
-                        std::span<const uint8_t> bytes) {
-  const std::string final_path = dir + "/" + name;
-  const std::string tmp_path = final_path + ".tmp";
-  int fd;
-  do {
-    fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  } while (fd < 0 && errno == EINTR);
-  if (fd < 0) {
-    return Status::IoError("cannot create " + tmp_path + ": " +
-                           std::strerror(errno));
-  }
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      std::remove(tmp_path.c_str());
-      return Status::IoError("write " + tmp_path + ": " + err);
-    }
-    off += static_cast<size_t>(n);
-  }
-  int rc;
-  do {
-    rc = ::fsync(fd);
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    std::remove(tmp_path.c_str());
-    return Status::IoError("fsync " + tmp_path + ": " + err);
-  }
-  ::close(fd);
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    const std::string err = std::strerror(errno);
-    std::remove(tmp_path.c_str());
-    return Status::IoError("cannot publish " + final_path + ": " + err);
-  }
-  return SyncDirectory(dir);
 }
 
 /// Releases a BeginBackup pin on every exit path.
@@ -336,24 +243,9 @@ Status AccumulateSegments(const std::string& set_dir,
 
 Result<BackupSetInfo> BackupStore::ReadManifest(const std::string& set_dir) {
   const std::string path = ManifestPath(set_dir);
-  std::vector<uint8_t> raw;
-  BMEH_RETURN_NOT_OK(ReadWholeFile(path, &raw));
-  std::string text(raw.begin(), raw.end());
-
-  const size_t crc_pos = text.rfind("crc ");
-  if (crc_pos == std::string::npos ||
-      (crc_pos != 0 && text[crc_pos - 1] != '\n')) {
-    return Status::Corruption("backup manifest missing its crc seal: " + path);
-  }
-  uint32_t want = 0;
-  if (std::sscanf(text.c_str() + crc_pos, "crc %x", &want) != 1) {
-    return Status::Corruption("backup manifest crc seal unreadable: " + path);
-  }
-  if (Crc32(text.data(), crc_pos) != want) {
-    return Status::Corruption("backup manifest checksum mismatch: " + path);
-  }
-
-  std::istringstream in(text.substr(0, crc_pos));
+  BMEH_ASSIGN_OR_RETURN(const std::string text,
+                        ReadSealedText(path, "backup manifest"));
+  std::istringstream in(text);
   std::string line;
   if (!std::getline(in, line) || line != kBackupMagic) {
     return Status::Corruption("not a backup set manifest: " + path);
@@ -582,17 +474,10 @@ Result<BackupRunInfo> BackupStore::Run(BmehStore* store,
   body += "base_lsn " + std::to_string(set_base) + "\n";
   body += "watermark " + std::to_string(snap.watermark) + "\n";
   if (incremental) body += "prev " + options.base_set + "\n";
-  char seal[32];
-  std::snprintf(seal, sizeof(seal), "crc %08x\n",
-                Crc32(body.data(), body.size()));
-  body += seal;
 
   // Seal last: until this rename lands, the set directory holds no valid
   // manifest and a restore refuses it — the crash-anywhere guarantee.
-  BMEH_RETURN_NOT_OK(WriteFileDurable(
-      out_dir, kManifestName,
-      std::span<const uint8_t>(
-          reinterpret_cast<const uint8_t*>(body.data()), body.size())));
+  BMEH_RETURN_NOT_OK(WriteSealedText(out_dir, kManifestName, std::move(body)));
 
   if (options.metrics != nullptr) {
     options.metrics->GetCounter("store_backups_total")->Inc();

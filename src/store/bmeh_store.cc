@@ -32,11 +32,6 @@ constexpr uint32_t kSuperMagic = 0x424d5333;    // "BMS3"
 constexpr size_t kSuperPayloadV2 = 20;
 constexpr size_t kSuperPayload = 28;
 
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
-
 Status ReadSuperblockFrom(PageStore* store, PageId page, PageId* head,
                           uint64_t* generation, PageId* wal_head,
                           uint64_t* wal_base_lsn) {
@@ -513,7 +508,7 @@ Result<std::unique_ptr<BmehStore>> BmehStore::Open(
 
 Result<std::unique_ptr<BmehStore>> BmehStore::Open(
     const std::string& path, const StoreOptions& options) {
-  if (!FileExists(path)) {
+  if (!PathExists(path)) {
     BMEH_ASSIGN_OR_RETURN(auto file,
                           FilePageStore::Create(path, options.page_size));
     if (options.max_pages > 0) file->SetMaxPages(options.max_pages);

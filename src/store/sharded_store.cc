@@ -1,19 +1,13 @@
 #include "src/store/sharded_store.h"
 
 #include <dirent.h>
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <queue>
 #include <sstream>
 #include <thread>
 
-#include "src/common/crc32.h"
 #include "src/obs/trace.h"
 
 namespace bmeh {
@@ -29,13 +23,6 @@ int Log2Exact(int n) {
   int bits = 0;
   while ((1 << bits) < n) ++bits;
   return bits;
-}
-
-bool PathExists(const std::string& path, bool* is_dir) {
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) return false;
-  if (is_dir != nullptr) *is_dir = S_ISDIR(st.st_mode);
-  return true;
 }
 
 bool DirectoryIsEmptyExcept(const std::string& path,
@@ -69,14 +56,6 @@ Status ValidateShardCount(int shards, const KeySchema& schema) {
                            std::to_string(schema.total_bits()) + ")");
   }
   return Status::OK();
-}
-
-/// The directory containing `path` ("." when `path` has no slash).
-std::string ParentDir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
 }
 
 uint64_t SplitMix64(uint64_t z) {
@@ -134,19 +113,7 @@ std::string ShardedStore::ShardPath(const std::string& dir, int shard_index) {
 
 Status ShardedStore::WriteManifest(const std::string& dir,
                                    const ShardManifest& manifest) {
-  bool is_dir = false;
-  if (!PathExists(dir, &is_dir)) {
-    if (::mkdir(dir.c_str(), 0755) != 0) {
-      return Status::IoError("cannot create " + dir + ": " +
-                             std::strerror(errno));
-    }
-    // Persist the new directory's own entry: a crash right after store
-    // creation must not lose the directory (and with it the manifest and
-    // every shard file) from its parent.
-    BMEH_RETURN_NOT_OK(SyncDirectory(ParentDir(dir)));
-  } else if (!is_dir) {
-    return Status::Invalid(dir + " exists and is not a directory");
-  }
+  BMEH_RETURN_NOT_OK(EnsureDir(dir));
   std::string body = std::string(kManifestMagic) + "\n";
   body += "shards " + std::to_string(manifest.shards) + "\n";
   body += "shard_bits " + std::to_string(manifest.shard_bits) + "\n";
@@ -157,64 +124,16 @@ Status ShardedStore::WriteManifest(const std::string& dir,
     body += " " + std::to_string(manifest.schema.width(j));
   }
   body += "\n";
-  char seal[32];
-  std::snprintf(seal, sizeof(seal), "crc %08x\n",
-                Crc32(body.data(), body.size()));
-  body += seal;
-
-  // Write-temp-then-rename so a crash never leaves a half-written
-  // manifest where Open() would read it.
-  const std::string final_path = dir + "/" + kManifestName;
-  const std::string tmp_path = final_path + ".tmp";
-  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot write " + tmp_path);
-  }
-  const bool wrote = std::fwrite(body.data(), 1, body.size(), f) ==
-                     body.size();
-  std::fflush(f);
-  ::fsync(::fileno(f));
-  std::fclose(f);
-  if (!wrote) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("short write to " + tmp_path);
-  }
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("cannot publish " + final_path + ": " +
-                           std::strerror(errno));
-  }
-  // The rename is not durable until the directory itself is synced; a
-  // failure here is a real durability failure, not advisory.
-  return SyncDirectory(dir);
+  // Published atomically, so a crash never leaves a half-written manifest
+  // where Open() would read it.
+  return WriteSealedText(dir, kManifestName, std::move(body));
 }
 
 Result<ShardManifest> ShardedStore::ReadManifest(const std::string& dir) {
   const std::string path = dir + "/" + kManifestName;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open " + path);
-  }
-  std::string text;
-  char buf[512];
-  size_t k;
-  while ((k = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, k);
-  std::fclose(f);
-
-  const size_t crc_pos = text.rfind("crc ");
-  if (crc_pos == std::string::npos ||
-      (crc_pos != 0 && text[crc_pos - 1] != '\n')) {
-    return Status::Corruption("manifest missing its crc seal: " + path);
-  }
-  uint32_t want = 0;
-  if (std::sscanf(text.c_str() + crc_pos, "crc %x", &want) != 1) {
-    return Status::Corruption("manifest crc seal unreadable: " + path);
-  }
-  if (Crc32(text.data(), crc_pos) != want) {
-    return Status::Corruption("manifest checksum mismatch: " + path);
-  }
-
-  std::istringstream in(text.substr(0, crc_pos));
+  BMEH_ASSIGN_OR_RETURN(const std::string text,
+                        ReadSealedText(path, "manifest"));
+  std::istringstream in(text);
   std::string line;
   if (!std::getline(in, line) || line != kManifestMagic) {
     return Status::Corruption("not a sharded store manifest: " + path);
@@ -256,6 +175,21 @@ bool ShardedStore::IsShardedDir(const std::string& path) {
   return ReadManifest(path).ok();
 }
 
+Result<std::vector<std::string>> ShardedStore::ShardFiles(
+    const std::string& path, std::optional<ShardManifest>* manifest) {
+  if (manifest != nullptr) manifest->reset();
+  bool is_dir = false;
+  if (!PathExists(path, &is_dir) || !is_dir) {
+    return std::vector<std::string>{path};
+  }
+  BMEH_ASSIGN_OR_RETURN(ShardManifest m, ReadManifest(path));
+  std::vector<std::string> files;
+  files.reserve(m.shards);
+  for (int i = 0; i < m.shards; ++i) files.push_back(ShardPath(path, i));
+  if (manifest != nullptr) *manifest = std::move(m);
+  return files;
+}
+
 ShardedStore::ShardedStore(std::vector<std::unique_ptr<StorageUnit>> units,
                            int shard_bits, const ShardedStoreOptions& options)
     : units_(std::move(units)),
@@ -266,7 +200,9 @@ ShardedStore::ShardedStore(std::vector<std::unique_ptr<StorageUnit>> units,
       oplog_(options.store.oplog),
       watchdog_(options.store.watchdog),
       watchdog_deadline_ms_(options.store.watchdog_deadline_ms) {
-  if (options.store.metrics == nullptr) return;
+  // A store file's unit publishes every name a BmehStore on that file
+  // would, unlabeled; the facade adds none of its own.
+  if (options.store.metrics == nullptr || single_file()) return;
   metrics_ = options.store.metrics;
   retries_total_ = metrics_->GetCounter("store_shard_retries_total");
   unavailable_total_ = metrics_->GetCounter("store_shard_unavailable_total");
@@ -309,21 +245,32 @@ ShardedStore::~ShardedStore() {
   if (metrics_ != nullptr) metrics_->RemoveSource(metrics_source_);
 }
 
+struct ShardedStore::UnitSource {
+  std::string path;                   ///< Empty for an injected device.
+  std::unique_ptr<PageStore> device;  ///< Null for a file.
+  StoreOptions options;
+};
+
 Result<std::unique_ptr<ShardedStore>> ShardedStore::OpenUnits(
-    const std::string& dir, int shards, const ShardedStoreOptions& options) {
-  const int n = shards;
+    std::vector<UnitSource> sources, const ShardedStoreOptions& options) {
+  const int n = static_cast<int>(sources.size());
   std::vector<std::unique_ptr<StorageUnit>> units(n);
   std::vector<Status> statuses(n, Status::OK());
   auto open_one = [&](int i) {
-    auto r = StorageUnit::Open(i, ShardPath(dir, i), options.store);
+    UnitSource& src = sources[i];
+    auto r = src.device != nullptr
+                 ? StorageUnit::Open(std::move(src.device), src.options)
+                 : StorageUnit::Open(src.path, src.options);
     if (r.ok()) {
       units[i] = std::move(r).ValueOrDie();
     } else {
       statuses[i] = r.status();
     }
   };
-  if (n == 1) {
-    open_one(0);
+  if (n == 1 || sources[0].device != nullptr) {
+    // Injected devices open in order on the caller's thread, the way the
+    // harnesses that inject them (crash matrix, benchmarks) expect.
+    for (int i = 0; i < n; ++i) open_one(i);
   } else {
     // Parallel recovery: every shard replays its own WAL (and rebuilds
     // its own free list) on its own thread.  The units share nothing but
@@ -357,11 +304,12 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::OpenUnits(
   }
   // Partial availability: keep a down placeholder per failed shard so
   // routing, health reporting, and RepairShard all have a target while
-  // the healthy shards serve.
+  // the healthy shards serve.  A device-backed placeholder has no path,
+  // so it cannot be repaired — but routing stays honest.
   for (int i = 0; i < n; ++i) {
     if (units[i] == nullptr) {
       units[i] = StorageUnit::Down(
-          i, ShardPath(dir, i), options.store,
+          sources[i].path, sources[i].options,
           Status(statuses[i].code(), "open failed: " + statuses[i].message()));
     }
   }
@@ -370,15 +318,26 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::OpenUnits(
 }
 
 Result<std::unique_ptr<ShardedStore>> ShardedStore::Open(
-    const std::string& dir, const ShardedStoreOptions& options) {
+    const std::string& path, const ShardedStoreOptions& options) {
   bool is_dir = false;
-  const bool exists = PathExists(dir, &is_dir);
-  if (exists && !is_dir) {
-    return Status::Invalid(dir + " is not a sharded store directory");
+  const bool exists = PathExists(path, &is_dir);
+  if (exists ? !is_dir : options.shards == 0) {
+    // A store file, existing or created here as BmehStore::Open would,
+    // is a one-shard store with no manifest.  Its unit runs on the
+    // caller's options unchanged — no shard label, index or archive
+    // subdirectory — so it behaves exactly as a BmehStore on that file.
+    if (options.shards != 0 && options.shards != 1) {
+      return Status::Invalid(path + " is a store file (one shard), caller "
+                             "expects " + std::to_string(options.shards) +
+                             " shards");
+    }
+    std::vector<UnitSource> sources(1);
+    sources[0].path = path;
+    sources[0].options = options.store;
+    return OpenUnits(std::move(sources), options);
   }
   ShardManifest manifest;
-  const bool have_manifest = exists && PathExists(dir + "/" + kManifestName,
-                                                  nullptr);
+  const bool have_manifest = exists && PathExists(path + "/" + kManifestName);
   if (!have_manifest) {
     // Never create a fresh store on top of existing files: a directory
     // holding shard files but no readable manifest is debris (a restore
@@ -386,10 +345,10 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::Open(
     // serve a fraction of the data as if it were all of it.  Our own
     // create-crash leftover, a lone MANIFEST.tmp, is safe to overwrite.
     if (exists &&
-        !DirectoryIsEmptyExcept(dir, std::string(kManifestName) + ".tmp")) {
+        !DirectoryIsEmptyExcept(path, std::string(kManifestName) + ".tmp")) {
       return Status::AlreadyExists(
-          dir + " contains files but no readable manifest; refusing to "
-                "create a fresh store over them");
+          path + " contains files but no readable manifest; refusing to "
+                 "create a fresh store over them");
     }
     // Fresh store: fix the routing contract and seal it in the manifest
     // before any shard file exists.
@@ -399,9 +358,9 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::Open(
     manifest.shard_bits = Log2Exact(manifest.shards);
     manifest.page_size = options.store.page_size;
     manifest.schema = options.store.schema;
-    BMEH_RETURN_NOT_OK(WriteManifest(dir, manifest));
+    BMEH_RETURN_NOT_OK(WriteManifest(path, manifest));
   } else {
-    BMEH_ASSIGN_OR_RETURN(manifest, ReadManifest(dir));
+    BMEH_ASSIGN_OR_RETURN(manifest, ReadManifest(path));
     if (options.shards != 0 && options.shards != manifest.shards) {
       return Status::Invalid(
           "shard count mismatch: directory has " +
@@ -414,9 +373,14 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::Open(
                              options.store.schema.ToString());
     }
   }
-  ShardedStoreOptions fixed = options;
-  fixed.store.page_size = manifest.page_size;
-  return OpenUnits(dir, manifest.shards, fixed);
+  StoreOptions store_options = options.store;
+  store_options.page_size = manifest.page_size;
+  std::vector<UnitSource> sources(manifest.shards);
+  for (int i = 0; i < manifest.shards; ++i) {
+    sources[i].path = ShardPath(path, i);
+    sources[i].options = StorageUnit::ShardOptions(store_options, i);
+  }
+  return OpenUnits(std::move(sources), options);
 }
 
 Result<std::unique_ptr<ShardedStore>> ShardedStore::Open(
@@ -427,59 +391,32 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::Open(
   if (options.shards != 0 && options.shards != n) {
     return Status::Invalid("options.shards disagrees with the device count");
   }
-  std::vector<std::unique_ptr<StorageUnit>> units(n);
-  std::vector<Status> statuses(n, Status::OK());
+  std::vector<UnitSource> sources(n);
   for (int i = 0; i < n; ++i) {
-    auto r = StorageUnit::Open(i, std::move(devices[i]), options.store);
-    if (r.ok()) {
-      units[i] = std::move(r).ValueOrDie();
-    } else {
-      statuses[i] = r.status();
-    }
+    sources[i].device = std::move(devices[i]);
+    sources[i].options = StorageUnit::ShardOptions(options.store, i);
   }
-  int failed = 0;
-  int first_failed = -1;
-  for (int i = 0; i < n; ++i) {
-    if (!statuses[i].ok()) {
-      ++failed;
-      if (first_failed < 0) first_failed = i;
-    }
-  }
-  if (failed > 0 &&
-      (options.open_policy == OpenPolicy::kStrict || failed == n)) {
-    for (auto& u : units) {
-      if (u != nullptr && u->store() != nullptr) {
-        u->store()->SimulateCrashForTesting();
-      }
-    }
-    return Status(statuses[first_failed].code(),
-                  "shard " + std::to_string(first_failed) + ": " +
-                      statuses[first_failed].message());
-  }
-  for (int i = 0; i < n; ++i) {
-    if (units[i] == nullptr) {
-      // A device-backed down unit has no path, so it cannot be repaired —
-      // but the siblings still serve, and routing stays honest.
-      units[i] = StorageUnit::Down(
-          i, std::string(), options.store,
-          Status(statuses[i].code(), "open failed: " + statuses[i].message()));
-    }
-  }
-  return std::unique_ptr<ShardedStore>(
-      new ShardedStore(std::move(units), Log2Exact(n), options));
+  return OpenUnits(std::move(sources), options);
 }
 
-Result<ShardedStoreInfo> ShardedStore::Inspect(const std::string& dir) {
-  BMEH_ASSIGN_OR_RETURN(const ShardManifest manifest, ReadManifest(dir));
+Result<ShardedStoreInfo> ShardedStore::Inspect(const std::string& path) {
+  std::optional<ShardManifest> manifest;
+  BMEH_ASSIGN_OR_RETURN(const std::vector<std::string> files,
+                        ShardFiles(path, &manifest));
   ShardedStoreInfo info;
-  info.shards = manifest.shards;
-  info.shard_bits = manifest.shard_bits;
-  info.page_size = manifest.page_size;
-  info.shard.reserve(manifest.shards);
-  info.shard_status.reserve(manifest.shards);
-  for (int i = 0; i < manifest.shards; ++i) {
-    auto r = BmehStore::Inspect(ShardPath(dir, i));
+  info.single_file = !manifest.has_value();
+  info.shards = static_cast<int>(files.size());
+  if (manifest.has_value()) {
+    info.shard_bits = manifest->shard_bits;
+    info.page_size = manifest->page_size;
+  }
+  info.shard.reserve(files.size());
+  info.shard_status.reserve(files.size());
+  for (int i = 0; i < info.shards; ++i) {
+    auto r = BmehStore::Inspect(files[i]);
     if (!r.ok()) {
+      // A store file that cannot be inspected is no store at all.
+      if (info.single_file) return r.status();
       // One unreadable shard must not hide the health of its siblings:
       // record the failure per shard and keep inspecting.
       info.shard.emplace_back();
@@ -489,6 +426,7 @@ Result<ShardedStoreInfo> ShardedStore::Inspect(const std::string& dir) {
       ++info.down_shards;
       continue;
     }
+    if (info.single_file) info.page_size = r->page_size;
     info.records += r->records;
     info.wal_records += r->wal_records;
     info.page_count += r->page_count;
@@ -755,50 +693,6 @@ std::string ShardSetSubdir(int shard_index) {
   return name;
 }
 
-/// Appends the crc seal to `body` and publishes it as `dir/name` with
-/// the temp + fsync + rename + directory-fsync dance.
-Status WriteSealedTextFile(const std::string& dir, const std::string& name,
-                           std::string body) {
-  char seal[32];
-  std::snprintf(seal, sizeof(seal), "crc %08x\n",
-                Crc32(body.data(), body.size()));
-  body += seal;
-  const std::string final_path = dir + "/" + name;
-  const std::string tmp_path = final_path + ".tmp";
-  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
-  if (f == nullptr) return Status::IoError("cannot write " + tmp_path);
-  const bool wrote =
-      std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fflush(f);
-  ::fsync(::fileno(f));
-  std::fclose(f);
-  if (!wrote) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("short write to " + tmp_path);
-  }
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("cannot publish " + final_path + ": " +
-                           std::strerror(errno));
-  }
-  return SyncDirectory(dir);
-}
-
-Status EnsureDirExists(const std::string& dir) {
-  bool is_dir = false;
-  if (PathExists(dir, &is_dir)) {
-    if (!is_dir) {
-      return Status::Invalid(dir + " exists and is not a directory");
-    }
-    return Status::OK();
-  }
-  if (::mkdir(dir.c_str(), 0755) != 0) {
-    return Status::IoError("cannot create " + dir + ": " +
-                           std::strerror(errno));
-  }
-  return SyncDirectory(ParentDir(dir));
-}
-
 }  // namespace
 
 Result<ShardBackupInfo> ShardedStore::Backup(const std::string& out_dir,
@@ -814,7 +708,7 @@ Result<ShardBackupInfo> ShardedStore::Backup(const std::string& out_dir,
                              " shards, store has " + std::to_string(n));
     }
   }
-  BMEH_RETURN_NOT_OK(EnsureDirExists(out_dir));
+  BMEH_RETURN_NOT_OK(EnsureDir(out_dir));
   if (PathExists(out_dir + "/" + kShardBackupManifestName, nullptr)) {
     return Status::AlreadyExists(out_dir +
                                  " already holds a sealed sharded backup");
@@ -844,9 +738,13 @@ Result<ShardBackupInfo> ShardedStore::Backup(const std::string& out_dir,
       }
       BackupOptions per;
       per.metrics = options.metrics;
+      // A store file's unit archives into the root itself (no shard
+      // identity); a shard into its own subdirectory.
       if (!options.wal_archive_dir.empty()) {
         per.wal_archive_dir =
-            StorageUnit::ShardArchiveDir(options.wal_archive_dir, s);
+            single_file()
+                ? options.wal_archive_dir
+                : StorageUnit::ShardArchiveDir(options.wal_archive_dir, s);
       }
       if (incremental && prev.shard[s].ok) {
         per.base_set = options.base_set + "/" + prev.shard[s].subdir;
@@ -903,38 +801,16 @@ Result<ShardBackupInfo> ShardedStore::Backup(const std::string& out_dir,
     }
   }
   BMEH_RETURN_NOT_OK(
-      WriteSealedTextFile(out_dir, kShardBackupManifestName, std::move(body)));
+      WriteSealedText(out_dir, kShardBackupManifestName, std::move(body)));
   return info;
 }
 
 Result<ShardBackupSetInfo> ShardedStore::ReadBackupManifest(
     const std::string& set_dir) {
   const std::string path = set_dir + "/" + kShardBackupManifestName;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IoError("cannot open " + path);
-  std::string text;
-  char buf[512];
-  size_t k;
-  while ((k = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, k);
-  std::fclose(f);
-
-  const size_t crc_pos = text.rfind("crc ");
-  if (crc_pos == std::string::npos ||
-      (crc_pos != 0 && text[crc_pos - 1] != '\n')) {
-    return Status::Corruption("backup super-manifest missing its crc seal: " +
-                              path);
-  }
-  uint32_t want = 0;
-  if (std::sscanf(text.c_str() + crc_pos, "crc %x", &want) != 1) {
-    return Status::Corruption("backup super-manifest crc seal unreadable: " +
-                              path);
-  }
-  if (Crc32(text.data(), crc_pos) != want) {
-    return Status::Corruption("backup super-manifest checksum mismatch: " +
-                              path);
-  }
-
-  std::istringstream in(text.substr(0, crc_pos));
+  BMEH_ASSIGN_OR_RETURN(const std::string text,
+                        ReadSealedText(path, "backup super-manifest"));
+  std::istringstream in(text);
   std::string line;
   if (!std::getline(in, line) || line != kShardBackupMagic) {
     return Status::Corruption("not a sharded backup set: " + path);
@@ -1018,21 +894,12 @@ Result<ShardRestoreInfo> ShardedStore::Restore(const std::string& set_dir,
   // explicit operator decision (remove the directory first), never a
   // silent merge.
   bool dest_is_dir = false;
-  if (PathExists(dest_dir, &dest_is_dir)) {
-    if (!dest_is_dir) {
-      return Status::Invalid(dest_dir + " exists and is not a directory");
-    }
-    if (!DirectoryIsEmpty(dest_dir)) {
-      return Status::AlreadyExists(dest_dir +
-                                   " is not empty; remove it before restoring");
-    }
-  } else {
-    if (::mkdir(dest_dir.c_str(), 0755) != 0) {
-      return Status::IoError("cannot create " + dest_dir + ": " +
-                             std::strerror(errno));
-    }
-    BMEH_RETURN_NOT_OK(SyncDirectory(ParentDir(dest_dir)));
+  if (PathExists(dest_dir, &dest_is_dir) && dest_is_dir &&
+      !DirectoryIsEmpty(dest_dir)) {
+    return Status::AlreadyExists(dest_dir +
+                                 " is not empty; remove it before restoring");
   }
+  BMEH_RETURN_NOT_OK(EnsureDir(dest_dir));
 
   ShardRestoreInfo info;
   info.shards = set.shards;
@@ -1049,8 +916,8 @@ Result<ShardRestoreInfo> ShardedStore::Restore(const std::string& set_dir,
   const auto entomb = [&dest_dir](int s, const std::string& why) {
     char name[32];
     std::snprintf(name, sizeof(name), "shard-%04d.bmeh", s);
-    (void)WriteSealedTextFile(dest_dir, name,
-                              "BMEH-RESTORE-TOMBSTONE v1\n" + why + "\n");
+    (void)WriteSealedText(dest_dir, name,
+                          "BMEH-RESTORE-TOMBSTONE v1\n" + why + "\n");
   };
   for (int s = 0; s < set.shards; ++s) {
     workers.emplace_back([&, s] {

@@ -25,6 +25,13 @@
 //     <dir>/shard-0000.bmeh   one BmehStore file per shard
 //     <dir>/shard-0001.bmeh   ...
 //
+// A single store file is a store too: Open() and Inspect() treat it as a
+// one-shard store with no manifest, whose one unit runs on the caller's
+// StoreOptions unchanged (no "shard<k>_" label, shard index or archive
+// subdirectory), so its metrics, op-log events and WAL archive are
+// exactly those of a BmehStore on the file.  The tools open every store
+// this way; whether a path is a file or a directory is decided here.
+//
 // Every shard file carries its own flock, so a second open of the same
 // directory fails exactly like a double open of a single-file store.
 //
@@ -42,6 +49,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -91,9 +99,10 @@ enum class OpenPolicy {
 
 /// \brief Configuration for opening / creating a sharded store.
 struct ShardedStoreOptions {
-  /// Shard count.  Creating: must be a power of two >= 1.  Opening an
-  /// existing directory: 0 (the default) adopts the manifest's count,
-  /// any other value must match the manifest.
+  /// Shard count.  Creating: a power of two >= 1 makes a directory, 0 (at
+  /// a missing path) a store file.  Opening an existing directory: 0 (the
+  /// default) adopts the manifest's count, any other value must match
+  /// the manifest.  Opening a store file: 0 or 1.
   int shards = 0;
   /// Per-shard store options (schema, page size, WAL sync policy, group
   /// commit, quota — the quota applies per shard).  A metrics registry
@@ -110,8 +119,10 @@ struct ShardedStoreOptions {
   BackoffPolicy retry;
 };
 
-/// \brief Durable state of a sharded store directory (Inspect).
+/// \brief Durable state of a store (Inspect).
 struct ShardedStoreInfo {
+  /// A store file: one shard, no manifest (`shard[0]` is its StoreInfo).
+  bool single_file = false;
   int shards = 0;
   int shard_bits = 0;
   int page_size = 0;
@@ -170,12 +181,13 @@ class ShardedStore {
   ShardedStore(const ShardedStore&) = delete;
   ShardedStore& operator=(const ShardedStore&) = delete;
 
-  /// \brief Opens `dir`, creating the directory, manifest and shard
-  /// files when it does not exist.  Reopening after a crash recovers
-  /// every shard (WAL replay + free-list rebuild) in parallel, one
-  /// thread per shard.
+  /// \brief Opens the store at `path`: a sharded directory, or a store
+  /// file as a one-shard store.  A missing path is created — a directory
+  /// with manifest and shard files for options.shards >= 1, a store file
+  /// for 0.  Reopening after a crash recovers every shard (WAL replay +
+  /// free-list rebuild) in parallel, one thread per shard.
   static Result<std::unique_ptr<ShardedStore>> Open(
-      const std::string& dir, const ShardedStoreOptions& options);
+      const std::string& path, const ShardedStoreOptions& options);
 
   /// \brief Opens over injected page devices, one per shard (the count
   /// must be a power of two).  No directory, manifest or free-list
@@ -186,7 +198,19 @@ class ShardedStore {
       const ShardedStoreOptions& options);
 
   /// \brief Reads the durable state of every shard without mutating it.
-  static Result<ShardedStoreInfo> Inspect(const std::string& dir);
+  /// A store file comes back as one shard (an unreadable one is an
+  /// error); an unreadable shard of a directory is recorded as down.
+  static Result<ShardedStoreInfo> Inspect(const std::string& path);
+
+  /// \brief The store files behind `path`, in shard order — what the
+  /// offline tools (scrub, fsck) work on.  A sharded directory lists its
+  /// manifest's shard files, and `*manifest` (optional) receives that
+  /// manifest; any other path is a store file, its own one shard
+  /// (`*manifest` = nullopt), and whoever opens it reports it if it is
+  /// none.
+  static Result<std::vector<std::string>> ShardFiles(
+      const std::string& path,
+      std::optional<ShardManifest>* manifest = nullptr);
 
   /// \brief True when `path` is a sharded store directory (manifest
   /// present and well-formed).
@@ -311,6 +335,11 @@ class ShardedStore {
   int down_shards() const;
 
   int shards() const { return static_cast<int>(units_.size()); }
+  /// \brief True when this is a store file opened as a one-shard store
+  /// (its unit carries no shard identity).
+  bool single_file() const {
+    return units_.size() == 1 && units_[0]->shard_index() < 0;
+  }
   int shard_bits() const { return shard_bits_; }
   const KeySchema& schema() const { return schema_; }
 
@@ -352,13 +381,18 @@ class ShardedStore {
   ShardedStore(std::vector<std::unique_ptr<StorageUnit>> units,
                int shard_bits, const ShardedStoreOptions& options);
 
-  /// Opens every unit concurrently (one thread per shard) and builds the
-  /// facade.  kStrict: on any failure the already-opened units are
-  /// poisoned before destruction so a failed open never mutates shard
-  /// files.  kPartial: failed shards become down placeholder units and
-  /// the open succeeds as long as at least one shard came up.
+  /// Where one unit's pages live (a file, or an injected device) and the
+  /// options it opens with.
+  struct UnitSource;
+
+  /// Opens a unit per source (files concurrently, one thread per shard)
+  /// and builds the facade.  kStrict: on any failure the already-opened
+  /// units are poisoned before destruction so a failed open never
+  /// mutates shard files.  kPartial: failed shards become down
+  /// placeholder units and the open succeeds as long as at least one
+  /// shard came up.
   static Result<std::unique_ptr<ShardedStore>> OpenUnits(
-      const std::string& dir, int shards, const ShardedStoreOptions& options);
+      std::vector<UnitSource> sources, const ShardedStoreOptions& options);
 
   /// Runs `op` against shard `s` under the facade retry policy: borrow
   /// the unit (kUnavailable when down/repairing), invoke, and on a

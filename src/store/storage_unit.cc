@@ -1,27 +1,10 @@
 #include "src/store/storage_unit.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 
 namespace bmeh {
-
-namespace {
-
-/// Fsyncs the directory containing `path` so a rename inside it is
-/// durable (the file-data fsync alone does not persist the direntry).
-/// Failures are sticky per directory — see SyncDirectory.
-Status SyncParentDir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? "." : path.substr(0, slash);
-  return SyncDirectory(dir);
-}
-
-}  // namespace
 
 std::string StorageUnit::ShardArchiveDir(const std::string& root,
                                          int shard_index) {
@@ -30,44 +13,37 @@ std::string StorageUnit::ShardArchiveDir(const std::string& root,
   return root + "/" + name;
 }
 
-Result<std::unique_ptr<StorageUnit>> StorageUnit::Open(
-    int shard_index, const std::string& path, const StoreOptions& options) {
-  StoreOptions unit_options = options;
-  unit_options.metrics_label = MetricsLabel(shard_index);
-  unit_options.shard_index = shard_index;
-  if (!unit_options.wal_archive_dir.empty()) {
-    unit_options.wal_archive_dir =
-        ShardArchiveDir(unit_options.wal_archive_dir, shard_index);
+StoreOptions StorageUnit::ShardOptions(StoreOptions options,
+                                       int shard_index) {
+  options.metrics_label = MetricsLabel(shard_index);
+  options.shard_index = shard_index;
+  if (!options.wal_archive_dir.empty()) {
+    options.wal_archive_dir =
+        ShardArchiveDir(options.wal_archive_dir, shard_index);
   }
-  BMEH_ASSIGN_OR_RETURN(auto store, BmehStore::Open(path, unit_options));
-  return std::unique_ptr<StorageUnit>(new StorageUnit(
-      shard_index, path, std::move(unit_options), std::move(store)));
+  return options;
 }
 
 Result<std::unique_ptr<StorageUnit>> StorageUnit::Open(
-    int shard_index, std::unique_ptr<PageStore> device,
-    const StoreOptions& options) {
-  StoreOptions unit_options = options;
-  unit_options.metrics_label = MetricsLabel(shard_index);
-  unit_options.shard_index = shard_index;
-  if (!unit_options.wal_archive_dir.empty()) {
-    unit_options.wal_archive_dir =
-        ShardArchiveDir(unit_options.wal_archive_dir, shard_index);
-  }
+    const std::string& path, const StoreOptions& options) {
+  BMEH_ASSIGN_OR_RETURN(auto store, BmehStore::Open(path, options));
+  return std::unique_ptr<StorageUnit>(
+      new StorageUnit(path, options, std::move(store)));
+}
+
+Result<std::unique_ptr<StorageUnit>> StorageUnit::Open(
+    std::unique_ptr<PageStore> device, const StoreOptions& options) {
   BMEH_ASSIGN_OR_RETURN(auto store,
-                        BmehStore::Open(std::move(device), unit_options));
-  return std::unique_ptr<StorageUnit>(new StorageUnit(
-      shard_index, std::string(), std::move(unit_options), std::move(store)));
+                        BmehStore::Open(std::move(device), options));
+  return std::unique_ptr<StorageUnit>(
+      new StorageUnit(std::string(), options, std::move(store)));
 }
 
-std::unique_ptr<StorageUnit> StorageUnit::Down(int shard_index,
-                                               std::string path,
+std::unique_ptr<StorageUnit> StorageUnit::Down(std::string path,
                                                const StoreOptions& options,
                                                Status reason) {
-  StoreOptions unit_options = options;
-  unit_options.metrics_label = MetricsLabel(shard_index);
-  auto unit = std::unique_ptr<StorageUnit>(new StorageUnit(
-      shard_index, std::move(path), std::move(unit_options), nullptr));
+  auto unit = std::unique_ptr<StorageUnit>(
+      new StorageUnit(std::move(path), options, nullptr));
   unit->SetDown(std::move(reason));
   return unit;
 }
@@ -94,7 +70,7 @@ void StorageUnit::BringDown(Status reason) {
 Status StorageUnit::Repair(ShardRepairReport* report) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (path_.empty()) {
-    return Status::Invalid("shard " + std::to_string(shard_index_) +
+    return Status::Invalid("shard " + std::to_string(shard_index()) +
                            ": cannot repair a device-backed unit");
   }
   // Close whatever instance is left.  A poisoned or degraded store skips
@@ -139,7 +115,7 @@ Status StorageUnit::Repair(ShardRepairReport* report) {
     SetDown(st);
     return st;
   }
-  st = SyncParentDir(path_);
+  st = SyncDirectory(ParentDir(path_));
   if (!st.ok()) {
     SetDown(st);
     return st;
@@ -158,12 +134,12 @@ Status StorageUnit::Repair(ShardRepairReport* report) {
 Status StorageUnit::TryReopen() {
   std::unique_lock<std::shared_mutex> lock(mu_, std::try_to_lock);
   if (!lock.owns_lock()) {
-    return Status::Unavailable("shard " + std::to_string(shard_index_) +
+    return Status::Unavailable("shard " + std::to_string(shard_index()) +
                                ": repair in progress");
   }
   if (store_ != nullptr && healthy()) return Status::OK();
   if (path_.empty()) {
-    return Status::Invalid("shard " + std::to_string(shard_index_) +
+    return Status::Invalid("shard " + std::to_string(shard_index()) +
                            ": cannot reopen a device-backed unit");
   }
   store_.reset();

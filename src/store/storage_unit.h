@@ -23,8 +23,10 @@
 // A StorageUnit attached to a shared MetricsRegistry charges the common
 // operation counters and latency histograms (which therefore aggregate
 // across units automatically) while publishing its sampled per-unit
-// state — tree size, WAL depth, page-device counters — under a
-// "shard<k>_" label so individual shards stay observable.
+// state — tree size, WAL depth, page-device counters — under its
+// options' label: "shard<k>_" for a shard (see ShardOptions), so
+// individual shards stay observable, and none for a store file's single
+// unit, which publishes exactly what a BmehStore would.
 
 #ifndef BMEH_STORE_STORAGE_UNIT_H_
 #define BMEH_STORE_STORAGE_UNIT_H_
@@ -58,10 +60,10 @@ class StorageUnit {
  public:
   /// \brief Opens (or creates) the unit's file at `path`.  Reopening
   /// after a crash replays this unit's WAL and rebuilds its free list —
-  /// exactly BmehStore::Open(path) semantics, per shard.  The options'
-  /// metrics_label is overwritten with this unit's "shard<k>_" label.
-  static Result<std::unique_ptr<StorageUnit>> Open(int shard_index,
-                                                   const std::string& path,
+  /// exactly BmehStore::Open(path) semantics.  `options` are used as
+  /// given: a shard of a sharded store passes ShardOptions(), a store
+  /// file's single unit the caller's options unchanged.
+  static Result<std::unique_ptr<StorageUnit>> Open(const std::string& path,
                                                    const StoreOptions& options);
 
   /// \brief Opens the unit over an injected page device (in-memory,
@@ -69,16 +71,25 @@ class StorageUnit {
   /// crash matrix and the scaling bench drive, mirroring the BmehStore
   /// PageStore overload.
   static Result<std::unique_ptr<StorageUnit>> Open(
-      int shard_index, std::unique_ptr<PageStore> device,
-      const StoreOptions& options);
+      std::unique_ptr<PageStore> device, const StoreOptions& options);
 
   /// \brief Builds a unit that is down from the start — the placeholder a
   /// kPartial open installs for a shard whose store failed to open, so the
-  /// facade keeps a slot (and a repair target) for it.  `reason` is the
-  /// open failure, surfaced by down_reason().
-  static std::unique_ptr<StorageUnit> Down(int shard_index, std::string path,
+  /// facade keeps a slot (and a repair target) for it.  `options` are the
+  /// ones the failed open used, so a repair reopens the shard with the
+  /// same identity; `reason` is the open failure, surfaced by
+  /// down_reason().
+  static std::unique_ptr<StorageUnit> Down(std::string path,
                                            const StoreOptions& options,
                                            Status reason);
+
+  /// \brief `options` with shard `shard_index`'s identity applied — the
+  /// one place a shard gets it: the "shard<k>_" label on its sampled
+  /// metrics and watchdog heartbeats, the shard index on its wide events,
+  /// and its own subdirectory of a configured WAL archive root (shards
+  /// have independent LSN domains, so their segment file names — keyed by
+  /// LSN — would collide in a shared directory).
+  static StoreOptions ShardOptions(StoreOptions options, int shard_index);
 
   /// \brief A borrowed, lifetime-bounded handle to the unit's store.  The
   /// Ref holds the unit's shared lock until destroyed: while any Ref is
@@ -150,7 +161,9 @@ class StorageUnit {
   BmehStore* store() { return store_.get(); }
   const BmehStore* store() const { return store_.get(); }
 
-  int shard_index() const { return shard_index_; }
+  /// \brief The shard index from the unit's options (-1 for a store
+  /// file's single unit, which carries no shard identity).
+  int shard_index() const { return options_.shard_index; }
 
   /// \brief The unit's file path (empty for an injected device).
   const std::string& path() const { return path_; }
@@ -160,19 +173,15 @@ class StorageUnit {
     return "shard" + std::to_string(shard_index) + "_";
   }
 
-  /// \brief Where this shard archives its WAL segments under a shared
-  /// archive root.  Each shard has an independent LSN domain, so shards
-  /// must never share one archive directory (their segment file names —
-  /// keyed by LSN — would collide); Open() rewrites a configured
-  /// StoreOptions::wal_archive_dir to this per-shard subdirectory.
+  /// \brief Where shard `shard_index` archives its WAL segments under a
+  /// shared archive root (see ShardOptions).
   static std::string ShardArchiveDir(const std::string& root,
                                      int shard_index);
 
  private:
-  StorageUnit(int shard_index, std::string path, StoreOptions options,
+  StorageUnit(std::string path, StoreOptions options,
               std::unique_ptr<BmehStore> store)
-      : shard_index_(shard_index),
-        path_(std::move(path)),
+      : path_(std::move(path)),
         options_(std::move(options)),
         store_(std::move(store)) {
     down_.store(store_ == nullptr, std::memory_order_release);
@@ -181,10 +190,9 @@ class StorageUnit {
   /// Marks the unit down/up and records why.  Caller holds mu_ exclusive.
   void SetDown(Status reason);
 
-  int shard_index_;
   std::string path_;
-  /// Open options with the metrics label already applied — kept so the
-  /// unit can reopen itself during repair.
+  /// The options the unit opened with — kept so it can reopen itself
+  /// during repair under the same identity.
   StoreOptions options_;
 
   /// Guards store_: shared for operations (via Ref), exclusive for

@@ -1,9 +1,5 @@
 #include "src/store/wal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <unordered_set>
@@ -612,51 +608,9 @@ std::string Wal::SegmentFileName(uint64_t lo_lsn) {
 Status Wal::WriteSegmentFile(const std::string& dir,
                              std::span<const LogRecord> recs,
                              uint64_t lo_lsn, std::string* filename) {
-  const std::vector<uint8_t> image = EncodeArchiveSegment(recs, lo_lsn);
   const std::string name = SegmentFileName(lo_lsn);
-  const std::string final_path = dir + "/" + name;
-  const std::string tmp_path = final_path + ".tmp";
-  int fd;
-  do {
-    fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  } while (fd < 0 && errno == EINTR);
-  if (fd < 0) {
-    return Status::IoError("cannot create " + tmp_path + ": " +
-                           std::strerror(errno));
-  }
-  size_t written = 0;
-  while (written < image.size()) {
-    const ssize_t n =
-        ::write(fd, image.data() + written, image.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int saved = errno;
-      ::close(fd);
-      std::remove(tmp_path.c_str());
-      return Status::IoError("write " + tmp_path + ": " +
-                             std::strerror(saved));
-    }
-    written += static_cast<size_t>(n);
-  }
-  int rc;
-  do {
-    rc = ::fsync(fd);
-  } while (rc != 0 && errno == EINTR);
-  const int saved = errno;
-  ::close(fd);
-  if (rc != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::IoError("fsync " + tmp_path + ": " +
-                           std::strerror(saved));
-  }
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    const int rename_errno = errno;
-    std::remove(tmp_path.c_str());
-    return Status::IoError("cannot publish " + final_path + ": " +
-                           std::strerror(rename_errno));
-  }
-  // The rename is not durable until the directory entry is synced.
-  BMEH_RETURN_NOT_OK(SyncDirectory(dir));
+  BMEH_RETURN_NOT_OK(
+      WriteFileDurable(dir, name, EncodeArchiveSegment(recs, lo_lsn)));
   if (filename != nullptr) *filename = name;
   return Status::OK();
 }
@@ -664,22 +618,8 @@ Status Wal::WriteSegmentFile(const std::string& dir,
 Status Wal::ReadSegmentFile(const std::string& path,
                             std::vector<LogRecord>* out, uint64_t* lo_lsn,
                             uint64_t* count) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
   std::vector<uint8_t> bytes;
-  uint8_t buf[4096];
-  size_t k;
-  while ((k = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + k);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::IoError("read " + path);
-  }
+  BMEH_RETURN_NOT_OK(ReadWholeFile(path, &bytes));
   Status st = DecodeArchiveSegment(bytes, out, lo_lsn, count);
   if (!st.ok()) {
     return Status(st.code(), path + ": " + st.message());

@@ -214,6 +214,26 @@ echo "$OUT" | grep -q "bmeh_tree_records $SHARD_BUILT" \
 echo "$OUT" | grep -q "bmeh_store_shards 4" || fail "sharded stats shard gauge"
 echo "$OUT" | grep -q "bmeh_shard0_tree_records" || fail "sharded stats shard label"
 
+# trace and dot open a sharded directory too: the trace records the
+# probe's puts, and dot prints one digraph per shard
+"$CLI" trace --db "$SHARDDIR" --out "$TRACE" --ops 20 > /dev/null \
+  || fail "sharded trace exited non-zero"
+grep -q '"name": "put"' "$TRACE" || fail "sharded trace has no put span"
+OUT=$("$CLI" dot --db "$SHARDDIR") || fail "sharded dot exited non-zero"
+[ "$(echo "$OUT" | grep -c "digraph")" -eq 4 ] \
+  || fail "sharded dot should print one digraph per shard"
+
+# stats, trace and dot refuse a directory that holds no manifest, and
+# create nothing in it
+NOSTORE="$(mktemp -d /tmp/bmeh_cli_test.XXXXXX.nostore)"
+for VERB in stats trace dot; do
+  if "$CLI" $VERB --db "$NOSTORE" --out "$TRACE" > /dev/null 2>&1; then
+    fail "$VERB on a directory without a manifest should fail"
+  fi
+  [ -z "$(ls -A "$NOSTORE")" ] || fail "$VERB wrote into a plain directory"
+done
+rmdir "$NOSTORE"
+
 # every shard scrubs clean; the combined verdict names the shard count
 OUT=$("$CLI" scrub --db "$SHARDDIR") || fail "sharded scrub exited non-zero"
 echo "$OUT" | grep -q "$SHARDDIR: clean (4 shards)" || fail "sharded scrub verdict"
@@ -516,6 +536,41 @@ wait "$SERVE_PID"
 RC=$?
 SERVE_PID=""
 [ "$RC" -eq 0 ] || fail "degraded serve should still exit 0 on SIGTERM, got $RC"
+
+# A shard that opens degraded by corruption (a flipped data page, not a
+# failed open) also turns /healthz 503, as the same flip in a store file
+# does.
+rm -rf "$SERVEDIR"
+"$CLI" storebuild --db "$SERVEDIR" --shards 4 --n 400 --b 8 \
+      --page-size 512 --seed 11 > /dev/null || fail "degraded-shard storebuild"
+"$CLI" corrupt --db "$SERVEDIR/shard-0001.bmeh" --page 7 --byte 100 \
+      > /dev/null || fail "degraded-shard corrupt failed"
+start_serve "$SERVEDIR"
+CODE=$(http_get "$SERVE_PORT" /healthz "$SERVEBODY")
+[ "$CODE" = "503" ] || fail "degraded-shard /healthz should be 503, got $CODE"
+grep -q "DEGRADED" "$SERVEBODY" || fail "degraded-shard /healthz body"
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID"
+RC=$?
+SERVE_PID=""
+[ "$RC" -eq 0 ] || fail "degraded-shard serve should exit 0 on SIGTERM, got $RC"
+
+# A store file serves as a one-shard store: /statusz says "kind":"store"
+# and a healthy file answers /healthz 200.
+"$CLI" storebuild --db "$SERVEDIR.file" --n 200 --b 8 --page-size 512 \
+      --seed 5 > /dev/null || fail "store-file serve storebuild"
+start_serve "$SERVEDIR.file" --probe-ops 10
+CODE=$(http_get "$SERVE_PORT" /healthz "$SERVEBODY")
+[ "$CODE" = "200" ] || fail "store-file /healthz should be 200, got $CODE"
+CODE=$(http_get "$SERVE_PORT" /statusz "$SERVEBODY")
+[ "$CODE" = "200" ] || fail "store-file /statusz should be 200, got $CODE"
+grep -q '"kind":"store"' "$SERVEBODY" || fail "store-file statusz kind"
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID"
+RC=$?
+SERVE_PID=""
+[ "$RC" -eq 0 ] || fail "store-file serve should exit 0 on SIGTERM, got $RC"
+rm -f "$SERVEDIR.file"
 
 # storebuild --serve exposes the plane during the build (the line proves
 # the server came up; the build is too quick to scrape mid-flight)

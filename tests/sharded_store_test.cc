@@ -1,7 +1,8 @@
 // ShardedStore facade tests: ψ-prefix routing, cross-shard range merges
 // against a single-tree oracle on the paper's key distributions,
 // per-shard batch semantics, manifest validation, double-open
-// protection, and crash-reopen recovery of every shard.
+// protection, crash-reopen recovery of every shard, and a store file
+// opened as a one-shard store.
 
 #include "src/store/sharded_store.h"
 
@@ -11,9 +12,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 
 #include "src/obs/metrics.h"
+#include "src/pagestore/page_store.h"
 #include "src/workload/distributions.h"
 #include "tests/test_util.h"
 
@@ -191,6 +194,30 @@ TEST_F(ShardedStoreTest, CorruptManifestRefusesToOpen) {
   auto r = ShardedStore::Open(dir_, Opts(0));
   EXPECT_TRUE(r.status().IsCorruption()) << r.status();
   EXPECT_FALSE(ShardedStore::IsShardedDir(dir_));
+}
+
+// The manifest goes through the durable writer: a signal interrupting its
+// syscalls is retried, not turned into a failed (or silently unsynced)
+// write.
+TEST_F(ShardedStoreTest, WriteManifestAbsorbsEintr) {
+  ASSERT_EQ(::mkdir(dir_.c_str(), 0755), 0);
+  ShardManifest manifest;
+  manifest.shards = 4;
+  manifest.shard_bits = 2;
+  manifest.page_size = 512;
+  manifest.schema = KeySchema(3, 20);
+  const uint64_t absorbed_before = internal::EintrRetriesForTesting();
+  internal::InjectEintrForTesting(0, 2);
+  const Status st = ShardedStore::WriteManifest(dir_, manifest);
+  internal::InjectEintrForTesting(UINT64_MAX, 0);  // disarm
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_EQ(internal::EintrRetriesForTesting(), absorbed_before + 2);
+  auto back = ShardedStore::ReadManifest(dir_);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back->shards, 4);
+  EXPECT_EQ(back->shard_bits, 2);
+  EXPECT_EQ(back->page_size, 512);
+  EXPECT_TRUE(back->schema == manifest.schema);
 }
 
 TEST_F(ShardedStoreTest, DoubleOpenIsRefusedPerShardFlock) {
@@ -448,6 +475,132 @@ TEST_F(ShardedStoreTest, OneShardMatchesBmehStoreOperationForOperation) {
   }
   single.reset();
   std::remove(single_path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// A store file is a one-shard store
+// ---------------------------------------------------------------------------
+
+TEST_F(ShardedStoreTest, StoreFileOpensAsOneShardStore) {
+  const std::string file = dir_ + "_file.bmeh";
+  const std::string copy = dir_ + "_copy.bmeh";
+  std::filesystem::remove(file);
+  std::filesystem::remove(copy);
+  const StoreOptions store_opts = Opts(0).store;
+  {
+    // Checkpointed records plus a WAL tail, left as a crash leaves it.
+    auto r = BmehStore::Open(file, store_opts);
+    ASSERT_TRUE(r.ok()) << r.status();
+    auto store = std::move(r).ValueOrDie();
+    for (uint32_t i = 0; i < 150; ++i) {
+      ASSERT_TRUE(store->Put(KeyFor(i), i).ok());
+    }
+    ASSERT_TRUE(store->Checkpoint().ok());
+    for (uint32_t i = 150; i < 200; ++i) {
+      ASSERT_TRUE(store->Put(KeyFor(i), i).ok());
+    }
+    ASSERT_TRUE(store->Delete(KeyFor(7)).ok());
+    EXPECT_GT(store->wal_records(), 0u);
+    store->SimulateCrashForTesting();
+  }
+  std::filesystem::copy_file(file, copy);
+  auto reference_r = BmehStore::Open(copy, store_opts);
+  ASSERT_TRUE(reference_r.ok()) << reference_r.status();
+  auto reference = std::move(reference_r).ValueOrDie();
+
+  // Four shards cannot live in one file.
+  EXPECT_TRUE(ShardedStore::Open(file, Opts(4)).status().IsInvalid());
+
+  obs::MetricsRegistry registry;
+  ShardedStoreOptions opts = Opts(0);
+  opts.store.metrics = &registry;
+  const std::string archive = dir_ + "_archive";
+  std::filesystem::remove_all(archive);
+  opts.store.wal_archive_dir = archive;
+  {
+    auto r = ShardedStore::Open(file, opts);
+    ASSERT_TRUE(r.ok()) << r.status();
+    auto store = std::move(r).ValueOrDie();
+    EXPECT_TRUE(store->single_file());
+    EXPECT_EQ(store->shards(), 1);
+    EXPECT_EQ(store->unit(0).shard_index(), -1);
+
+    // The same state a BmehStore replays from the file.
+    EXPECT_EQ(store->records(), reference->tree().Stats().records);
+    EXPECT_EQ(store->records(), 199u);
+    for (uint32_t i = 0; i < 210; ++i) {
+      auto a = reference->Get(KeyFor(i));
+      auto b = store->Get(KeyFor(i));
+      ASSERT_EQ(a.status().code(), b.status().code()) << "key " << i;
+      if (a.ok()) {
+        EXPECT_EQ(*a, *b);
+      }
+    }
+    std::vector<Record> a, b;
+    ASSERT_TRUE(reference->Range(RangePredicate(reference->schema()), &a).ok());
+    ASSERT_TRUE(store->Range(RangePredicate(store->schema()), &b).ok());
+    std::sort(a.begin(), a.end(), [&](const Record& x, const Record& y) {
+      return ShardRouter::PsiLess(x.key, y.key, reference->schema());
+    });
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].key, b[i].key);
+      EXPECT_EQ(a[i].payload, b[i].payload);
+    }
+
+    // The unit publishes a BmehStore's unlabeled names, and nothing
+    // carries a shard label.
+    auto snap = registry.Snapshot();
+    EXPECT_EQ(snap.gauges.count("tree_records"), 1u);
+    EXPECT_EQ(snap.gauges["tree_records"], 199);
+    EXPECT_EQ(snap.counters.count("pagestore_reads_total"), 1u);
+    EXPECT_EQ(snap.gauges.count("shard0_tree_records"), 0u);
+    for (const auto& [name, value] : snap.gauges) {
+      EXPECT_EQ(name.rfind("shard", 0), std::string::npos) << name;
+    }
+    for (const auto& [name, value] : snap.counters) {
+      EXPECT_EQ(name.rfind("shard", 0), std::string::npos) << name;
+    }
+
+    // Writes through the facade land in the file, and a checkpoint
+    // archives the WAL into the archive root itself, as a BmehStore's
+    // does (no shard subdirectory).
+    ASSERT_TRUE(store->Put(KeyFor(500), 500).ok());
+    ASSERT_TRUE(store->Delete(KeyFor(3)).ok());
+    ASSERT_TRUE(store->Checkpoint().ok());
+    EXPECT_TRUE(PathExists(archive + "/" + Wal::SegmentFileName(151)));
+    EXPECT_FALSE(PathExists(StorageUnit::ShardArchiveDir(archive, 0)));
+  }
+  std::filesystem::remove_all(archive);
+  reference.reset();
+  std::filesystem::remove(copy);
+
+  // Still one plain file: no manifest, no directory.
+  bool is_dir = true;
+  ASSERT_TRUE(PathExists(file, &is_dir));
+  EXPECT_FALSE(is_dir);
+  EXPECT_FALSE(ShardedStore::IsShardedDir(file));
+
+  auto info = ShardedStore::Inspect(file);
+  ASSERT_TRUE(info.ok()) << info.status();
+  auto file_info = BmehStore::Inspect(file);
+  ASSERT_TRUE(file_info.ok()) << file_info.status();
+  EXPECT_TRUE(info->single_file);
+  EXPECT_EQ(info->shards, 1);
+  EXPECT_EQ(info->records, file_info->records);
+  EXPECT_EQ(info->shard[0].records, file_info->records);
+
+  {
+    auto r = BmehStore::Open(file, store_opts);
+    ASSERT_TRUE(r.ok()) << r.status();
+    auto store = std::move(r).ValueOrDie();
+    EXPECT_EQ(store->tree().Stats().records, 199u);
+    auto got = store->Get(KeyFor(500));
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, 500u);
+    EXPECT_TRUE(store->Get(KeyFor(3)).status().IsKeyError());
+  }
+  std::filesystem::remove(file);
 }
 
 // ---------------------------------------------------------------------------

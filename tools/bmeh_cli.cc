@@ -1,32 +1,37 @@
 // bmeh_cli — command-line front end for BMEH-tree stores.
 //
-//   bmeh_cli stats  --db FILE [--json] [--ops N]
-//       Opens a BmehStore file (or sharded directory) with a metrics
-//       registry attached and prints every counter, gauge and latency
-//       summary — Prometheus-style text by default, one JSON object with
-//       --json.  With --ops N a probe workload (N gets, N put/delete
-//       pairs, one range, one checkpoint) is run first so the latency
-//       histograms have samples; without it the exposition reflects the
-//       open/replay only and the file is not modified.
+// Every verb that takes --db works on either kind of store: a store file,
+// which is a one-shard store with no manifest, or a sharded directory.
+// Each verb reaches the store through ShardedStore, which decides which
+// kind a path holds.
 //
-//   bmeh_cli dot    --db FILE
-//       Prints the directory of a BmehStore file (a shard file of a
-//       sharded store works too) as Graphviz dot (small trees only).
+//   bmeh_cli stats  --db PATH [--json] [--ops N]
+//       Opens a store with a metrics registry attached and prints every
+//       counter, gauge and latency summary — Prometheus-style text by
+//       default, one JSON object with --json.  With --ops N a probe
+//       workload (N gets, N put/delete pairs, one range, one checkpoint)
+//       is run first so the latency histograms have samples; without it
+//       the exposition reflects the open/replay only and the store is not
+//       modified.
 //
-//   bmeh_cli storeinfo --db FILE [--json]
-//       Prints the durable state of a BmehStore file (checkpoint
-//       generation, image chain, write-ahead log, LSN watermarks) without
-//       modifying it — works on files left behind by a crash.  Sharded
-//       directories are detected automatically.  With --json the same
-//       facts come out as one JSON object for scripts.  Exit codes: 0
-//       healthy, 2 degraded (sharded store with unreadable shards).
+//   bmeh_cli dot    --db PATH
+//       Prints the directory of a store as Graphviz dot, one digraph per
+//       shard (small trees only).  A single shard file works too.
+//
+//   bmeh_cli storeinfo --db PATH [--json]
+//       Prints the durable state of a store (checkpoint generation, image
+//       chain, write-ahead log, LSN watermarks; per shard for a sharded
+//       directory) without modifying it — works on files left behind by a
+//       crash.  With --json the same facts come out as one JSON object
+//       for scripts.  Exit codes: 0 healthy, 2 degraded (sharded store
+//       with unreadable shards).
 //
 //   bmeh_cli backup  --db SRC --out SETDIR [--base PREV] [--archive DIR]
-//       Online backup of a store (single file or sharded directory) into
-//       a new backup-set directory at SETDIR.  With --base PREV the set
-//       is incremental on the sealed set at PREV: only WAL segments past
-//       PREV's watermark are archived (--archive names the store's WAL
-//       archive directory, required when checkpoints ran since PREV).
+//       Online backup of a store into a new backup-set directory at
+//       SETDIR.  With --base PREV the set is incremental on the sealed
+//       set at PREV: only WAL segments past PREV's watermark are archived
+//       (--archive names the store's WAL archive directory, required when
+//       checkpoints ran since PREV).
 //       Exit codes: 0 sealed, 1 refused/failed, 2 sealed but partial
 //       (some shards failed; the super-manifest records which).
 //
@@ -40,14 +45,14 @@
 //       shards skipped — the result opens degraded under --repair
 //       tooling).
 //
-//   bmeh_cli storebuild --db FILE [--dims D] [--width W] [--b B] [--phi P]
+//   bmeh_cli storebuild --db PATH [--dims D] [--width W] [--b B] [--phi P]
 //                   [--n N] [--dist NAME] [--seed S] [--page-size P]
 //                   [--leave-wal K] [--max-pages M] [--batch B] [--shards N]
-//       Creates a durable BmehStore file (checkpoint + WAL) holding N
-//       generated records.  With
-//       --leave-wal K the last K mutations stay in the write-ahead log and
-//       the final close skips its checkpoint, leaving the file exactly as
-//       a crash would — the fixture the recovery tooling is tested on.
+//       Creates (or extends) a durable store file (checkpoint + WAL)
+//       holding N generated records.  With --leave-wal K the last K
+//       mutations stay in the write-ahead log and the final close skips
+//       its checkpoint, leaving the file exactly as a crash would — the
+//       fixture the recovery tooling is tested on.
 //       With --max-pages M the file is capped at M total pages; when the
 //       quota fills mid-build the build stops gracefully (exit code 3)
 //       with every acknowledged record durable and the file scrub-clean —
@@ -59,27 +64,31 @@
 //       With --shards N the target is a sharded store DIRECTORY: N
 //       independent shard files behind one facade, records routed by the
 //       top log2(N) bits of the interleaved pseudo-key (--max-pages then
-//       caps each shard).  storeinfo, stats, scrub and fsck all detect
-//       sharded directories automatically.
+//       caps each shard).
 //
-//   bmeh_cli scrub --db FILE
-//       Read-only integrity check: verifies every page's checksum trailer
-//       and the superblock / image / WAL chain structure.  Exits 0 only
-//       when the file is clean.
+//   bmeh_cli scrub --db PATH
+//       Read-only integrity check of every store file: verifies every
+//       page's checksum trailer and the superblock / image / WAL chain
+//       structure.  Exits 0 only when every file is clean.
 //
-//   bmeh_cli fsck --db FILE [--repair OUT] [--dims D] [--width W] ...
+//   bmeh_cli fsck --db PATH [--repair OUT] [--dims D] [--width W] ...
 //       Scrubs like `scrub`; with --repair also salvages every reachable
-//       record into a fresh store file at OUT (also the v1 -> v2 format
-//       upgrade path).  Exits 0 when the file was clean, or when --repair
-//       was given and the salvage succeeded.
+//       record into a fresh store of the same shape at OUT (also the
+//       v1 -> v2 format upgrade path).  Exits 0 when the store was clean,
+//       or when --repair was given and the salvage succeeded.
+//
+//   bmeh_cli fsck --db PATH --shard N [--repair]
+//       Scrubs shard N only; with --repair heals it in place while the
+//       other shards stay untouched.  Exits 0 healthy, 1 degraded, 2
+//       repaired.
 //
 //   bmeh_cli corrupt --db FILE --page N [--byte K] [--mask M]
 //       XORs one byte of physical page N with M (default 0xff) — the
 //       fault-injection half of the scrub/fsck tests.
 //
-//   bmeh_cli trace --db FILE [--out trace.json] [--ops N] [--spans S]
-//       Opens a BmehStore file with a tracer attached, runs the same
-//       probe workload as `stats --ops` (default N = 100), and writes the
+//   bmeh_cli trace --db PATH [--out trace.json] [--ops N] [--spans S]
+//       Opens a store with a tracer attached, runs the same probe
+//       workload as `stats --ops` (default N = 100), and writes the
 //       recorded spans as Chrome trace-event JSON — load the file in
 //       chrome://tracing or https://ui.perfetto.dev to see where the
 //       operations spent their time.
@@ -87,12 +96,13 @@
 //   bmeh_cli serve --db PATH [--addr A] [--port P] [--probe-ops N]
 //                  [--oplog FILE] [--oplog-sample K] [--slow-op-us U]
 //                  [--watchdog-deadline-ms D] [--watchdog-interval-ms I]
-//       Opens a store (file or sharded directory; sharded opens are
-//       kPartial so a degraded store still serves what it can) with the
-//       full telemetry plane attached and runs the exposition server
-//       until SIGTERM/SIGINT: /metrics, /healthz (200 healthy /
-//       503 degraded, mirroring storeinfo's exit codes), /statusz,
-//       /tracez.  --port 0 (the default) picks an ephemeral port; the
+//       Opens a store (under the partial open policy, so a sharded store
+//       with a down shard still serves what it can) with the full
+//       telemetry plane attached and runs the exposition server until
+//       SIGTERM/SIGINT: /metrics, /healthz (200 healthy / 503 degraded —
+//       a shard down or opened degraded by corruption — mirroring
+//       storeinfo's exit codes), /statusz, /tracez.  --port 0 (the
+//       default) picks an ephemeral port; the
 //       bound address is printed as "serving on ADDR:PORT".  --oplog
 //       FILE writes one JSON wide event per operation (sampled 1-in-K,
 //       errors and ops slower than --slow-op-us always logged).
@@ -111,6 +121,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -196,29 +207,27 @@ std::string JsonStr(const std::string& s) {
 }
 
 /// storeinfo on a sharded directory: aggregate shape plus one summary
-/// line per shard, read-only like the single-file path.
-int CmdStoreInfoSharded(const std::string& db, bool json) {
-  auto info = ShardedStore::Inspect(db);
-  if (!info.ok()) Die(info.status().ToString());
+/// line per shard.
+int PrintShardedStoreInfo(const ShardedStoreInfo& info, bool json) {
   if (json) {
     std::printf("{\"kind\":\"sharded\",\"shards\":%d,\"shard_bits\":%d,"
                 "\"page_size\":%d,\"page_count\":%llu,\"wal_records\":%llu,"
                 "\"records\":%llu,\"down_shards\":%d,\"healthy\":%s,"
                 "\"shard\":[",
-                info->shards, info->shard_bits, info->page_size,
-                static_cast<unsigned long long>(info->page_count),
-                static_cast<unsigned long long>(info->wal_records),
-                static_cast<unsigned long long>(info->records),
-                info->down_shards,
-                info->down_shards > 0 ? "false" : "true");
-    for (int s = 0; s < info->shards; ++s) {
+                info.shards, info.shard_bits, info.page_size,
+                static_cast<unsigned long long>(info.page_count),
+                static_cast<unsigned long long>(info.wal_records),
+                static_cast<unsigned long long>(info.records),
+                info.down_shards,
+                info.down_shards > 0 ? "false" : "true");
+    for (int s = 0; s < info.shards; ++s) {
       if (s > 0) std::printf(",");
-      if (!info->shard_status[s].ok()) {
+      if (!info.shard_status[s].ok()) {
         std::printf("{\"index\":%d,\"ok\":false,\"error\":%s}", s,
-                    JsonStr(info->shard_status[s].ToString()).c_str());
+                    JsonStr(info.shard_status[s].ToString()).c_str());
         continue;
       }
-      const StoreInfo& si = info->shard[s];
+      const StoreInfo& si = info.shard[s];
       std::printf("{\"index\":%d,\"ok\":true,\"records\":%llu,"
                   "\"wal_records\":%llu,\"generation\":%llu,"
                   "\"page_count\":%llu,\"wal_base_lsn\":%llu,"
@@ -231,24 +240,24 @@ int CmdStoreInfoSharded(const std::string& db, bool json) {
                   static_cast<unsigned long long>(si.durable_lsn));
     }
     std::printf("]}\n");
-    return info->down_shards > 0 ? 2 : 0;
+    return info.down_shards > 0 ? 2 : 0;
   }
-  std::printf("sharded store:    %d shards (%d routing bits)\n", info->shards,
-              info->shard_bits);
-  std::printf("page size:        %d\n", info->page_size);
+  std::printf("sharded store:    %d shards (%d routing bits)\n", info.shards,
+              info.shard_bits);
+  std::printf("page size:        %d\n", info.page_size);
   std::printf("pages in file:    %llu across all shards\n",
-              static_cast<unsigned long long>(info->page_count));
+              static_cast<unsigned long long>(info.page_count));
   std::printf("write-ahead log:  %llu records across all shards\n",
-              static_cast<unsigned long long>(info->wal_records));
+              static_cast<unsigned long long>(info.wal_records));
   std::printf("records:          %llu (checkpoint + replayed log)\n",
-              static_cast<unsigned long long>(info->records));
-  for (int s = 0; s < info->shards; ++s) {
-    if (!info->shard_status[s].ok()) {
+              static_cast<unsigned long long>(info.records));
+  for (int s = 0; s < info.shards; ++s) {
+    if (!info.shard_status[s].ok()) {
       std::printf("shard %-11d DOWN: %s\n", s,
-                  info->shard_status[s].ToString().c_str());
+                  info.shard_status[s].ToString().c_str());
       continue;
     }
-    const StoreInfo& si = info->shard[s];
+    const StoreInfo& si = info.shard[s];
     std::printf("shard %-11d %llu records, %llu in the WAL, "
                 "generation %llu, %llu pages, LSNs [%llu, %llu]\n",
                 s, static_cast<unsigned long long>(si.records),
@@ -260,9 +269,9 @@ int CmdStoreInfoSharded(const std::string& db, bool json) {
   }
   // Exit codes mirror the health line so scripts can branch without
   // parsing: 0 healthy, 2 degraded (unreadable shards listed above).
-  if (info->down_shards > 0) {
+  if (info.down_shards > 0) {
     std::printf("health:           DEGRADED (%d of %d shards down)\n",
-                info->down_shards, info->shards);
+                info.down_shards, info.shards);
     return 2;
   }
   std::printf("health:           healthy\n");
@@ -273,9 +282,10 @@ int CmdStoreInfo(const Args& args) {
   const std::string db = args.Get("db");
   if (db.empty()) Die("storeinfo requires --db");
   const bool json = args.Has("json");
-  if (ShardedStore::IsShardedDir(db)) return CmdStoreInfoSharded(db, json);
-  auto info = BmehStore::Inspect(db);
-  if (!info.ok()) Die(info.status().ToString());
+  auto inspected = ShardedStore::Inspect(db);
+  if (!inspected.ok()) Die(inspected.status().ToString());
+  if (!inspected->single_file) return PrintShardedStoreInfo(*inspected, json);
+  const StoreInfo& info = inspected->shard[0];
   if (json) {
     std::printf("{\"kind\":\"store\",\"page_size\":%d,\"format_version\":%d,"
                 "\"page_count\":%llu,\"live_pages\":%llu,\"generation\":%llu,"
@@ -286,74 +296,74 @@ int CmdStoreInfo(const Args& args) {
                 "\"reserved_pages\":%llu,\"alloc_failures\":%llu,"
                 "\"read_retries\":%llu,\"checksum_failures\":%llu,"
                 "\"pages_quarantined\":%llu}\n",
-                info->page_size, info->format_version,
-                static_cast<unsigned long long>(info->page_count),
-                static_cast<unsigned long long>(info->live_pages),
-                static_cast<unsigned long long>(info->generation),
-                static_cast<unsigned long long>(info->image_head),
-                static_cast<unsigned long long>(info->wal_head),
-                static_cast<unsigned long long>(info->wal_records),
-                static_cast<unsigned long long>(info->wal_pages),
-                static_cast<unsigned long long>(info->wal_base_lsn),
-                static_cast<unsigned long long>(info->durable_lsn),
-                static_cast<unsigned long long>(info->records),
-                static_cast<unsigned long long>(info->free_pages),
-                static_cast<unsigned long long>(info->high_water_pages),
-                static_cast<unsigned long long>(info->max_pages),
-                static_cast<unsigned long long>(info->reserved_pages),
-                static_cast<unsigned long long>(info->alloc_failures),
-                static_cast<unsigned long long>(info->read_retries),
-                static_cast<unsigned long long>(info->checksum_failures),
-                static_cast<unsigned long long>(info->pages_quarantined));
+                info.page_size, info.format_version,
+                static_cast<unsigned long long>(info.page_count),
+                static_cast<unsigned long long>(info.live_pages),
+                static_cast<unsigned long long>(info.generation),
+                static_cast<unsigned long long>(info.image_head),
+                static_cast<unsigned long long>(info.wal_head),
+                static_cast<unsigned long long>(info.wal_records),
+                static_cast<unsigned long long>(info.wal_pages),
+                static_cast<unsigned long long>(info.wal_base_lsn),
+                static_cast<unsigned long long>(info.durable_lsn),
+                static_cast<unsigned long long>(info.records),
+                static_cast<unsigned long long>(info.free_pages),
+                static_cast<unsigned long long>(info.high_water_pages),
+                static_cast<unsigned long long>(info.max_pages),
+                static_cast<unsigned long long>(info.reserved_pages),
+                static_cast<unsigned long long>(info.alloc_failures),
+                static_cast<unsigned long long>(info.read_retries),
+                static_cast<unsigned long long>(info.checksum_failures),
+                static_cast<unsigned long long>(info.pages_quarantined));
     return 0;
   }
-  std::printf("page size:        %d (format v%d)\n", info->page_size,
-              info->format_version);
+  std::printf("page size:        %d (format v%d)\n", info.page_size,
+              info.format_version);
   std::printf("pages in file:    %llu (%llu live after recovery)\n",
-              static_cast<unsigned long long>(info->page_count),
-              static_cast<unsigned long long>(info->live_pages));
+              static_cast<unsigned long long>(info.page_count),
+              static_cast<unsigned long long>(info.live_pages));
   std::printf("generation:       %llu\n",
-              static_cast<unsigned long long>(info->generation));
-  if (info->image_head == kInvalidPageId) {
+              static_cast<unsigned long long>(info.generation));
+  if (info.image_head == kInvalidPageId) {
     std::printf("checkpoint image: none\n");
   } else {
     std::printf("checkpoint image: head page %llu\n",
-                static_cast<unsigned long long>(info->image_head));
+                static_cast<unsigned long long>(info.image_head));
   }
-  if (info->wal_head == kInvalidPageId) {
+  if (info.wal_head == kInvalidPageId) {
     std::printf("write-ahead log:  empty\n");
   } else {
     std::printf("write-ahead log:  %llu records in %llu pages "
                 "(head page %llu)\n",
-                static_cast<unsigned long long>(info->wal_records),
-                static_cast<unsigned long long>(info->wal_pages),
-                static_cast<unsigned long long>(info->wal_head));
+                static_cast<unsigned long long>(info.wal_records),
+                static_cast<unsigned long long>(info.wal_pages),
+                static_cast<unsigned long long>(info.wal_head));
   }
   std::printf("log sequence:     base %llu, durable %llu\n",
-              static_cast<unsigned long long>(info->wal_base_lsn),
-              static_cast<unsigned long long>(info->durable_lsn));
+              static_cast<unsigned long long>(info.wal_base_lsn),
+              static_cast<unsigned long long>(info.durable_lsn));
   std::printf("records:          %llu (checkpoint + replayed log)\n",
-              static_cast<unsigned long long>(info->records));
+              static_cast<unsigned long long>(info.records));
   std::printf("integrity:        %llu read retries, %llu checksum failures, "
               "%llu pages quarantined\n",
-              static_cast<unsigned long long>(info->read_retries),
-              static_cast<unsigned long long>(info->checksum_failures),
-              static_cast<unsigned long long>(info->pages_quarantined));
+              static_cast<unsigned long long>(info.read_retries),
+              static_cast<unsigned long long>(info.checksum_failures),
+              static_cast<unsigned long long>(info.pages_quarantined));
   std::printf("free pages:       %llu\n",
-              static_cast<unsigned long long>(info->free_pages));
+              static_cast<unsigned long long>(info.free_pages));
   std::printf("high water:       %llu pages\n",
-              static_cast<unsigned long long>(info->high_water_pages));
-  if (info->max_pages == 0) {
+              static_cast<unsigned long long>(info.high_water_pages));
+  if (info.max_pages == 0) {
     std::printf("page quota:       unlimited (%llu reserved, "
                 "%llu allocations refused)\n",
-                static_cast<unsigned long long>(info->reserved_pages),
-                static_cast<unsigned long long>(info->alloc_failures));
+                static_cast<unsigned long long>(info.reserved_pages),
+                static_cast<unsigned long long>(info.alloc_failures));
   } else {
     std::printf("page quota:       %llu pages (%llu reserved, "
                 "%llu allocations refused)\n",
-                static_cast<unsigned long long>(info->max_pages),
-                static_cast<unsigned long long>(info->reserved_pages),
-                static_cast<unsigned long long>(info->alloc_failures));
+                static_cast<unsigned long long>(info.max_pages),
+                static_cast<unsigned long long>(info.reserved_pages),
+                static_cast<unsigned long long>(info.alloc_failures));
   }
   return 0;
 }
@@ -383,59 +393,36 @@ bool IsStoreFile(const std::string& path) {
       .ok();
 }
 
-/// Opens the store file at --db for a verb that inspects it (stats, trace,
-/// dot).  Anything else is refused — including a missing path, which
-/// BmehStore::Open would create — so a mistyped path never becomes a store.
-std::unique_ptr<BmehStore> OpenStoreFile(const Args& args,
-                                         const StoreOptions& options) {
+/// Opens the store at --db for a verb that works on an existing one
+/// (stats, trace, dot, backup): a store file, or a sharded directory with
+/// a readable shard.  Anything else is refused — including a missing
+/// path, which Open would create — so a mistyped path never becomes a
+/// store.
+std::unique_ptr<ShardedStore> OpenExistingStore(
+    const Args& args, const StoreOptions& store_options,
+    OpenPolicy policy = OpenPolicy::kStrict) {
   const std::string db = args.Get("db");
-  if (!IsStoreFile(db)) {
-    Die(args.command + " requires a BmehStore file (storebuild)");
+  auto files = ShardedStore::ShardFiles(db);
+  if (!files.ok() || std::none_of(files->begin(), files->end(), IsStoreFile)) {
+    Die(args.command + " requires a store file or a sharded directory "
+                       "(storebuild)");
   }
-  auto store = BmehStore::Open(db, options);
+  ShardedStoreOptions options;
+  options.store = store_options;
+  options.open_policy = policy;
+  auto store = ShardedStore::Open(db, options);
   if (!store.ok()) Die(store.status().ToString());
   return std::move(store).ValueOrDie();
 }
 
-/// The probe workload `stats --ops` and `trace` run so the latency
-/// histograms and the trace buffer have real samples: `ops` exact-match
-/// gets on stored keys, `ops` put/delete pairs of fresh probe keys, one
-/// unconstrained range query, one checkpoint.  Net record count is
-/// unchanged and the store ends checkpoint-clean.
-void RunProbeOps(BmehStore* store, int ops) {
-  if (ops <= 0 || store->degraded()) return;
-  std::vector<PseudoKey> keys;
-  store->mutable_tree()->Scan([&](const Record& rec) {
-    if (static_cast<int>(keys.size()) < ops) keys.push_back(rec.key);
-  });
-  for (const PseudoKey& key : keys) {
-    auto ignored = store->Get(key);
-    (void)ignored;
-  }
-  workload::WorkloadSpec spec;
-  spec.dims = store->schema().dims();
-  spec.width = store->schema().width(0);
-  spec.seed = 0x0b5e;  // distinct from the build seeds so probes miss
-  auto probes = workload::GenerateKeys(spec, static_cast<uint64_t>(ops));
-  for (const PseudoKey& key : probes) {
-    if (store->Put(key, 0).ok()) {
-      Status st = store->Delete(key);
-      if (!st.ok()) Die("probe delete failed: " + st.ToString());
-    }
-  }
-  RangePredicate pred(store->schema());
-  std::vector<Record> out;
-  Status st = store->Range(pred, &out);
-  if (!st.ok()) Die("probe range failed: " + st.ToString());
-  st = store->Checkpoint();
-  if (!st.ok()) Die("probe checkpoint failed: " + st.ToString());
-}
-
-/// The sharded flavour of RunProbeOps: same shape, but the gets sample
-/// stored keys across shards and the probe put/delete pairs route
-/// wherever their ψ prefix says, so the per-shard histograms all see
-/// traffic.
-void RunProbeOpsSharded(ShardedStore* store, int ops) {
+/// The probe workload `stats --ops`, `trace` and `serve --probe-ops` run
+/// so the latency histograms and the trace buffer have real samples:
+/// `ops` exact-match gets on stored keys (sampled across shards), `ops`
+/// put/delete pairs of fresh probe keys (routed wherever their ψ prefix
+/// says, so every shard sees traffic), one unconstrained range query,
+/// one checkpoint.  Net record count is unchanged and the store ends
+/// checkpoint-clean.
+void RunProbeOps(ShardedStore* store, int ops) {
   if (ops <= 0 || store->degraded()) return;
   std::vector<PseudoKey> keys;
   for (int s = 0; s < store->shards(); ++s) {
@@ -467,34 +454,16 @@ void RunProbeOpsSharded(ShardedStore* store, int ops) {
   if (!st.ok()) Die("probe checkpoint failed: " + st.ToString());
 }
 
-/// stats on a sharded directory: one shared registry across every shard
-/// (operation counters and latency histograms aggregate automatically;
-/// sampled per-shard state appears under "shard<k>_" labels alongside
-/// the aggregate "bmeh_tree_records" etc. the facade publishes).
-int CmdStoreStatsSharded(const Args& args) {
-  const std::string db = args.Get("db");
-  obs::MetricsRegistry registry;
-  ShardedStoreOptions options;
-  options.shards = 0;  // adopt the manifest
-  options.store = MakeStoreOptions(args);
-  options.store.metrics = &registry;
-  auto store = ShardedStore::Open(db, options);
-  if (!store.ok()) Die(store.status().ToString());
-  RunProbeOpsSharded(store->get(), args.GetInt("ops", 0));
-  // Snapshot, then suppress the close-time checkpoints (see CmdStoreStats).
-  const std::string exposition = args.Has("json")
-                                     ? registry.JsonExposition()
-                                     : registry.TextExposition();
-  (*store)->SimulateCrashForTesting();
-  std::fputs(exposition.c_str(), stdout);
-  return 0;
-}
-
+/// stats: one registry for the whole store.  A sharded directory's shards
+/// share it — operation counters and latency histograms aggregate, and
+/// sampled per-shard state appears under "shard<k>_" labels beside the
+/// aggregate "bmeh_tree_records" etc. the facade publishes; a store file
+/// publishes exactly what a BmehStore would.
 int CmdStoreStats(const Args& args) {
   obs::MetricsRegistry registry;
   StoreOptions options = MakeStoreOptions(args);
   options.metrics = &registry;
-  auto store = OpenStoreFile(args, options);
+  auto store = OpenExistingStore(args, options);
   RunProbeOps(store.get(), args.GetInt("ops", 0));
   // Snapshot while the store's sources are still attached, then suppress
   // the close-time checkpoint: a stats command must not rewrite a crash
@@ -508,8 +477,10 @@ int CmdStoreStats(const Args& args) {
 }
 
 int CmdDot(const Args& args) {
-  auto store = OpenStoreFile(args, MakeStoreOptions(args));
-  std::fputs(store->tree().ToDot().c_str(), stdout);
+  auto store = OpenExistingStore(args, MakeStoreOptions(args));
+  for (int s = 0; s < store->shards(); ++s) {
+    std::fputs(store->shard(s)->tree().ToDot().c_str(), stdout);
+  }
   store->SimulateCrashForTesting();  // see CmdStoreStats
   return 0;
 }
@@ -521,7 +492,7 @@ int CmdTrace(const Args& args) {
   StoreOptions options = MakeStoreOptions(args);
   options.tracer = &tracer;
   options.metrics = &registry;
-  auto store = OpenStoreFile(args, options);
+  auto store = OpenExistingStore(args, options);
   RunProbeOps(store.get(), args.GetInt("ops", 100));
   store->SimulateCrashForTesting();  // see CmdStoreStats
   const std::string json = tracer.ToChromeTraceJson();
@@ -597,16 +568,16 @@ std::unique_ptr<obs::ObsServer> MaybeServe(const Args& args,
 }
 
 /// serve: open the store with the full telemetry plane attached and run
-/// the exposition server until SIGTERM/SIGINT.  Works on both a single
-/// store file and a sharded directory; sharded opens use
-/// OpenPolicy::kPartial so a degraded store still serves what it can —
-/// /healthz then answers 503, mirroring storeinfo's exit code 2.
+/// the exposition server until SIGTERM/SIGINT.  The open uses
+/// OpenPolicy::kPartial so a sharded store with a down shard still serves
+/// what it can — /healthz then answers 503, mirroring storeinfo's exit
+/// code 2.
 int CmdServe(const Args& args) {
   const std::string db = args.Get("db");
   if (db.empty()) Die("serve requires --db");
 
-  // Declaration order is teardown order in reverse: the stores (declared
-  // last) close first and unregister their heartbeats from the watchdog,
+  // Declaration order is teardown order in reverse: the store (declared
+  // last) closes first and unregisters its heartbeats from the watchdog,
   // which must still be alive; the watchdog's monitor stops before the
   // oplog it writes stall events to goes away.
   obs::MetricsRegistry registry;
@@ -619,34 +590,22 @@ int CmdServe(const Args& args) {
   watchdog_options.oplog = oplog.get();
   obs::Watchdog watchdog(watchdog_options);
 
-  StoreOptions store_options = MakeStoreOptions(args);
-  store_options.wal_sync_every = 1;  // a served store is a live store
-  store_options.group_commit_window_us =
+  ShardedStoreOptions options;
+  options.store = MakeStoreOptions(args);
+  options.store.wal_sync_every = 1;  // a served store is a live store
+  options.store.group_commit_window_us =
       static_cast<uint64_t>(args.GetInt("group-window-us", 0));
-  store_options.metrics = &registry;
-  store_options.tracer = &tracer;
-  store_options.oplog = oplog.get();
-  store_options.watchdog = &watchdog;
-  store_options.watchdog_deadline_ms =
+  options.store.metrics = &registry;
+  options.store.tracer = &tracer;
+  options.store.oplog = oplog.get();
+  options.store.watchdog = &watchdog;
+  options.store.watchdog_deadline_ms =
       static_cast<uint64_t>(std::max(1, args.GetInt("watchdog-deadline-ms", 5000)));
-
-  std::unique_ptr<ShardedStore> sharded;
-  std::unique_ptr<BmehStore> single;
-  if (ShardedStore::IsShardedDir(db)) {
-    ShardedStoreOptions options;
-    options.shards = 0;  // adopt the manifest
-    options.store = store_options;
-    options.open_policy = OpenPolicy::kPartial;
-    auto opened = ShardedStore::Open(db, options);
-    if (!opened.ok()) Die(opened.status().ToString());
-    sharded = std::move(opened).ValueOrDie();
-  } else {
-    auto opened = BmehStore::Open(db, store_options);
-    if (!opened.ok()) Die(opened.status().ToString());
-    single = std::move(opened).ValueOrDie();
-  }
-  ShardedStore* sharded_ptr = sharded.get();
-  BmehStore* single_ptr = single.get();
+  options.open_policy = OpenPolicy::kPartial;
+  auto opened = ShardedStore::Open(db, options);
+  if (!opened.ok()) Die(opened.status().ToString());
+  std::unique_ptr<ShardedStore> store = std::move(opened).ValueOrDie();
+  ShardedStore* served = store.get();
 
   obs::ObsServer::Options server_options;
   server_options.bind_addr = args.Get("addr", "127.0.0.1");
@@ -655,55 +614,55 @@ int CmdServe(const Args& args) {
   server_options.tracer = &tracer;
   server_options.watchdog = &watchdog;
   // /healthz mirrors storeinfo: 200 <-> exit 0 (healthy), 503 <-> exit 2
-  // (degraded).  The watchdog contributes independently inside the
-  // server (stalled heartbeats also flip the answer to 503).
-  server_options.healthz = [sharded_ptr, single_ptr]() {
+  // (degraded: a shard down, or opened degraded by corruption).  The
+  // watchdog contributes independently inside the server (stalled
+  // heartbeats also flip the answer to 503).
+  server_options.healthz = [served]() {
     obs::ObsServer::Response response;
-    if (sharded_ptr != nullptr) {
-      const int down = sharded_ptr->down_shards();
-      if (down > 0) {
-        response.status = 503;
-        response.body = "DEGRADED: " + std::to_string(down) + " of " +
-                        std::to_string(sharded_ptr->shards()) +
-                        " shards down\n";
-        return response;
-      }
-    } else if (single_ptr->degraded()) {
+    if (served->degraded()) {
+      const int down = served->down_shards();
       response.status = 503;
-      response.body = "DEGRADED: store opened degraded by corruption\n";
+      response.body =
+          down > 0 ? "DEGRADED: " + std::to_string(down) + " of " +
+                         std::to_string(served->shards()) + " shards down\n"
+                   : "DEGRADED: store opened degraded by corruption\n";
       return response;
     }
     response.body = "ok\n";
     return response;
   };
-  server_options.statusz = [sharded_ptr, single_ptr]() {
+  // /statusz: the store's shape, then each shard's health and sampled
+  // state (WAL depth, LSN watermarks — every shard has its own LSN
+  // domain).  A store file is the one-shard case ("kind":"store").
+  server_options.statusz = [served]() {
     obs::ObsServer::Response response;
     response.content_type = "application/json";
-    std::string body = "{\"kind\":\"";
-    if (sharded_ptr != nullptr) {
-      body += "sharded\",\"shards\":" +
-              std::to_string(sharded_ptr->shards()) +
-              ",\"down_shards\":" + std::to_string(sharded_ptr->down_shards()) +
-              ",\"shard\":[";
-      for (int s = 0; s < sharded_ptr->shards(); ++s) {
-        if (s > 0) body += ",";
-        body += "{\"index\":" + std::to_string(s) + ",\"up\":" +
-                (sharded_ptr->shard_healthy(s) ? "true" : "false") + "}";
+    std::string& body = response.body;
+    body = std::string("{\"kind\":\"") +
+           (served->single_file() ? "store" : "sharded") +
+           "\",\"shards\":" + std::to_string(served->shards()) +
+           ",\"down_shards\":" + std::to_string(served->down_shards()) +
+           ",\"degraded\":" + (served->degraded() ? "true" : "false") +
+           ",\"shard\":[";
+    for (int s = 0; s < served->shards(); ++s) {
+      if (s > 0) body += ",";
+      body += "{\"index\":" + std::to_string(s) + ",\"up\":";
+      StorageUnit::Ref ref = served->unit(s).Acquire();
+      if (!ref) {
+        body += "false}";
+        continue;
       }
-      body += "]}";
-    } else {
-      const BmehStore::SampledState st = single_ptr->SampleStateForMetrics();
-      body += "store\",\"records\":" + std::to_string(st.records) +
+      const BmehStore::SampledState st = ref->SampleStateForMetrics();
+      body += "true,\"records\":" + std::to_string(st.records) +
               ",\"height\":" + std::to_string(st.height) +
               ",\"generation\":" + std::to_string(st.generation) +
               ",\"wal_records\":" + std::to_string(st.wal_records) +
               ",\"dirty_ops\":" + std::to_string(st.dirty_ops) +
               ",\"wal_base_lsn\":" + std::to_string(st.wal_base_lsn) +
               ",\"durable_lsn\":" + std::to_string(st.durable_lsn) +
-              ",\"degraded\":" + (single_ptr->degraded() ? "true" : "false") +
-              "}";
+              ",\"degraded\":" + (ref->degraded() ? "true" : "false") + "}";
     }
-    response.body = std::move(body);
+    body += "]}";
     return response;
   };
 
@@ -718,14 +677,7 @@ int CmdServe(const Args& args) {
   std::signal(SIGTERM, HandleServeSignal);
   std::signal(SIGINT, HandleServeSignal);
 
-  const int probe_ops = args.GetInt("probe-ops", 0);
-  if (probe_ops > 0) {
-    if (sharded_ptr != nullptr) {
-      RunProbeOpsSharded(sharded_ptr, probe_ops);
-    } else {
-      RunProbeOps(single_ptr, probe_ops);
-    }
-  }
+  RunProbeOps(served, args.GetInt("probe-ops", 0));
 
   while (g_serve_stop == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -736,15 +688,15 @@ int CmdServe(const Args& args) {
   return 0;
 }
 
-/// storebuild --shards N: same load loop as the single-file path, but
-/// against the sharded facade — batches are split per shard and commit
-/// independently, --leave-wal leaves every shard's tail in its own WAL,
-/// and --max-pages caps each shard.
-int CmdStoreBuildSharded(const Args& args, int shards) {
+int CmdStoreBuild(const Args& args) {
   const std::string db = args.Get("db");
+  if (db.empty()) Die("storebuild requires --db");
   ShardedStoreOptions options;
-  options.shards = shards;
+  options.shards = args.GetInt("shards", 0);
   options.store = MakeStoreOptions(args);
+  // Stop at the first quota refusal: nothing else writes the store, so
+  // retrying cannot free pages.
+  options.retry.max_attempts = 1;
   obs::MetricsRegistry registry;
   obs::Tracer tracer(4096);
   std::unique_ptr<obs::ObsServer> server = MaybeServe(args, &registry, &tracer);
@@ -765,113 +717,15 @@ int CmdStoreBuildSharded(const Args& args, int shards) {
   spec.width = options.store.schema.width(0);
   spec.seed = static_cast<uint64_t>(args.GetInt("seed", 1986));
 
-  auto store = ShardedStore::Open(db, options);
-  if (!store.ok()) Die(store.status().ToString());
+  auto opened = ShardedStore::Open(db, options);
+  if (!opened.ok()) Die(opened.status().ToString());
+  std::unique_ptr<ShardedStore> store = std::move(opened).ValueOrDie();
   auto keys = workload::GenerateKeys(spec, n);
   uint64_t inserted = 0;
   Status exhausted = Status::OK();
   for (uint64_t i = 0; i < n;) {
     if (leave_wal > 0 && i == n - leave_wal) {
-      Status st = (*store)->Checkpoint();
-      if (!st.ok()) Die(st.ToString());
-    }
-    uint64_t limit = n;
-    if (leave_wal > 0 && i < n - leave_wal) limit = n - leave_wal;
-    const uint64_t take = std::min(batch, limit - i);
-    WriteBatch wb;
-    for (uint64_t j = i; j < i + take; ++j) wb.Put(keys[j], j);
-    std::vector<Status> per_record;
-    Status st = (*store)->Write(wb, &per_record);
-    (void)st;  // judged member by member: sub-batches commit independently
-    bool hit_quota = false;
-    for (const Status& rs : per_record) {
-      if (rs.ok()) {
-        ++inserted;
-      } else if (rs.IsResourceExhausted()) {
-        // One shard's quota filled; its sub-batch rolled back whole while
-        // sibling sub-batches committed.  Stop gracefully.
-        exhausted = rs;
-        hit_quota = true;
-      } else if (!rs.IsAlreadyExists()) {  // the generator may repeat keys
-        Die(rs.ToString());
-      }
-    }
-    if (hit_quota) break;
-    i += take;
-  }
-  if (leave_wal == 0) {
-    Status st = (*store)->Checkpoint();
-    if (st.IsResourceExhausted()) {
-      if (exhausted.ok()) exhausted = st;
-      (*store)->SimulateCrashForTesting();
-    } else if (!st.ok()) {
-      Die(st.ToString());
-    }
-  } else {
-    // Keep every shard's WAL: the sharded crash fixture.
-    (*store)->SimulateCrashForTesting();
-  }
-  uint64_t allocs = 0, refused = 0, high_water = 0;
-  for (int s = 0; s < (*store)->shards(); ++s) {
-    const PageStore& pages = (*store)->shard(s)->page_store();
-    allocs += pages.stats().allocs;
-    refused += pages.stats().alloc_failures;
-    high_water += pages.stats().high_water_pages;
-  }
-  std::printf("built sharded store %s: %llu records (%llu in the WAL) "
-              "across %d shards\n",
-              db.c_str(), static_cast<unsigned long long>(inserted),
-              static_cast<unsigned long long>((*store)->wal_records()),
-              (*store)->shards());
-  std::printf("resources:        %llu allocs, %llu refused, high water "
-              "%llu pages, quota %llu per shard\n",
-              static_cast<unsigned long long>(allocs),
-              static_cast<unsigned long long>(refused),
-              static_cast<unsigned long long>(high_water),
-              static_cast<unsigned long long>(options.store.max_pages));
-  if (!exhausted.ok()) {
-    std::printf("page quota exhausted after %llu records: %s\n",
-                static_cast<unsigned long long>(inserted),
-                exhausted.ToString().c_str());
-    return 3;
-  }
-  return 0;
-}
-
-int CmdStoreBuild(const Args& args) {
-  const std::string db = args.Get("db");
-  if (db.empty()) Die("storebuild requires --db");
-  const int shards = args.GetInt("shards", 0);
-  if (shards != 0) return CmdStoreBuildSharded(args, shards);
-  StoreOptions options = MakeStoreOptions(args);
-  obs::MetricsRegistry registry;
-  obs::Tracer tracer(4096);
-  std::unique_ptr<obs::ObsServer> server = MaybeServe(args, &registry, &tracer);
-  if (server != nullptr) {
-    options.metrics = &registry;
-    options.tracer = &tracer;
-  }
-  const uint64_t n = static_cast<uint64_t>(args.GetInt("n", 2000));
-  const uint64_t leave_wal =
-      static_cast<uint64_t>(args.GetInt("leave-wal", 0));
-  if (leave_wal > n) Die("--leave-wal cannot exceed --n");
-  const uint64_t batch = static_cast<uint64_t>(args.GetInt("batch", 1));
-  if (batch == 0) Die("--batch must be at least 1");
-
-  workload::WorkloadSpec spec;
-  spec.distribution = ParseDist(args.Get("dist", "uniform"));
-  spec.dims = options.schema.dims();
-  spec.width = options.schema.width(0);
-  spec.seed = static_cast<uint64_t>(args.GetInt("seed", 1986));
-
-  auto store = BmehStore::Open(db, options);
-  if (!store.ok()) Die(store.status().ToString());
-  auto keys = workload::GenerateKeys(spec, n);
-  uint64_t inserted = 0;
-  Status exhausted = Status::OK();
-  for (uint64_t i = 0; i < n;) {
-    if (leave_wal > 0 && i == n - leave_wal) {
-      Status st = (*store)->Checkpoint();
+      Status st = store->Checkpoint();
       if (!st.ok()) Die(st.ToString());
     }
     // Chunks never straddle the --leave-wal checkpoint boundary.
@@ -881,53 +735,69 @@ int CmdStoreBuild(const Args& args) {
     WriteBatch wb;
     for (uint64_t j = i; j < i + take; ++j) wb.Put(keys[j], j);
     std::vector<Status> per_record;
-    Status st = (*store)->Write(wb, &per_record);
-    if (st.IsResourceExhausted()) {
-      // The quota filled.  The failed batch was rolled back whole; stop
-      // gracefully with everything acknowledged so far intact.
-      exhausted = st;
-      break;
-    }
-    // Any other batch-level status is the first logical per-record
-    // failure; judge the members individually.
+    (void)store->Write(wb, &per_record);  // judged member by member
     for (const Status& rs : per_record) {
       if (rs.ok()) {
         ++inserted;
+      } else if (rs.IsResourceExhausted()) {
+        // A page quota filled.  The refused (sub-)batch rolled back whole
+        // while any sibling sub-batches committed; stop gracefully with
+        // everything acknowledged so far intact.
+        exhausted = rs;
       } else if (!rs.IsAlreadyExists()) {  // the generator may repeat keys
         Die(rs.ToString());
       }
     }
+    if (!exhausted.ok()) break;
     i += take;
   }
   if (leave_wal == 0) {
-    Status st = (*store)->Checkpoint();
+    Status st = store->Checkpoint();
     if (st.IsResourceExhausted()) {
       // The quota blocks the checkpoint; the acknowledged records are
       // already in the WAL.  Skip the close-time retry — it would only
       // fail the same way.
       if (exhausted.ok()) exhausted = st;
-      (*store)->SimulateCrashForTesting();
+      store->SimulateCrashForTesting();
     } else if (!st.ok()) {
       Die(st.ToString());
     }
   } else {
-    // Suppress the close-time checkpoint so the file keeps its WAL and
-    // stays exactly as a crash at this point would leave it.
-    (*store)->SimulateCrashForTesting();
+    // Suppress the close-time checkpoint so every WAL survives and the
+    // store stays exactly as a crash at this point would leave it.
+    store->SimulateCrashForTesting();
   }
-  const PageStore& pages = (*store)->page_store();
-  std::printf("built store %s: %llu records (%llu in the WAL), "
-              "generation %llu\n",
-              db.c_str(), static_cast<unsigned long long>(inserted),
-              static_cast<unsigned long long>((*store)->wal_records()),
-              static_cast<unsigned long long>((*store)->generation()));
+  uint64_t allocs = 0, refused = 0, high_water = 0, reserved = 0;
+  for (int s = 0; s < store->shards(); ++s) {
+    const PageStore& pages = store->shard(s)->page_store();
+    allocs += pages.stats().allocs;
+    refused += pages.stats().alloc_failures;
+    high_water += pages.stats().high_water_pages;
+    reserved += pages.reserved_pages();
+  }
+  std::string quota_note;
+  if (store->single_file()) {
+    std::printf("built store %s: %llu records (%llu in the WAL), "
+                "generation %llu\n",
+                db.c_str(), static_cast<unsigned long long>(inserted),
+                static_cast<unsigned long long>(store->wal_records()),
+                static_cast<unsigned long long>(store->shard(0)->generation()));
+    quota_note = " (" + std::to_string(reserved) + " reserved)";
+  } else {
+    std::printf("built sharded store %s: %llu records (%llu in the WAL) "
+                "across %d shards\n",
+                db.c_str(), static_cast<unsigned long long>(inserted),
+                static_cast<unsigned long long>(store->wal_records()),
+                store->shards());
+    quota_note = " per shard";
+  }
   std::printf("resources:        %llu allocs, %llu refused, high water "
-              "%llu pages, quota %llu (%llu reserved)\n",
-              static_cast<unsigned long long>(pages.stats().allocs),
-              static_cast<unsigned long long>(pages.stats().alloc_failures),
-              static_cast<unsigned long long>(pages.stats().high_water_pages),
-              static_cast<unsigned long long>(pages.max_pages()),
-              static_cast<unsigned long long>(pages.reserved_pages()));
+              "%llu pages, quota %llu%s\n",
+              static_cast<unsigned long long>(allocs),
+              static_cast<unsigned long long>(refused),
+              static_cast<unsigned long long>(high_water),
+              static_cast<unsigned long long>(options.store.max_pages),
+              quota_note.c_str());
   if (!exhausted.ok()) {
     std::printf("page quota exhausted after %llu records: %s\n",
                 static_cast<unsigned long long>(inserted),
@@ -961,95 +831,70 @@ bool PrintScrubReport(const std::string& db, const ScrubReport& report) {
   return report.clean();
 }
 
-/// Scrubs every shard file of a sharded directory and prints a combined
-/// verdict line.  Returns true when every shard (and the manifest) is
-/// clean.
-bool ScrubShardedDir(const std::string& db, const ShardManifest& manifest) {
+/// The store files behind --db (see ShardedStore::ShardFiles); dies when
+/// --db holds no store.
+std::vector<std::string> ShardFilesOrDie(
+    const Args& args, std::optional<ShardManifest>* manifest) {
+  const std::string db = args.Get("db");
+  if (db.empty()) Die(args.command + " requires --db");
+  auto files = ShardedStore::ShardFiles(db, manifest);
+  if (!files.ok()) Die(files.status().ToString());
+  return std::move(files).ValueOrDie();
+}
+
+/// Scrubs every store file and prints each report; a sharded directory
+/// also gets one combined verdict line.  True when every file is clean.
+bool ScrubFiles(const std::string& db, const std::vector<std::string>& files,
+                bool sharded) {
   bool all_clean = true;
-  for (int s = 0; s < manifest.shards; ++s) {
-    const std::string path = ShardedStore::ShardPath(db, s);
+  for (const std::string& path : files) {
     ScrubReport report;
     Status st = ScrubStore(path, &report);
     if (!st.ok()) Die(st.ToString());
     all_clean = PrintScrubReport(path, report) && all_clean;
   }
-  std::printf("%s: %s (%d shards)\n", db.c_str(),
-              all_clean ? "clean" : "CORRUPT", manifest.shards);
+  if (sharded) {
+    std::printf("%s: %s (%zu shards)\n", db.c_str(),
+                all_clean ? "clean" : "CORRUPT", files.size());
+  }
   return all_clean;
 }
 
 int CmdScrub(const Args& args) {
-  const std::string db = args.Get("db");
-  if (db.empty()) Die("scrub requires --db");
-  if (ShardedStore::IsShardedDir(db)) {
-    auto manifest = ShardedStore::ReadManifest(db);
-    if (!manifest.ok()) Die(manifest.status().ToString());
-    return ScrubShardedDir(db, *manifest) ? 0 : 1;
-  }
-  ScrubReport report;
-  Status st = ScrubStore(db, &report);
-  if (!st.ok()) Die(st.ToString());
-  return PrintScrubReport(db, report) ? 0 : 1;
+  std::optional<ShardManifest> manifest;
+  const std::vector<std::string> files = ShardFilesOrDie(args, &manifest);
+  return ScrubFiles(args.Get("db"), files, manifest.has_value()) ? 0 : 1;
 }
 
-/// fsck on a sharded directory: scrub every shard; with --repair salvage
-/// each shard file into the matching slot of a fresh sharded directory
-/// (same manifest) — shard-local damage stays shard-local, so siblings
-/// salvage completely even when one shard needs the brute-force sweep.
-int CmdFsckSharded(const Args& args, const std::string& db) {
-  auto manifest = ShardedStore::ReadManifest(db);
-  if (!manifest.ok()) Die(manifest.status().ToString());
-  const bool clean = ScrubShardedDir(db, *manifest);
-  if (!args.Has("repair")) return clean ? 0 : 1;
-
-  const std::string out = args.Get("repair");
-  Status st = ShardedStore::WriteManifest(out, *manifest);
-  if (!st.ok()) Die("repair failed: " + st.ToString());
-  // The manifest, not the flags, is authoritative for the salvage shape.
-  StoreOptions salvage_options = MakeStoreOptions(args);
-  salvage_options.schema = manifest->schema;
-  salvage_options.tree = TreeOptions::Make(
-      manifest->schema.dims(), args.GetInt("b", 16), args.GetInt("phi", 6));
-  salvage_options.page_size = manifest->page_size;
-  uint64_t recovered = 0;
-  bool degraded = false;
-  bool swept = false;
-  for (int s = 0; s < manifest->shards; ++s) {
-    SalvageReport salvage;
-    st = SalvageStore(ShardedStore::ShardPath(db, s),
-                      ShardedStore::ShardPath(out, s), salvage_options,
-                      &salvage);
-    if (!st.ok()) {
-      Die("repair failed on shard " + std::to_string(s) + ": " +
-          st.ToString());
-    }
-    recovered += salvage.records_recovered;
-    degraded |= salvage.source_degraded;
-    swept |= salvage.used_sweep;
+/// Options for rewriting the files of a store: the flags, except that a
+/// sharded directory's manifest, not the flags, is authoritative for the
+/// schema and page size.
+StoreOptions RewriteOptions(const Args& args,
+                            const std::optional<ShardManifest>& manifest) {
+  StoreOptions options = MakeStoreOptions(args);
+  if (manifest.has_value()) {
+    options.schema = manifest->schema;
+    options.tree = TreeOptions::Make(
+        manifest->schema.dims(), args.GetInt("b", 16), args.GetInt("phi", 6));
+    options.page_size = manifest->page_size;
   }
-  std::printf("salvaged %llu records into %s across %d shards%s%s\n",
-              static_cast<unsigned long long>(recovered), out.c_str(),
-              manifest->shards,
-              degraded ? " (source was degraded)" : "",
-              swept ? " (via brute-force page sweep)" : "");
-  return 0;
+  return options;
 }
 
-/// fsck scoped to one shard of a sharded directory (`--shard N`): scrub
-/// that shard file only; with `--repair` (boolean here) heal it in place
-/// through ShardedStore::RepairShard — the store opens under the partial
-/// policy, so a shard too damaged to open still yields a live store with
-/// a repair target, and siblings are never rewritten.  Exit codes: 0 the
-/// shard is healthy, 1 degraded (or repair failed via Die), 2 repaired.
-int CmdFsckShard(const Args& args, const std::string& db) {
-  auto manifest = ShardedStore::ReadManifest(db);
-  if (!manifest.ok()) Die(manifest.status().ToString());
+/// fsck scoped to one shard (`--shard N`): scrub that shard file only;
+/// with `--repair` (boolean here) heal it in place through
+/// ShardedStore::RepairShard — the store opens under the partial policy,
+/// so a shard too damaged to open still yields a live store with a repair
+/// target, and siblings are never rewritten.  Exit codes: 0 the shard is
+/// healthy, 1 degraded (or repair failed via Die), 2 repaired.
+int CmdFsckShard(const Args& args, const std::vector<std::string>& files,
+                 const std::optional<ShardManifest>& manifest) {
   const int s = args.GetInt("shard", -1);
-  if (s < 0 || s >= manifest->shards) {
+  if (s < 0 || s >= static_cast<int>(files.size())) {
     Die("--shard " + args.Get("shard") + " out of range (store has " +
-        std::to_string(manifest->shards) + " shards)");
+        std::to_string(files.size()) + " shards)");
   }
-  const std::string path = ShardedStore::ShardPath(db, s);
+  const std::string& path = files[s];
   ScrubReport report;
   Status st = ScrubStore(path, &report);
   bool clean = st.ok() && report.clean();
@@ -1067,16 +912,11 @@ int CmdFsckShard(const Args& args, const std::string& db) {
     return 1;
   }
 
-  // The manifest, not the flags, is authoritative for the store shape.
   ShardedStoreOptions options;
-  options.store = MakeStoreOptions(args);
-  options.store.schema = manifest->schema;
-  options.store.tree = TreeOptions::Make(
-      manifest->schema.dims(), args.GetInt("b", 16), args.GetInt("phi", 6));
-  options.store.page_size = manifest->page_size;
+  options.store = RewriteOptions(args, manifest);
   options.store.tolerate_corruption = false;
   options.open_policy = OpenPolicy::kPartial;
-  auto opened = ShardedStore::Open(db, options);
+  auto opened = ShardedStore::Open(args.Get("db"), options);
   if (!opened.ok()) Die(opened.status().ToString());
   auto store = std::move(opened).ValueOrDie();
   ShardRepairReport repair;
@@ -1098,34 +938,53 @@ int CmdFsckShard(const Args& args, const std::string& db) {
 }
 
 int CmdFsck(const Args& args) {
+  std::optional<ShardManifest> manifest;
+  const std::vector<std::string> files = ShardFilesOrDie(args, &manifest);
+  if (args.Has("shard")) return CmdFsckShard(args, files, manifest);
   const std::string db = args.Get("db");
-  if (db.empty()) Die("fsck requires --db");
-  if (ShardedStore::IsShardedDir(db)) {
-    if (args.Has("shard")) return CmdFsckShard(args, db);
-    return CmdFsckSharded(args, db);
-  }
-  ScrubReport report;
-  Status st = ScrubStore(db, &report);
-  if (!st.ok()) Die(st.ToString());
-  const bool clean = PrintScrubReport(db, report);
+  const bool clean = ScrubFiles(db, files, manifest.has_value());
   if (!args.Has("repair")) return clean ? 0 : 1;
 
+  // Salvage into a fresh store of the same shape at OUT: a store file into
+  // a store file, a sharded directory shard by shard under the same
+  // manifest — shard-local damage stays shard-local, so siblings salvage
+  // completely even when one shard needs the brute-force sweep.
   const std::string out = args.Get("repair");
-  SalvageReport salvage;
-  st = SalvageStore(db, out, MakeStoreOptions(args), &salvage);
-  if (!st.ok()) Die("repair failed: " + st.ToString());
-  std::printf("salvaged %llu records into %s%s%s\n",
-              static_cast<unsigned long long>(salvage.records_recovered),
-              out.c_str(),
-              salvage.source_degraded ? " (source was degraded)" : "",
-              salvage.used_sweep ? " (via brute-force page sweep)" : "");
+  std::vector<std::string> targets{out};
+  std::string across;
+  if (manifest.has_value()) {
+    Status st = ShardedStore::WriteManifest(out, *manifest);
+    if (!st.ok()) Die("repair failed: " + st.ToString());
+    targets.clear();
+    for (int s = 0; s < manifest->shards; ++s) {
+      targets.push_back(ShardedStore::ShardPath(out, s));
+    }
+    across = " across " + std::to_string(manifest->shards) + " shards";
+  }
+  const StoreOptions salvage_options = RewriteOptions(args, manifest);
+  uint64_t recovered = 0;
+  bool degraded = false;
+  bool swept = false;
+  for (size_t s = 0; s < files.size(); ++s) {
+    SalvageReport salvage;
+    Status st = SalvageStore(files[s], targets[s], salvage_options, &salvage);
+    if (!st.ok()) Die("repair failed on " + files[s] + ": " + st.ToString());
+    recovered += salvage.records_recovered;
+    degraded |= salvage.source_degraded;
+    swept |= salvage.used_sweep;
+  }
+  std::printf("salvaged %llu records into %s%s%s%s\n",
+              static_cast<unsigned long long>(recovered), out.c_str(),
+              across.c_str(), degraded ? " (source was degraded)" : "",
+              swept ? " (via brute-force page sweep)" : "");
   return 0;
 }
 
 /// backup --db SRC --out SETDIR [--base PREV] [--archive DIR]: online
-/// backup of a single-file or sharded store.  The source is opened
-/// read-only in effect — the close-time checkpoint is suppressed so a
-/// crash fixture's WAL survives the backup unchanged.
+/// backup of a store.  The source is opened read-only in effect — the
+/// close-time checkpoint is suppressed so a crash fixture's WAL survives
+/// the backup unchanged.  A store file backs up into a plain BACKUPSET
+/// set, a sharded directory into a SHARDBACKUP set of per-shard sets.
 int CmdBackup(const Args& args) {
   const std::string db = args.Get("db");
   const std::string out = args.Get("out");
@@ -1137,55 +996,46 @@ int CmdBackup(const Args& args) {
   if (args.Has("incremental") && bopts.base_set.empty()) {
     Die("--incremental requires --base PREV (the set to extend)");
   }
-
-  if (ShardedStore::IsShardedDir(db)) {
-    ShardedStoreOptions options;
-    options.shards = 0;  // adopt the manifest
-    options.store = MakeStoreOptions(args);
-    options.store.wal_archive_dir = args.Get("archive");
-    // Partial policy: a down shard degrades the backup (recorded in the
-    // super-manifest) instead of refusing to back up its siblings.
-    options.open_policy = OpenPolicy::kPartial;
-    auto store = ShardedStore::Open(db, options);
-    if (!store.ok()) Die(store.status().ToString());
-    auto run = (*store)->Backup(out, bopts);
-    (*store)->SimulateCrashForTesting();  // keep the source untouched
-    if (!run.ok()) Die(run.status().ToString());
-    uint64_t high = 0;
-    for (uint64_t w : run->watermark) high = std::max(high, w);
-    std::printf("backed up %s into %s: %d shards (%d failed), "
-                "%llu payload bytes, watermark %llu\n",
-                db.c_str(), out.c_str(), run->shards, run->failed,
-                static_cast<unsigned long long>(run->bytes),
-                static_cast<unsigned long long>(high));
-    for (int s = 0; s < run->shards; ++s) {
-      if (!run->shard_status[s].ok()) {
-        std::printf("shard %-11d FAILED: %s\n", s,
-                    run->shard_status[s].ToString().c_str());
-      }
-    }
-    if (run->failed > 0) {
-      std::printf("backup set is PARTIAL (%d of %d shards)\n",
-                  run->shards - run->failed, run->shards);
-      return 2;
-    }
-    return 0;
-  }
-
   StoreOptions options = MakeStoreOptions(args);
   options.wal_archive_dir = args.Get("archive");
-  auto store = BmehStore::Open(db, options);
-  if (!store.ok()) Die(store.status().ToString());
-  auto run = BackupStore::Run(store->get(), out, bopts);
-  (*store)->SimulateCrashForTesting();  // keep the source untouched
+  // Partial policy: a down shard degrades the backup (recorded in the
+  // super-manifest) instead of refusing to back up its siblings.
+  auto store = OpenExistingStore(args, options, OpenPolicy::kPartial);
+
+  if (store->single_file()) {
+    auto run = BackupStore::Run(store->shard(0), out, bopts);
+    store->SimulateCrashForTesting();  // keep the source untouched
+    if (!run.ok()) Die(run.status().ToString());
+    std::printf("backed up %s into %s: %s set, LSNs [%llu, %llu], "
+                "%llu payload bytes\n",
+                db.c_str(), out.c_str(),
+                run->incremental ? "incremental" : "full",
+                static_cast<unsigned long long>(run->base_lsn),
+                static_cast<unsigned long long>(run->watermark),
+                static_cast<unsigned long long>(run->bytes));
+    return 0;
+  }
+  auto run = store->Backup(out, bopts);
+  store->SimulateCrashForTesting();  // keep the source untouched
   if (!run.ok()) Die(run.status().ToString());
-  std::printf("backed up %s into %s: %s set, LSNs [%llu, %llu], "
-              "%llu payload bytes\n",
-              db.c_str(), out.c_str(),
-              run->incremental ? "incremental" : "full",
-              static_cast<unsigned long long>(run->base_lsn),
-              static_cast<unsigned long long>(run->watermark),
-              static_cast<unsigned long long>(run->bytes));
+  uint64_t high = 0;
+  for (uint64_t w : run->watermark) high = std::max(high, w);
+  std::printf("backed up %s into %s: %d shards (%d failed), "
+              "%llu payload bytes, watermark %llu\n",
+              db.c_str(), out.c_str(), run->shards, run->failed,
+              static_cast<unsigned long long>(run->bytes),
+              static_cast<unsigned long long>(high));
+  for (int s = 0; s < run->shards; ++s) {
+    if (!run->shard_status[s].ok()) {
+      std::printf("shard %-11d FAILED: %s\n", s,
+                  run->shard_status[s].ToString().c_str());
+    }
+  }
+  if (run->failed > 0) {
+    std::printf("backup set is PARTIAL (%d of %d shards)\n",
+                run->shards - run->failed, run->shards);
+    return 2;
+  }
   return 0;
 }
 
@@ -1278,11 +1128,7 @@ int CmdCorrupt(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args = Parse(argc, argv);
-  if (args.command == "stats") {
-    return ShardedStore::IsShardedDir(args.Get("db"))
-               ? CmdStoreStatsSharded(args)
-               : CmdStoreStats(args);
-  }
+  if (args.command == "stats") return CmdStoreStats(args);
   if (args.command == "dot") return CmdDot(args);
   if (args.command == "storeinfo") return CmdStoreInfo(args);
   if (args.command == "storebuild") return CmdStoreBuild(args);
