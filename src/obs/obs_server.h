@@ -9,7 +9,7 @@
 //              body when degraded.  The caller-supplied handler reports
 //              store health (down shards, degraded opens); the server
 //              merges the watchdog on top — any stalled heartbeat forces
-//              503 — so a frozen committer flips health without the
+//              503 — so a hung WAL fsync flips health without the
 //              handler knowing about threads.  Status codes deliberately
 //              mirror `bmeh_cli storeinfo` exit codes (200 <-> 0,
 //              503 <-> 2).

@@ -1,7 +1,7 @@
-// Watchdog: deadline-monitored heartbeats for the store's background
-// activities — the group-commit thread, per-shard repair work, and the
-// checkpoint path — so a stuck fsync or a deadlocked committer surfaces
-// as telemetry instead of silent unavailability.
+// Watchdog: deadline-monitored heartbeats for the store's commit path
+// (each leader's WAL append and fsync), per-shard repair work, and the
+// checkpoint path — so a stuck fsync or a deadlocked repair surfaces as
+// telemetry instead of silent unavailability.
 //
 // Model: a participant Register()s a named Heartbeat with a deadline,
 // Arm()s it while the monitored activity is supposed to make progress,

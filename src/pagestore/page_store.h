@@ -133,8 +133,8 @@ class PageStore {
   /// branch per read/write.
   ///
   /// StoreStats and the page counts are owner-synchronized plain fields.
-  /// When the owner mutates the store from its own threads (e.g.
-  /// BmehStore's group-commit thread), pass its operation lock as
+  /// When the owner mutates the store from several threads (e.g.
+  /// BmehStore's commit leaders), pass its operation lock as
   /// `sample_guard`: the sampling source then takes it shared, making
   /// Snapshot() safe against concurrent mutation.  Null (the default)
   /// keeps the single-threaded-owner behaviour.

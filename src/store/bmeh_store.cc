@@ -2,6 +2,8 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
+#include <condition_variable>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -10,7 +12,6 @@
 
 #include "src/common/crc32.h"
 #include "src/obs/stopwatch.h"
-#include "src/store/group_committer.h"
 
 namespace bmeh {
 
@@ -165,31 +166,6 @@ BmehStore::BmehStore(std::unique_ptr<PageStore> store,
       checkpoint_every_(options.checkpoint_every),
       wal_archive_dir_(options.wal_archive_dir) {
   AttachObservability(options);
-  StartGroupCommit(options);
-}
-
-void BmehStore::StartGroupCommit(const StoreOptions& options) {
-  if (options.group_commit_window_us == 0) return;
-  GroupCommitter::Options gc;
-  gc.window_us = options.group_commit_window_us;
-  gc.queue_depth = options.group_commit_queue_depth;
-  gc.max_batch = options.group_commit_max_batch;
-  committer_ = std::make_unique<GroupCommitter>(
-      gc, [this](std::span<const Wal::LogRecord> recs,
-                 std::vector<Status>* results) {
-        auto lock = plane_.LockExclusive();
-        ApplyBatchLocked(recs, results);
-      });
-  if (metrics_ != nullptr) committer_->AttachMetrics(metrics_);
-  if (watchdog_ != nullptr) {
-    committer_->AttachWatchdog(watchdog_,
-                               options.metrics_label + "group_commit",
-                               watchdog_deadline_ms_);
-  }
-}
-
-void BmehStore::FreezeCommitterForTesting(bool frozen) {
-  if (committer_ != nullptr) committer_->FreezeForTesting(frozen);
 }
 
 void BmehStore::AttachObservability(const StoreOptions& options) {
@@ -199,8 +175,11 @@ void BmehStore::AttachObservability(const StoreOptions& options) {
   shard_index_ = options.shard_index;
   watchdog_deadline_ms_ = options.watchdog_deadline_ms;
   if (watchdog_ != nullptr) {
-    // Armed only around CheckpointLocked (a checkpoint is legally absent
-    // most of the time); the label keeps sibling shards distinguishable.
+    // Armed only around a leader's append+sync and around CheckpointLocked
+    // (both are legally absent most of the time); the label keeps sibling
+    // shards distinguishable.
+    commit_hb_ = watchdog_->Register(options.metrics_label + "commit",
+                                     watchdog_deadline_ms_);
     checkpoint_hb_ = watchdog_->Register(options.metrics_label + "checkpoint",
                                          watchdog_deadline_ms_);
   }
@@ -237,7 +216,7 @@ void BmehStore::AttachObservability(const StoreOptions& options) {
   // constructor runs before any replay or mutation, so by the time a
   // snapshot can observe this source tree_ is set (OpenExisting assigns
   // it before anything escapes).  The shared lock makes sampling safe
-  // against the group-commit thread (and costs nothing uncontended).
+  // against a committing writer (and costs nothing uncontended).
   // Every sampled name carries the store's label (empty for a standalone
   // store) so sibling shards sharing the registry don't overwrite each
   // other at Snapshot() time.
@@ -314,9 +293,6 @@ BmehStore::SampledState BmehStore::SampleStateForMetrics() const {
 }
 
 BmehStore::~BmehStore() {
-  // Stop the commit thread first: after Stop() returns no thread but this
-  // one touches the store, so the final checkpoint runs single-threaded.
-  if (committer_ != nullptr) committer_->Stop();
   if (dirty_ops_ > 0 && poisoned_.ok() && !degraded()) {
     Status st = Checkpoint();
     if (!st.ok()) {
@@ -324,11 +300,11 @@ BmehStore::~BmehStore() {
     }
   }
   if (metrics_ != nullptr) metrics_->RemoveSource(metrics_source_);
-  if (checkpoint_hb_ != nullptr) {
-    // After the final checkpoint above, so the checkpoint path stays
+  if (watchdog_ != nullptr) {
+    // After the final checkpoint above, so the commit path stays
     // monitored for the store's whole life.
+    watchdog_->Unregister(commit_hb_);
     watchdog_->Unregister(checkpoint_hb_);
-    checkpoint_hb_ = nullptr;
   }
   if (plane_.optimistic()) {
     // The tree (and everything it retired) dies with this store; drain
@@ -612,22 +588,6 @@ Result<StoreInfo> BmehStore::Inspect(const std::string& path) {
   return info;
 }
 
-Status BmehStore::LogMutation(const Wal::LogRecord& rec) {
-  if (wal_appends_total_ != nullptr) wal_appends_total_->Inc();
-  obs::ScopedLatency timer(wal_append_latency_);
-  obs::TraceSpan span(tracer_, "wal_append", "wal");
-  Status st = wal_->Append(rec);
-  if (!st.ok()) {
-    // A transient append failure (page quota / ENOSPC) rolled itself back
-    // completely — the log and the tree are still coherent, and the same
-    // mutation can be retried once space frees.  Refuse just this
-    // operation; poisoning is for failures that leave disk state unknown.
-    if (!st.IsTransient()) poisoned_ = st;
-    return st;
-  }
-  return PublishAppended();
-}
-
 Status BmehStore::PublishAppended() {
   Status st;
   if (wal_->head() != published_wal_head_) {
@@ -652,75 +612,167 @@ Status BmehStore::PublishAppended() {
 }
 
 Status BmehStore::ApplyBatchLocked(std::span<const Wal::LogRecord> recs,
-                                   std::vector<Status>* per_record) {
+                                   std::span<Status> outcomes) {
   auto fail_all = [&](const Status& st) {
-    if (per_record != nullptr) per_record->assign(recs.size(), st);
+    std::fill(outcomes.begin(), outcomes.end(), st);
     return st;
   };
-  if (per_record != nullptr) per_record->assign(recs.size(), Status::OK());
-  if (recs.empty()) return Status::OK();
   if (!poisoned_.ok()) return fail_all(poisoned_);
-  // Validate every key before anything touches the log: a malformed key
-  // fails the whole batch with nothing written (it could never replay).
-  for (const Wal::LogRecord& rec : recs) {
-    const Status st = tree_->schema().Validate(rec.key);
-    if (!st.ok()) return fail_all(st);
-  }
   if (wal_appends_total_ != nullptr) wal_appends_total_->Inc(recs.size());
-  if (batch_writes_total_ != nullptr) batch_writes_total_->Inc();
   if (batch_records_ != nullptr) batch_records_->Record(recs.size());
   {
+    // A stuck append or fsync becomes a watchdog stall.
+    obs::Watchdog::ArmedScope armed(commit_hb_);
     obs::ScopedLatency timer(wal_append_latency_);
-    obs::TraceSpan span(tracer_, "wal_append_batch", "wal");
+    obs::TraceSpan span(tracer_, "wal_append", "wal");
+    // A batch of one record is a plain Append: no batch framing, so a
+    // lone writer's commit costs one record's page write.
     Status st = wal_->AppendBatch(recs);
     if (!st.ok()) {
-      // Rolled back entirely on a transient failure — the batch can be
-      // retried as a unit, same contract as a single append.
+      // A transient failure (page quota / ENOSPC) rolled itself back
+      // completely — the log and the tree are still coherent, and the
+      // same records can be retried once space frees.  Poisoning is for
+      // failures that leave disk state unknown.
       if (!st.IsTransient()) poisoned_ = st;
       return fail_all(st);
     }
     st = PublishAppended();  // one superblock flip or one fsync for all
     if (!st.ok()) return fail_all(st);
   }
-  // The batch is durable; apply it to the tree with exactly the tolerance
-  // replay uses, so recovery reproduces live state record for record.
-  Status first_logical = Status::OK();
+  // The records are durable; apply them to the tree with exactly the
+  // tolerance replay uses, so recovery reproduces live state record for
+  // record.
   for (size_t i = 0; i < recs.size(); ++i) {
     const Wal::LogRecord& rec = recs[i];
     Status st = (rec.op == Wal::kOpInsert)
                     ? tree_->Insert(rec.key, rec.payload)
                     : tree_->Delete(rec.key);
     if (!st.ok() && !IsToleratedApplyOutcome(st)) {
-      // A real (IO-grade) tree failure mid-batch: the log and the tree
-      // have diverged, so poison — per-record statuses all report it,
-      // since no acknowledgement can be trusted past this point.
+      // A real (IO-grade) tree failure mid-commit: the log and the tree
+      // have diverged, so poison — every outcome reports it, since no
+      // acknowledgement can be trusted past this point.
       poisoned_ = st;
       return fail_all(st);
     }
-    if (per_record != nullptr) (*per_record)[i] = st;
-    if (first_logical.ok() && !st.ok()) first_logical = st;
+    outcomes[i] = std::move(st);
   }
   // Every record is in the WAL, so every record counts as dirty — the
   // same arithmetic recovery uses (dirty_ops = replayed record count).
   dirty_ops_ += recs.size();
-  BMEH_RETURN_NOT_OK(MaybeAutoCheckpointLocked());
-  return first_logical;
+  return MaybeAutoCheckpointLocked();
+}
+
+/// One caller in the writer queue.  It lives on the caller's stack and
+/// is linked in place, so queueing allocates nothing.
+struct BmehStore::Writer {
+  std::span<const Wal::LogRecord> recs;
+  std::vector<Status>* per_record = nullptr;  ///< Write() callers only.
+  Status status;
+  uint64_t lsn = 0;  ///< LSN of the writer's last record (0 = not logged).
+  bool done = false;
+  Writer* next = nullptr;
+  std::condition_variable cv;
+};
+
+void BmehStore::Commit(Writer* w) {
+  std::unique_lock<std::mutex> queue(queue_mu_);
+  (queue_tail_ != nullptr ? queue_tail_->next : queue_head_) = w;
+  queue_tail_ = w;
+  // A follower waits until a leader has committed its records, or until
+  // it reaches the head and leads the next commit itself.
+  w->cv.wait(queue, [&] { return w->done || queue_head_ == w; });
+  if (w->done) return;
+  // Every writer queued now rides this commit; later arrivals ride the
+  // next one.  Their links up to `last` stay fixed while they wait.
+  Writer* const last = queue_tail_;
+  queue.unlock();
+  {
+    auto lock = plane_.LockExclusive();
+    CommitGroupLocked(w, last);
+  }
+  queue.lock();
+  // Followers cannot leave their wait while queue_mu_ is held, so every
+  // member stays alive until this function returns.
+  for (Writer* m = w; m != last;) {
+    m = m->next;
+    m->done = true;
+    m->cv.notify_one();
+  }
+  queue_head_ = last->next;
+  if (queue_head_ == nullptr) {
+    queue_tail_ = nullptr;
+  } else {
+    queue_head_->cv.notify_one();  // the next leader
+  }
+}
+
+void BmehStore::CommitGroupLocked(Writer* first, Writer* last) {
+  std::span<const Wal::LogRecord> recs = first->recs;
+  if (first != last) {
+    group_recs_.clear();
+    for (Writer* w = first;; w = w->next) {
+      group_recs_.insert(group_recs_.end(), w->recs.begin(), w->recs.end());
+      if (w == last) break;
+    }
+    recs = group_recs_;
+  }
+  group_outcomes_.resize(recs.size());
+  const uint64_t first_lsn = wal_->next_lsn();
+  const Status shared = ApplyBatchLocked(recs, group_outcomes_);
+  const bool logged = wal_->next_lsn() != first_lsn;
+  // Hand each writer its slice: a shared failure overrides, otherwise the
+  // first logical no-op among its own records.
+  size_t pos = 0;
+  for (Writer* w = first;; w = w->next) {
+    const size_t end = pos + w->recs.size();
+    if (w->per_record != nullptr) {
+      w->per_record->assign(group_outcomes_.begin() + pos,
+                            group_outcomes_.begin() + end);
+    }
+    w->status = shared;
+    for (size_t i = pos; i < end && w->status.ok(); ++i) {
+      w->status = group_outcomes_[i];
+    }
+    if (logged) w->lsn = first_lsn + end - 1;
+    pos = end;
+    if (w == last) break;
+  }
+}
+
+size_t BmehStore::QueuedWritersForTesting() {
+  std::lock_guard<std::mutex> queue(queue_mu_);
+  size_t n = 0;
+  for (const Writer* w = queue_head_; w != nullptr; w = w->next) ++n;
+  return n;
 }
 
 Status BmehStore::Write(const WriteBatch& batch,
                         std::vector<Status>* per_record) {
   if (writes_total_ != nullptr) writes_total_->Inc(batch.size());
+  if (batch_writes_total_ != nullptr) batch_writes_total_->Inc();
   OpScope op("write_batch", nullptr, tracer_, oplog_, shard_index_,
              &inject_op_delay_ns_);
   op.set_count(batch.size());
-  Status st = [&]() -> Status {
-    auto lock = plane_.LockExclusive();
-    Status applied = ApplyBatchLocked(batch.records(), per_record);
-    op.set_lsn(wal_->next_lsn() - 1);
-    return applied;
-  }();
-  op.set_status(st);
-  return st;
+  Writer w;
+  w.recs = batch.records();
+  w.per_record = per_record;
+  // The schema is immutable after open, so keys are validated before
+  // queueing: a malformed key fails this batch alone, with nothing
+  // written (it could never replay).
+  for (const Wal::LogRecord& rec : w.recs) {
+    w.status = tree_->schema().Validate(rec.key);
+    if (!w.status.ok()) break;
+  }
+  if (!w.status.ok()) {
+    if (per_record != nullptr) per_record->assign(batch.size(), w.status);
+  } else if (batch.empty()) {
+    if (per_record != nullptr) per_record->clear();
+  } else {
+    Commit(&w);
+    op.set_lsn(w.lsn);
+  }
+  op.set_status(w.status);
+  return w.status;
 }
 
 Status BmehStore::InsertBatch(std::span<const Record> recs) {
@@ -740,26 +792,14 @@ Status BmehStore::Put(const PseudoKey& key, uint64_t payload) {
   if (writes_total_ != nullptr) writes_total_->Inc();
   OpScope op("put", insert_latency_, tracer_, oplog_, shard_index_,
              &inject_op_delay_ns_);
-  Status st = [&]() -> Status {
-    // The schema is immutable after open, so validating outside the lock
-    // is safe — and in group mode it fails malformed keys fast, before
-    // they occupy a queue slot.
-    BMEH_RETURN_NOT_OK(tree_->schema().Validate(key));
-    if (committer_ != nullptr) {
-      // Group path: the LSN is assigned on the commit thread; the wide
-      // event keeps lsn 0 rather than racing for it.
-      return committer_->Submit({Wal::kOpInsert, key, payload});
-    }
-    auto lock = plane_.LockExclusive();
-    BMEH_RETURN_NOT_OK(poisoned_);
-    BMEH_RETURN_NOT_OK(LogMutation({Wal::kOpInsert, key, payload}));
-    op.set_lsn(wal_->next_lsn() - 1);
-    BMEH_RETURN_NOT_OK(tree_->Insert(key, payload));
-    ++dirty_ops_;
-    return MaybeAutoCheckpointLocked();
-  }();
-  op.set_status(st);
-  return st;
+  const Wal::LogRecord rec{Wal::kOpInsert, key, payload};
+  Writer w;
+  w.recs = {&rec, 1};
+  w.status = tree_->schema().Validate(key);
+  if (w.status.ok()) Commit(&w);
+  op.set_lsn(w.lsn);
+  op.set_status(w.status);
+  return w.status;
 }
 
 Result<uint64_t> BmehStore::Get(const PseudoKey& key) {
@@ -792,21 +832,14 @@ Status BmehStore::Delete(const PseudoKey& key) {
   if (writes_total_ != nullptr) writes_total_->Inc();
   OpScope op("delete", delete_latency_, tracer_, oplog_, shard_index_,
              &inject_op_delay_ns_);
-  Status st = [&]() -> Status {
-    BMEH_RETURN_NOT_OK(tree_->schema().Validate(key));
-    if (committer_ != nullptr) {
-      return committer_->Submit({Wal::kOpDelete, key, 0});
-    }
-    auto lock = plane_.LockExclusive();
-    BMEH_RETURN_NOT_OK(poisoned_);
-    BMEH_RETURN_NOT_OK(LogMutation({Wal::kOpDelete, key, 0}));
-    op.set_lsn(wal_->next_lsn() - 1);
-    BMEH_RETURN_NOT_OK(tree_->Delete(key));
-    ++dirty_ops_;
-    return MaybeAutoCheckpointLocked();
-  }();
-  op.set_status(st);
-  return st;
+  const Wal::LogRecord rec{Wal::kOpDelete, key, 0};
+  Writer w;
+  w.recs = {&rec, 1};
+  w.status = tree_->schema().Validate(key);
+  if (w.status.ok()) Commit(&w);
+  op.set_lsn(w.lsn);
+  op.set_status(w.status);
+  return w.status;
 }
 
 Status BmehStore::Range(const RangePredicate& pred,

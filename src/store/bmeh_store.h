@@ -25,13 +25,16 @@
 //    lost on a crash — but recovery always yields a clean *prefix* of
 //    the acknowledged history, never a torn or reordered state.
 //
-//  * Batched writes.  WriteBatch / InsertBatch / DeleteBatch encode many
-//    mutations into one WAL batch chain (begin/commit framed), apply them
-//    under one lock acquisition and acknowledge them with one fsync;
-//    recovery sees the whole batch or none of it.  The optional
-//    group-commit mode (StoreOptions::group_commit_window_us) coalesces
-//    concurrent single-record writers onto that same path via a dedicated
-//    commit thread.  See DESIGN.md §7.
+//  * One commit path.  Put, Delete and Write all enqueue their records
+//    on one writer queue.  The writer at its head leads: it takes every
+//    queued writer's records, appends them as one WAL batch chain
+//    (begin/commit framed), publishes or fsyncs once, applies them to the
+//    tree and wakes each writer with its own statuses.  Writers that
+//    arrive while a commit is in flight ride the next one, so concurrent
+//    writers share fsyncs without a thread, a window or a queue bound; a
+//    lone writer commits a group of one, which is a plain single-record
+//    append.  Recovery sees a whole group or none of it.  See DESIGN.md
+//    §7.
 //
 // Recovery invariants (exercised exhaustively by tests/crash_matrix_test):
 //  1. Open() after any crash yields a tree that Validate()s and whose
@@ -47,6 +50,7 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -60,8 +64,6 @@
 #include "src/store/wal.h"
 
 namespace bmeh {
-
-class GroupCommitter;
 
 /// \brief Configuration for opening / creating a store file.
 struct StoreOptions {
@@ -101,21 +103,6 @@ struct StoreOptions {
   /// raised (reopen with a larger value) or space is freed.  Models a
   /// disk-quota deployment and makes the real ENOSPC path testable.
   uint64_t max_pages = 0;
-  /// Background group commit: when > 0, Put()/Delete() hand their record
-  /// to a dedicated commit thread that coalesces concurrent writers into
-  /// one WAL batch chain and one fsync, lingering up to this many
-  /// microseconds for companions before committing.  Callers block until
-  /// their record is durable and receive its individual status.  Reads
-  /// (Get/Range) and explicit batch writes stay safe to call from any
-  /// thread while the mode is on.  0 (the default) keeps the synchronous
-  /// owner-threaded write path.
-  uint64_t group_commit_window_us = 0;
-  /// Pending-record bound of the group-commit queue; a submission that
-  /// finds it full fails with Status::ResourceExhausted — the same
-  /// retryable backpressure contract as a page-quota refusal.
-  size_t group_commit_queue_depth = 1024;
-  /// Largest coalesced batch the commit thread applies at once.
-  size_t group_commit_max_batch = 256;
   /// Observability (optional; both must outlive the store).  With a
   /// registry attached the store charges `store_*_total` counters and
   /// latency histograms around every public operation, wires the page
@@ -138,9 +125,9 @@ struct StoreOptions {
   /// shard, status, latency, LSN — subject to the log's sampling policy.
   /// Null (the default) costs one branch per op.
   obs::OpLog* oplog = nullptr;
-  /// Commit-path stall watchdog (optional; must outlive the store).  The
-  /// group-commit thread registers a heartbeat named
-  /// "<metrics_label>group_commit" and the checkpoint path arms
+  /// Commit-path stall watchdog (optional; must outlive the store).  Each
+  /// commit leader arms a heartbeat named "<metrics_label>commit" around
+  /// its WAL append and sync, and the checkpoint path arms
   /// "<metrics_label>checkpoint" around each image write, so a stuck
   /// fsync flips /healthz degraded instead of hanging silently.
   obs::Watchdog* watchdog = nullptr;
@@ -275,18 +262,21 @@ class BmehStore {
   /// \brief Deletes a record (KeyError when absent).
   Status Delete(const PseudoKey& key);
 
-  /// \brief Applies `batch` as one durable unit: every mutation is
-  /// encoded into a single WAL batch chain, applied under one lock
-  /// acquisition, and covered by one fsync.  Crash atomicity is
-  /// all-or-nothing: recovery sees either the whole batch or none of it,
-  /// never a prefix.
+  /// \brief Applies `batch` as one durable unit: every mutation rides one
+  /// commit (with whatever other writers were queued), encoded into a
+  /// single WAL batch chain, applied under one lock acquisition, and
+  /// covered by one fsync.  Crash atomicity is all-or-nothing: recovery
+  /// sees either the whole batch or none of it, never a prefix.
   ///
   /// Outcomes: OK when every member applied cleanly.  A deterministic
   /// logical no-op (duplicate insert, delete of an absent key) does not
   /// void the batch — the batch still commits durably and the first such
   /// status is returned; pass `per_record` for each member's individual
   /// outcome.  ResourceExhausted means nothing was written (rolled back,
-  /// retryable).  Any other failure poisons the store.
+  /// retryable).  Any other failure poisons the store; when it is the
+  /// auto-checkpoint that failed, the records are durable and
+  /// `per_record` still holds their own outcomes.  Put and Delete follow
+  /// the same contract for their one record.
   Status Write(const WriteBatch& batch,
                std::vector<Status>* per_record = nullptr);
 
@@ -306,9 +296,10 @@ class BmehStore {
   /// be coherent with memory).
   Status Checkpoint();
 
-  /// \brief Mutations since the last successful checkpoint.  Like
-  /// wal_records() and generation(), owner-synchronized: in group-commit
-  /// mode read it only at quiescence (no Submit in flight).
+  /// \brief Records logged since the last successful checkpoint,
+  /// logical no-ops (a duplicate insert, an absent delete) included — the
+  /// count recovery replays.  Like wal_records() and generation(),
+  /// read it only while no write is in flight.
   uint64_t dirty_ops() const { return dirty_ops_; }
 
   /// \brief Records currently in the write-ahead log.
@@ -378,7 +369,7 @@ class BmehStore {
 
   /// \brief One consistent sample of the store's sampled-gauge state,
   /// taken under the operation lock (shared) so it is safe to call
-  /// concurrently with a group-commit thread or writers on other stores.
+  /// concurrently with writers.
   struct SampledState {
     uint64_t records = 0;
     int height = 0;
@@ -412,10 +403,9 @@ class BmehStore {
     inject_op_delay_ns_.store(ns, std::memory_order_relaxed);
   }
 
-  /// \brief Testing hook: freezes / thaws the group-commit thread (no-op
-  /// without one) — the thread stops beating its watchdog heartbeat and
-  /// stops draining submissions, simulating a stuck fsync.
-  void FreezeCommitterForTesting(bool frozen);
+  /// \brief Testing hook: writers waiting in the commit queue, the
+  /// leader included.
+  size_t QueuedWritersForTesting();
 
  private:
   BmehStore(std::unique_ptr<PageStore> store, std::unique_ptr<BmehTree> tree,
@@ -444,36 +434,48 @@ class BmehStore {
   /// Flips the tree into concurrent-read mode at the end of Open (no-op
   /// when disabled by options).
   void EnableOptimisticReads(const StoreOptions& options);
-  /// Appends to the WAL and makes the record reachable + durable per the
-  /// sync policy.  On failure the store is poisoned.
-  Status LogMutation(const Wal::LogRecord& rec);
+  /// One caller waiting in the writer queue (defined in the .cc).
+  struct Writer;
+  /// Queues `w` and returns once its records are committed — by an
+  /// earlier leader, or by `w` itself leading every writer queued behind
+  /// it.  Fills w->status, w->lsn and *w->per_record.
+  void Commit(Writer* w);
+  /// The leader's commit of the queued writers `first` through `last`.
+  /// Caller holds the operation lock exclusively.
+  void CommitGroupLocked(Writer* first, Writer* last);
   /// Publishes / syncs whatever the WAL just appended (superblock flip
   /// for a fresh log head, MaybeSync otherwise).  Poisons on failure.
   Status PublishAppended();
-  /// The batch engine behind Write(), InsertBatch/DeleteBatch and the
-  /// group-commit thread.  Caller holds the operation lock exclusively.
+  /// The one commit: one WAL append, one publish or fsync, the tree
+  /// apply, then the auto-checkpoint.  Sets outcomes[i] to record i's own
+  /// outcome and returns the status every member shares: OK, the failure
+  /// that voided the commit (every outcome then holds it too), or a failed
+  /// auto-checkpoint's error.  Caller holds the operation lock exclusively.
   Status ApplyBatchLocked(std::span<const Wal::LogRecord> recs,
-                          std::vector<Status>* per_record);
-  /// Starts the group-commit thread when the options ask for it.
-  void StartGroupCommit(const StoreOptions& options);
+                          std::span<Status> outcomes);
   Status CheckpointLocked();
   /// CheckpointLocked's body, run with the checkpoint heartbeat armed and
   /// the telemetry scope open.
   Status CheckpointArmedLocked();
   Status MaybeAutoCheckpointLocked();
   /// Operation lock, write-preferring gate and optimistic read loop.
-  /// Without group commit the store stays owner-synchronized and the lock
-  /// is merely uncontended overhead; with the commit thread running it is
-  /// what makes Get/Range, explicit batch writes, checkpoints and metrics
-  /// sampling safe against the thread: mutators hold it exclusively
-  /// through plane_.LockExclusive(), locked readers and the sampled
-  /// sources take it shared.  Optimistic readers never touch it.
+  /// It makes writers, checkpoints, backups and metrics sampling safe
+  /// against each other: the commit leader and checkpoints hold it
+  /// exclusively through plane_.LockExclusive(), locked readers and the
+  /// sampled sources take it shared.  Optimistic readers never touch it.
   ReadPlane plane_;
   std::unique_ptr<PageStore> store_;
   std::unique_ptr<BmehTree> tree_;
   std::unique_ptr<Wal> wal_;
-  /// Non-null only in group-commit mode; stopped before teardown.
-  std::unique_ptr<GroupCommitter> committer_;
+  /// Writer queue, FIFO from head to tail; the head is the leader.
+  std::mutex queue_mu_;
+  Writer* queue_head_ = nullptr;
+  Writer* queue_tail_ = nullptr;
+  /// Leader scratch for a group's records and outcomes, kept between
+  /// commits so a steady write stream allocates nothing here.  Touched
+  /// only under the exclusive lock.
+  std::vector<Wal::LogRecord> group_recs_;
+  std::vector<Status> group_outcomes_;
   PageId super_page_ = kInvalidPageId;
   PageId image_head_ = kInvalidPageId;
   /// WAL head the on-disk superblock currently points at.
@@ -504,7 +506,9 @@ class BmehStore {
   obs::Tracer* tracer_ = nullptr;
   obs::OpLog* oplog_ = nullptr;
   obs::Watchdog* watchdog_ = nullptr;
-  /// Checkpoint-path heartbeat: armed only while CheckpointLocked runs.
+  /// Commit-path heartbeats, armed only while a leader appends and syncs
+  /// or a checkpoint runs.
+  obs::Watchdog::Heartbeat* commit_hb_ = nullptr;
   obs::Watchdog::Heartbeat* checkpoint_hb_ = nullptr;
   int shard_index_ = -1;
   uint64_t watchdog_deadline_ms_ = 5000;

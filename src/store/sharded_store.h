@@ -4,7 +4,7 @@
 // pseudo-key — the bit-interleaved (z-order) digit string the paper's
 // directory addresses with, taken round-robin across dimensions,
 // most-significant bit first.  Each of the N shards is a complete
-// StorageUnit (tree + WAL + group committer + page device + quota) over
+// StorageUnit (tree + WAL + writer queue + page device + quota) over
 // its own file, so:
 //
 //  * writers on distinct shards never touch shared state (no global

@@ -1,5 +1,5 @@
 // StorageUnit: one self-contained durability domain — a BMEH tree plus
-// its own write-ahead log, group-commit thread, page device and quota,
+// its own write-ahead log and writer queue, page device and quota,
 // wrapped with a shard identity (index, file path, metrics label).
 //
 // This is the per-tree extraction the sharded store is built from: a

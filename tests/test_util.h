@@ -1,18 +1,22 @@
 // Shared helpers for the structure tests: a reference oracle and a fuzz
 // driver that runs randomized insert/search/delete workloads against any
 // MultiKeyIndex, cross-checking every result and validating structural
-// invariants periodically.
+// invariants periodically.  Also a page store whose fsync can be held,
+// for the commit-path tests.
 
 #ifndef BMEH_TESTS_TEST_UTIL_H_
 #define BMEH_TESTS_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <map>
+#include <mutex>
 #include <vector>
 
 #include "src/common/random.h"
 #include "src/hashdir/multikey_index.h"
+#include "src/pagestore/page_store.h"
 #include "src/workload/distributions.h"
 
 namespace bmeh {
@@ -129,6 +133,47 @@ inline void DrainAndCheckEmpty(MultiKeyIndex* index,
   EXPECT_EQ(stats.records, 0u);
   EXPECT_EQ(stats.data_pages, 0u);
 }
+
+/// \brief An in-memory device that counts Sync() calls and, while held,
+/// blocks each one until released — a deterministic stand-in for a hung
+/// fsync, and a way to freeze a commit leader mid-commit.
+class LatchedSyncPageStore : public InMemoryPageStore {
+ public:
+  using InMemoryPageStore::InMemoryPageStore;
+
+  Status Sync() override {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++syncs_;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return !held_; });
+    return Status::OK();
+  }
+
+  void Hold(bool held) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      held_ = held;
+    }
+    cv_.notify_all();
+  }
+
+  uint64_t syncs() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return syncs_;
+  }
+
+  /// Blocks until at least `n` Sync() calls have started.
+  void AwaitSyncs(uint64_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return syncs_ >= n; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  uint64_t syncs_ = 0;
+};
 
 }  // namespace testing
 }  // namespace bmeh

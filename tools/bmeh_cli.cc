@@ -57,9 +57,9 @@
 //       quota fills mid-build the build stops gracefully (exit code 3)
 //       with every acknowledged record durable and the file scrub-clean —
 //       rerunning with a larger quota resumes from that state.
-//       With --batch B records are loaded through the group-commit batch
-//       path, B per WriteBatch — one WAL chain and one fsync per batch
-//       instead of per record, typically an order of magnitude faster.
+//       With --batch B records are loaded through the batch path, B per
+//       WriteBatch — one WAL chain and one fsync per batch instead of per
+//       record, typically an order of magnitude faster.
 //       --leave-wal and --max-pages compose with it unchanged.
 //       With --shards N the target is a sharded store DIRECTORY: N
 //       independent shard files behind one facade, records routed by the
@@ -593,8 +593,6 @@ int CmdServe(const Args& args) {
   ShardedStoreOptions options;
   options.store = MakeStoreOptions(args);
   options.store.wal_sync_every = 1;  // a served store is a live store
-  options.store.group_commit_window_us =
-      static_cast<uint64_t>(args.GetInt("group-window-us", 0));
   options.store.metrics = &registry;
   options.store.tracer = &tracer;
   options.store.oplog = oplog.get();
