@@ -12,23 +12,21 @@
 #include <vector>
 
 #include "src/metrics/experiment.h"
-#include "src/obs/metrics.h"
 
 namespace bmeh {
 namespace bench {
 
 /// True when the BMEH_BENCH_SMOKE environment variable is set (and not
-/// "0"): CI smoke mode — benches shrink their workloads so the whole
-/// suite finishes in seconds while still exercising every code path and
-/// emitting the same BENCH_*.json artifacts.
+/// "0"): CI smoke mode — a bench shrinks its workload so it finishes in
+/// seconds while still exercising every code path.
 inline bool SmokeMode() {
   const char* v = std::getenv("BMEH_BENCH_SMOKE");
   return v != nullptr && v[0] != '\0' && v[0] != '0';
 }
 
 /// Resolves a BENCH_*.json artifact name against $BMEH_BENCH_OUT_DIR
-/// (unset or empty = the current directory), so CI can aim every bench
-/// at the repo root no matter which build tree it runs from.
+/// (unset or empty = the current directory), so CI can aim a bench at
+/// the repo root no matter which build tree it runs from.
 inline std::string BenchOutPath(const std::string& name) {
   const char* dir = std::getenv("BMEH_BENCH_OUT_DIR");
   if (dir == nullptr || dir[0] == '\0') return name;
@@ -37,9 +35,8 @@ inline std::string BenchOutPath(const std::string& name) {
   return path + name;
 }
 
-/// Writes an already-rendered JSON exposition to `path` — use this form
-/// when the exposition must be captured while sampled sources (page
-/// stores, buffer pools) are still alive and attached.
+/// Writes a rendered JSON exposition to `path`: the machine-readable
+/// BENCH_*.json artifact CI uploads next to the human-readable stdout.
 inline void WriteBenchJson(const std::string& path, const std::string& json) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -49,13 +46,6 @@ inline void WriteBenchJson(const std::string& path, const std::string& json) {
   std::fwrite(json.data(), 1, json.size(), f);
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
-}
-
-/// Writes the registry's JSON exposition to `path` — the machine-readable
-/// BENCH_*.json artifact CI uploads next to the human-readable stdout.
-inline void WriteBenchJson(const std::string& path,
-                           const obs::MetricsRegistry& registry) {
-  WriteBenchJson(path, registry.JsonExposition());
 }
 
 inline constexpr int kPageSizes[] = {8, 16, 32, 64};

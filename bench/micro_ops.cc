@@ -2,42 +2,16 @@
 // of the three schemes' core operations (logical-I/O counts are covered by
 // the table benches; these measure wall-clock throughput of the in-memory
 // implementation).
-//
-// The instrumented variants run through a ConcurrentIndex with a
-// MetricsRegistry attached, so the run doubles as an overhead check for
-// the observability layer; the custom main() below writes the registry as
-// BENCH_micro_ops.json.  Set BMEH_BENCH_SMOKE=1 for the fast CI mode.
 
 #include <benchmark/benchmark.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <thread>
-
-#include "bench/bench_common.h"
 #include "src/common/random.h"
 #include "src/core/bmeh_tree.h"
 #include "src/exhash/extendible_hash.h"
 #include "src/extarray/theorem1.h"
 #include "src/metrics/experiment.h"
-#include "src/obs/metrics.h"
-#include "src/obs/obs_server.h"
-#include "src/store/concurrent_index.h"
 
 namespace bmeh {
-
-/// One registry shared by the instrumented benchmarks; main() exports it.
-obs::MetricsRegistry* BenchRegistry() {
-  static obs::MetricsRegistry registry;
-  return &registry;
-}
-
 namespace {
 
 void BM_Theorem1Map(benchmark::State& state) {
@@ -184,45 +158,6 @@ void BM_BmehDelete(benchmark::State& state) {
 }
 BENCHMARK(BM_BmehDelete)->Unit(benchmark::kMillisecond);
 
-/// Exact-match search through the locked, metrics-charging facade: the
-/// delta against BM_Search/BMEHTree is the combined shared_mutex +
-/// counter + histogram overhead per operation.
-void BM_InstrumentedSearch(benchmark::State& state) {
-  const uint64_t n = 40000;
-  static const auto keys = BenchKeys(n);
-  KeySchema schema(2, 31);
-  auto tree = std::make_unique<BmehTree>(schema, TreeOptions::Make(2, 16));
-  for (uint64_t i = 0; i < n; ++i) {
-    BMEH_CHECK_OK(tree->Insert(keys[i], i));
-  }
-  ConcurrentIndex index(std::move(tree), BenchRegistry());
-  Rng rng(9);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.Search(keys[rng.Uniform(n)]));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_InstrumentedSearch);
-
-/// Build through the instrumented facade: charges insert_latency_ns and
-/// the index_inserts_total counter for every insertion.
-void BM_InstrumentedInsert(benchmark::State& state) {
-  const uint64_t n = static_cast<uint64_t>(state.range(0));
-  const auto keys = BenchKeys(n);
-  KeySchema schema(2, 31);
-  for (auto _ : state) {
-    ConcurrentIndex index(
-        std::make_unique<BmehTree>(schema, TreeOptions::Make(2, 16)),
-        BenchRegistry());
-    for (uint64_t i = 0; i < n; ++i) {
-      BMEH_CHECK_OK(index.Insert(keys[i], i));
-    }
-    benchmark::DoNotOptimize(index);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_InstrumentedInsert)->Arg(10000);
-
 void BM_ExtendibleHash1D(benchmark::State& state) {
   ExtendibleHashOptions opts;
   opts.page_capacity = 16;
@@ -245,125 +180,4 @@ void BM_ExtendibleHash1D(benchmark::State& state) {
 BENCHMARK(BM_ExtendibleHash1D);
 
 }  // namespace
-
-/// One blocking GET /metrics against the local server, response drained
-/// and discarded — what a Prometheus scraper costs the store per pull.
-static bool ScrapeOnce(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  bool ok =
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
-  if (ok) {
-    const char kReq[] =
-        "GET /metrics HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n";
-    ok = ::send(fd, kReq, sizeof(kReq) - 1, 0) ==
-         static_cast<ssize_t>(sizeof(kReq) - 1);
-    char buf[4096];
-    while (ok) {
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n <= 0) break;
-    }
-  }
-  ::close(fd);
-  return ok;
-}
-
-/// Timed search loop through the instrumented facade; returns ops/sec.
-static double TimedOpsPerSec(ConcurrentIndex* index,
-                             const std::vector<PseudoKey>& keys,
-                             int duration_ms) {
-  using Clock = std::chrono::steady_clock;
-  const auto start = Clock::now();
-  const auto end = start + std::chrono::milliseconds(duration_ms);
-  Rng rng(11);
-  uint64_t ops = 0;
-  while (Clock::now() < end) {
-    for (int i = 0; i < 256; ++i) {
-      benchmark::DoNotOptimize(index->Search(keys[rng.Uniform(keys.size())]));
-    }
-    ops += 256;
-  }
-  const double secs =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  return static_cast<double>(ops) / secs;
-}
-
-/// Measures the exposition server's cost to the op path: the same
-/// metrics-charging search loop with no server vs with a live /metrics
-/// scraper pulling at 1 Hz.  Publishes the three gauges the acceptance
-/// bar reads (obs_server_overhead_pct <= 5) into the bench registry.
-void MeasureObsServerOverhead() {
-  const int duration_ms = bench::SmokeMode() ? 1200 : 3000;
-  const uint64_t n = 40000;
-  const auto keys = BenchKeys(n);
-  KeySchema schema(2, 31);
-  auto tree = std::make_unique<BmehTree>(schema, TreeOptions::Make(2, 16));
-  for (uint64_t i = 0; i < n; ++i) {
-    BMEH_CHECK_OK(tree->Insert(keys[i], i));
-  }
-  ConcurrentIndex index(std::move(tree), BenchRegistry());
-
-  TimedOpsPerSec(&index, keys, 300);  // warm up caches and the allocator
-  const double base = TimedOpsPerSec(&index, keys, duration_ms);
-
-  obs::ObsServer::Options options;
-  options.metrics = BenchRegistry();
-  auto server = obs::ObsServer::Start(options);
-  BMEH_CHECK_OK(server.status());
-  std::atomic<bool> stop{false};
-  uint64_t scrapes = 0;
-  std::thread scraper([&] {
-    // First pull immediately, then 1 Hz — in 20 ms slices so shutdown
-    // does not wait out a full second.
-    while (!stop.load(std::memory_order_acquire)) {
-      if (ScrapeOnce((*server)->port())) ++scrapes;
-      for (int i = 0; i < 50 && !stop.load(std::memory_order_acquire); ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-    }
-  });
-  const double scraped = TimedOpsPerSec(&index, keys, duration_ms);
-  stop.store(true, std::memory_order_release);
-  scraper.join();
-  (*server)->Stop();
-
-  const double overhead_pct =
-      base > 0 ? std::max(0.0, (base - scraped) / base * 100.0) : 0.0;
-  obs::MetricsRegistry* registry = BenchRegistry();
-  registry->GetGauge("obs_noserver_ops_per_sec")
-      ->Set(static_cast<int64_t>(base));
-  registry->GetGauge("obs_scraped_ops_per_sec")
-      ->Set(static_cast<int64_t>(scraped));
-  registry->GetGauge("obs_server_overhead_pct")
-      ->Set(static_cast<int64_t>(overhead_pct + 0.5));
-  registry->GetGauge("obs_scrapes_completed")
-      ->Set(static_cast<int64_t>(scrapes));
-  std::printf(
-      "obs_server overhead: %.0f ops/s bare, %.0f ops/s with 1 Hz "
-      "scraping (%llu scrapes), overhead %.1f%%\n",
-      base, scraped, static_cast<unsigned long long>(scrapes), overhead_pct);
-}
-
 }  // namespace bmeh
-
-// Custom main (instead of benchmark_main) so the run can export the
-// instrumented benchmarks' registry as a machine-readable artifact.
-int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  std::string min_time = "--benchmark_min_time=0.01";
-  if (bmeh::bench::SmokeMode()) args.push_back(min_time.data());
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  bmeh::MeasureObsServerOverhead();
-  bmeh::bench::WriteBenchJson(
-      bmeh::bench::BenchOutPath("BENCH_micro_ops.json"),
-      *bmeh::BenchRegistry());
-  return 0;
-}

@@ -341,7 +341,7 @@ Result<std::unique_ptr<BmehStore>> BmehStore::InitFresh(
                                           /*wal_base_lsn=*/1));
   // Last step before the store escapes: no other thread can hold a
   // reference yet, so flipping the read path on is unobservable.
-  out->EnableOptimisticReads(options);
+  out->plane_.EnableOptimistic(out->tree_.get());
   return out;
 }
 
@@ -368,7 +368,7 @@ Result<std::unique_ptr<BmehStore>> BmehStore::OpenExisting(
     out->tree_ = std::make_unique<BmehTree>(options.schema, options.tree);
     out->poisoned_ = Status::DataLoss(
         "superblock lost to corruption; store is read-only degraded");
-    out->EnableOptimisticReads(options);
+    out->plane_.EnableOptimistic(out->tree_.get());
     return out;
   }
   out->image_head_ = head;
@@ -465,12 +465,8 @@ Result<std::unique_ptr<BmehStore>> BmehStore::OpenExisting(
   }
   // Replay is done and the store has not escaped to any other thread yet,
   // so this is the quiescent point where concurrent reads may turn on.
-  out->EnableOptimisticReads(options);
+  out->plane_.EnableOptimistic(out->tree_.get());
   return out;
-}
-
-void BmehStore::EnableOptimisticReads(const StoreOptions& options) {
-  if (options.optimistic_reads) plane_.EnableOptimistic(tree_.get());
 }
 
 Result<std::unique_ptr<BmehStore>> BmehStore::Open(

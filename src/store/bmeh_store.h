@@ -36,6 +36,15 @@
 //    append.  Recovery sees a whole group or none of it.  See DESIGN.md
 //    §7.
 //
+//  * Lock-free reads.  Get and Range descend the tree's published
+//    structure validating per-node version words (even = stable, odd =
+//    write in progress) and retry a conflict with bounded backoff, so
+//    they never wait out a writer's WAL fsync.  Persistent churn or an
+//    unpinned epoch guard falls back to the shared lock (ReadPlane).
+//    Replaced nodes are reclaimed through the process-wide epoch manager,
+//    so readers never touch freed memory.  Degraded stores read the same
+//    way: a quarantined bucket answers DataLoss.  See DESIGN.md §13.
+//
 // Recovery invariants (exercised exhaustively by tests/crash_matrix_test):
 //  1. Open() after any crash yields a tree that Validate()s and whose
 //     contents equal the checkpoint image plus a prefix of the logged
@@ -75,16 +84,6 @@ struct StoreOptions {
   int page_size = kDefaultPageSize;
   /// Checkpoint automatically after this many mutations (0 = manual).
   uint64_t checkpoint_every = 0;
-  /// Optimistic lock-free reads: Get/Range descend the tree's published
-  /// structure validating per-node version words (even = stable, odd =
-  /// write in progress), retry on conflict with bounded backoff, and fall
-  /// back to the shared lock under persistent churn; replaced nodes are
-  /// reclaimed through the process-wide epoch manager so readers never
-  /// touch freed memory.  Critically, readers no longer wait out a
-  /// writer's WAL fsync.  Degraded stores read lock-free too: a
-  /// quarantined bucket answers DataLoss on either path.  See DESIGN.md
-  /// §13.
-  bool optimistic_reads = true;
   /// Fsync the WAL after this many appended records.  1 (the default)
   /// makes every acknowledged mutation durable; larger values trade a
   /// bounded window of recent mutations for fewer fsyncs; 0 syncs only
@@ -359,8 +358,8 @@ class BmehStore {
   const BmehTree& tree() const { return *tree_; }
   BmehTree* mutable_tree() { return tree_.get(); }
 
-  /// \brief True when Get/Range run the lock-free optimistic path (see
-  /// StoreOptions::optimistic_reads).
+  /// \brief True when Get/Range run the lock-free path, which Open()
+  /// turns on for every store it returns (see the file comment).
   bool optimistic_reads_enabled() const { return plane_.optimistic(); }
 
   /// \brief The underlying page device (introspection / test assertions).
@@ -431,9 +430,6 @@ class BmehStore {
   /// both are null).  Called from the constructor so WAL replay during
   /// Open() is already counted.
   void AttachObservability(const StoreOptions& options);
-  /// Flips the tree into concurrent-read mode at the end of Open (no-op
-  /// when disabled by options).
-  void EnableOptimisticReads(const StoreOptions& options);
   /// One caller waiting in the writer queue (defined in the .cc).
   struct Writer;
   /// Queues `w` and returns once its records are committed — by an

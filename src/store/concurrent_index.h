@@ -2,18 +2,18 @@
 //
 // The 1986 structures are single-writer by design; this wrapper makes
 // them usable from threaded services.  Writers always serialize on an
-// exclusive lock.  Readers come in two flavors:
-//  * the classic coarse-grained recipe — shared lock for Search and
-//    RangeSearch — for any MultiKeyIndex;
-//  * an optimistic lock-free path (default, BMEH-tree only, degraded
-//    trees from LoadFromTolerant included): descend the published
-//    structure validating slot version words (even = stable, odd = write
-//    in progress), retry on conflict with bounded backoff, and fall back
-//    to the shared lock if contention persists.  Replaced nodes are
-//    retired through epoch-based reclamation, so readers never touch
-//    freed memory.  See arena.h / bmeh_olc_read.cc for the protocol and
-//    DESIGN.md §13 for the proof sketch.
-// Both flavors, and the write-preferring gate on the lock, come from the
+// exclusive lock.  How readers synchronize depends on the index:
+//  * over a BMEH-tree (degraded trees from LoadFromTolerant included),
+//    Search and RangeSearch are optimistic and lock-free: they descend
+//    the published structure validating slot version words (even =
+//    stable, odd = write in progress), retry on conflict with bounded
+//    backoff, and fall back to the shared lock if contention persists.
+//    Replaced nodes are retired through epoch-based reclamation, so
+//    readers never touch freed memory.  See arena.h / bmeh_olc_read.cc
+//    for the protocol and DESIGN.md §13 for the proof sketch;
+//  * over MDEH and the MEH-tree, which have no optimistic path, they
+//    take the shared lock.
+// Both, and the write-preferring gate on the lock, come from the
 // ReadPlane that BmehStore uses too (src/store/read_plane.h).
 //
 // Observability: construct with a MetricsRegistry to get per-operation
@@ -47,17 +47,13 @@ namespace bmeh {
 class ConcurrentIndex {
  public:
   /// \brief Takes ownership of `index`.  `metrics` (optional) must
-  /// outlive this object.  `optimistic_reads` enables the lock-free read
-  /// path when the index is a BmehTree (ignored otherwise).
+  /// outlive this object.
   explicit ConcurrentIndex(std::unique_ptr<MultiKeyIndex> index,
-                           obs::MetricsRegistry* metrics = nullptr,
-                           bool optimistic_reads = true)
+                           obs::MetricsRegistry* metrics = nullptr)
       : index_(std::move(index)) {
     BMEH_CHECK(index_ != nullptr);
-    if (optimistic_reads) {
-      tree_olc_ = dynamic_cast<BmehTree*>(index_.get());
-      if (tree_olc_ != nullptr) plane_.EnableOptimistic(tree_olc_);
-    }
+    tree_olc_ = dynamic_cast<BmehTree*>(index_.get());
+    if (tree_olc_ != nullptr) plane_.EnableOptimistic(tree_olc_);
     if (metrics != nullptr) {
       metrics_ = metrics;
       inserts_ = metrics->GetCounter("index_inserts_total");
@@ -183,7 +179,8 @@ class ConcurrentIndex {
 
   const KeySchema& schema() const { return index_->schema(); }
 
-  /// \brief True when reads go through the lock-free path.
+  /// \brief True when reads go through the lock-free path (the index is
+  /// a BmehTree).
   bool optimistic_reads_enabled() const { return tree_olc_ != nullptr; }
 
  private:
@@ -209,7 +206,7 @@ class ConcurrentIndex {
   // above snapshots them likewise.
   ReadPlane plane_;
   std::unique_ptr<MultiKeyIndex> index_;
-  BmehTree* tree_olc_ = nullptr;  // Non-null once lock-free reads are on.
+  BmehTree* tree_olc_ = nullptr;  // Non-null when the index is a BmehTree.
   obs::MetricsRegistry* metrics_ = nullptr;
   uint64_t metrics_source_ = 0;
   obs::Counter* inserts_ = nullptr;

@@ -14,17 +14,21 @@
 // See DESIGN.md §13.
 //
 // Write preference.  glibc's rwlock prefers readers, so a stream of
-// shared-lock readers can starve a mutator indefinitely (observed:
-// single-digit writes/sec under 16 spinning readers).  Mutators hold the
-// lock through LockExclusive(), which keeps `writers_pending_` raised for
-// the whole exclusive tenure — acquisition wait *and* hold — and gated
-// readers back off on capped timed sleeps while it is up.  The writer's
-// wait is then bounded by in-flight readers rather than by reader arrival
-// rate, and readers never pile up parked on the rwlock itself, so its
-// release is not a futex wake that hands the core to a crowd of
-// sleeper-boosted readers before the writer can continue (a real mode: it
-// capped a streaming writer at ~13 commits/s on one core).  Optimistic
-// readers never touch the lock or the gate.
+// shared-lock readers can starve a mutator indefinitely.  The gated
+// shared lock (LockShared) is taken by fallback reads, by every read of
+// a ConcurrentIndex over MDEH or the MEH-tree, which have no optimistic
+// path, and by ConcurrentIndex's Stats() and Validate().  Metrics
+// sampling and backup page copies hold the lock shared through mutex(),
+// outside the gate.  Mutators hold the lock through LockExclusive(),
+// which keeps `writers_pending_` raised for the whole exclusive tenure —
+// acquisition wait *and* hold — and gated readers back off on capped
+// timed sleeps while it is up.  The writer's wait is then bounded by
+// in-flight readers rather than by reader arrival rate, and readers never
+// pile up parked on the rwlock itself, so its release is not a futex wake
+// that hands the core to a crowd of sleeper-boosted readers before the
+// writer can continue (a real mode: it capped a streaming writer at ~13
+// commits/s on one core).  Optimistic readers never touch the lock or the
+// gate.
 
 #ifndef BMEH_STORE_READ_PLANE_H_
 #define BMEH_STORE_READ_PLANE_H_

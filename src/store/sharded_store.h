@@ -104,11 +104,11 @@ struct ShardedStoreOptions {
   /// default) adopts the manifest's count, any other value must match
   /// the manifest.  Opening a store file: 0 or 1.
   int shards = 0;
-  /// Per-shard store options (schema, page size, WAL sync policy, group
-  /// commit, quota — the quota applies per shard).  A metrics registry
-  /// here is shared by every shard: operation counters and latency
-  /// histograms aggregate across shards automatically, while sampled
-  /// per-shard state is published under a "shard<k>_" label.
+  /// Per-shard store options (schema, page size, WAL sync policy, quota
+  /// — the quota applies per shard).  A metrics registry here is shared
+  /// by every shard: operation counters and latency histograms aggregate
+  /// across shards automatically, while sampled per-shard state is
+  /// published under a "shard<k>_" label.
   StoreOptions store;
   /// Whether a shard that fails to open takes the whole store with it.
   OpenPolicy open_policy = OpenPolicy::kStrict;
@@ -191,8 +191,7 @@ class ShardedStore {
 
   /// \brief Opens over injected page devices, one per shard (the count
   /// must be a power of two).  No directory, manifest or free-list
-  /// recovery — the seam the shard crash matrix and the scaling bench
-  /// drive.
+  /// recovery — the seam perfbench and the shard crash matrix drive.
   static Result<std::unique_ptr<ShardedStore>> Open(
       std::vector<std::unique_ptr<PageStore>> devices,
       const ShardedStoreOptions& options);

@@ -67,9 +67,9 @@ class StorageUnit {
                                                    const StoreOptions& options);
 
   /// \brief Opens the unit over an injected page device (in-memory,
-  /// fault-injecting, ...).  No free-list recovery — the seam the shard
-  /// crash matrix and the scaling bench drive, mirroring the BmehStore
-  /// PageStore overload.
+  /// fault-injecting, ...).  No free-list recovery — the seam perfbench
+  /// and the shard crash matrix drive, mirroring the BmehStore PageStore
+  /// overload.
   static Result<std::unique_ptr<StorageUnit>> Open(
       std::unique_ptr<PageStore> device, const StoreOptions& options);
 

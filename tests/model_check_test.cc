@@ -565,122 +565,116 @@ TEST_F(ModelCheckTest, ConcurrentReadersMatchOracleDuringMutationBursts) {
   // half; because directory splits triggered by the churn half
   // restructure nodes shared with the stable half, any torn publication
   // shows up as a wrong payload, a phantom, or a dropout against the
-  // oracle snapshot.  Runs with the lock-free read path on and off
-  // (identical observable behavior required) and with 1 and 8 shards.
+  // oracle snapshot.  Runs with 1 and 8 shards.
   const uint64_t seed = EnvOr("BMEH_MODEL_CHECK_SEED", 20260807) + 500;
   constexpr int kShift = ShardedStoreDriver::kKeyShift;
   constexpr uint32_t kStableMax = kDomain / 2;  // c0 in [0, 24) is stable
 
-  for (const bool optimistic : {true, false}) {
-    for (const int shards : {1, 8}) {
-      SCOPED_TRACE("optimistic=" + std::to_string(optimistic) + " shards=" +
-                   std::to_string(shards) + " seed " + std::to_string(seed));
-      const std::string dir = path_ + "_burst" + std::to_string(shards) +
-                              (optimistic ? "_olc" : "_locked");
-      ShardedStoreDriver cleanup(dir, shards);  // clears leftovers
+  for (const int shards : {1, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards) + " seed " +
+                 std::to_string(seed));
+    const std::string dir = path_ + "_burst" + std::to_string(shards);
+    ShardedStoreDriver cleanup(dir, shards);  // clears leftovers
 
-      ShardedStoreOptions opts;
-      opts.shards = shards;
-      opts.store = SingleStoreDriver::Opts();
-      opts.store.optimistic_reads = optimistic;
-      auto opened = ShardedStore::Open(dir, opts);
-      ASSERT_TRUE(opened.ok()) << opened.status();
-      auto store = std::move(opened).ValueOrDie();
-      store->DisableFsyncForTesting();
-      for (int s = 0; s < shards; ++s) {
-        ASSERT_EQ(store->shard(s)->optimistic_reads_enabled(), optimistic);
+    ShardedStoreOptions opts;
+    opts.shards = shards;
+    opts.store = SingleStoreDriver::Opts();
+    auto opened = ShardedStore::Open(dir, opts);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    auto store = std::move(opened).ValueOrDie();
+    store->DisableFsyncForTesting();
+    for (int s = 0; s < shards; ++s) {
+      ASSERT_TRUE(store->shard(s)->optimistic_reads_enabled());
+    }
+
+    // Oracle snapshot of the stable half, fixed for the whole test.
+    std::map<PseudoKey, uint64_t> oracle;
+    uint64_t next_payload = 1;
+    for (uint32_t v0 = 0; v0 < kStableMax; ++v0) {
+      for (uint32_t v1 : {0u, 7u, 13u}) {
+        const PseudoKey key({v0 << kShift, v1 << kShift});
+        const uint64_t payload = next_payload++;
+        ASSERT_TRUE(store->Put(key, payload).ok());
+        oracle.emplace(key, payload);
       }
+    }
 
-      // Oracle snapshot of the stable half, fixed for the whole test.
-      std::map<PseudoKey, uint64_t> oracle;
-      uint64_t next_payload = 1;
-      for (uint32_t v0 = 0; v0 < kStableMax; ++v0) {
-        for (uint32_t v1 : {0u, 7u, 13u}) {
-          const PseudoKey key({v0 << kShift, v1 << kShift});
-          const uint64_t payload = next_payload++;
-          ASSERT_TRUE(store->Put(key, payload).ok());
-          oracle.emplace(key, payload);
-        }
-      }
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> mismatches{0};
+    std::atomic<uint64_t> passes{0};
+    RangePredicate stable_pred(store->schema());
+    stable_pred.Constrain(0, 0, (kStableMax << kShift) - 1);
 
-      std::atomic<bool> stop{false};
-      std::atomic<uint64_t> mismatches{0};
-      std::atomic<uint64_t> passes{0};
-      RangePredicate stable_pred(store->schema());
-      stable_pred.Constrain(0, 0, (kStableMax << kShift) - 1);
-
-      std::vector<std::thread> readers;
-      for (int r = 0; r < 2; ++r) {
-        readers.emplace_back([&] {
-          while (!stop.load(std::memory_order_acquire)) {
-            for (const auto& [key, payload] : oracle) {
-              auto got = store->Get(key);
-              if (!got.ok() || *got != payload) mismatches.fetch_add(1);
-            }
-            std::vector<Record> out;
-            if (!store->Range(stable_pred, &out).ok() ||
-                out.size() != oracle.size()) {
-              mismatches.fetch_add(1);
-            } else {
-              for (const Record& rec : out) {
-                auto it = oracle.find(rec.key);
-                if (it == oracle.end() || it->second != rec.payload) {
-                  mismatches.fetch_add(1);
-                }
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 2; ++r) {
+      readers.emplace_back([&] {
+        while (!stop.load(std::memory_order_acquire)) {
+          for (const auto& [key, payload] : oracle) {
+            auto got = store->Get(key);
+            if (!got.ok() || *got != payload) mismatches.fetch_add(1);
+          }
+          std::vector<Record> out;
+          if (!store->Range(stable_pred, &out).ok() ||
+              out.size() != oracle.size()) {
+            mismatches.fetch_add(1);
+          } else {
+            for (const Record& rec : out) {
+              auto it = oracle.find(rec.key);
+              if (it == oracle.end() || it->second != rec.payload) {
+                mismatches.fetch_add(1);
               }
             }
-            passes.fetch_add(1, std::memory_order_relaxed);
           }
-        });
-      }
-
-      // Mutation bursts confined to the churn half (c0 in [24, 48)).
-      std::map<PseudoKey, uint64_t> churn_model;
-      Rng rng(seed + static_cast<uint64_t>(shards) +
-              (optimistic ? 1000 : 0));
-      for (int burst = 0; burst < 4; ++burst) {
-        for (int op = 0; op < 120; ++op) {
-          const uint32_t v0 = kStableMax + static_cast<uint32_t>(rng.Uniform(
-                                               kDomain - kStableMax));
-          const uint32_t v1 = static_cast<uint32_t>(rng.Uniform(kDomain));
-          const PseudoKey key({v0 << kShift, v1 << kShift});
-          if (rng.NextDouble() < 0.65) {
-            const uint64_t payload = next_payload++;
-            const bool fresh = churn_model.emplace(key, payload).second;
-            Status st = store->Put(key, payload);
-            if (st.ok() != fresh) mismatches.fetch_add(1);
-          } else {
-            const bool present = churn_model.erase(key) > 0;
-            Status st = store->Delete(key);
-            if (st.ok() != present) mismatches.fetch_add(1);
-          }
+          passes.fetch_add(1, std::memory_order_relaxed);
         }
-        std::this_thread::yield();  // give readers a burst boundary
-      }
-
-      // Let the readers demonstrably overlap the post-burst state too.
-      const uint64_t target = passes.load(std::memory_order_relaxed) + 2;
-      while (passes.load(std::memory_order_relaxed) < target) {
-        std::this_thread::yield();
-      }
-      stop.store(true, std::memory_order_release);
-      for (std::thread& t : readers) t.join();
-
-      ASSERT_EQ(mismatches.load(), 0u)
-          << "reader diverged from the oracle snapshot";
-      ASSERT_GT(passes.load(), 0u);
-
-      // Quiesced: full contents must equal stable oracle + churn model.
-      ASSERT_EQ(store->records(), oracle.size() + churn_model.size());
-      for (const auto& [key, payload] : churn_model) {
-        auto got = store->Get(key);
-        ASSERT_TRUE(got.ok()) << key.ToString();
-        ASSERT_EQ(*got, payload);
-      }
-      store->SimulateProcessCrashForTesting();  // keep teardown write-free
-      store.reset();
-      cleanup.RemoveAll();
+      });
     }
+
+    // Mutation bursts confined to the churn half (c0 in [24, 48)).
+    std::map<PseudoKey, uint64_t> churn_model;
+    Rng rng(seed + static_cast<uint64_t>(shards) + 1000);
+    for (int burst = 0; burst < 4; ++burst) {
+      for (int op = 0; op < 120; ++op) {
+        const uint32_t v0 = kStableMax + static_cast<uint32_t>(rng.Uniform(
+                                             kDomain - kStableMax));
+        const uint32_t v1 = static_cast<uint32_t>(rng.Uniform(kDomain));
+        const PseudoKey key({v0 << kShift, v1 << kShift});
+        if (rng.NextDouble() < 0.65) {
+          const uint64_t payload = next_payload++;
+          const bool fresh = churn_model.emplace(key, payload).second;
+          Status st = store->Put(key, payload);
+          if (st.ok() != fresh) mismatches.fetch_add(1);
+        } else {
+          const bool present = churn_model.erase(key) > 0;
+          Status st = store->Delete(key);
+          if (st.ok() != present) mismatches.fetch_add(1);
+        }
+      }
+      std::this_thread::yield();  // give readers a burst boundary
+    }
+
+    // Let the readers demonstrably overlap the post-burst state too.
+    const uint64_t target = passes.load(std::memory_order_relaxed) + 2;
+    while (passes.load(std::memory_order_relaxed) < target) {
+      std::this_thread::yield();
+    }
+    stop.store(true, std::memory_order_release);
+    for (std::thread& t : readers) t.join();
+
+    ASSERT_EQ(mismatches.load(), 0u)
+        << "reader diverged from the oracle snapshot";
+    ASSERT_GT(passes.load(), 0u);
+
+    // Quiesced: full contents must equal stable oracle + churn model.
+    ASSERT_EQ(store->records(), oracle.size() + churn_model.size());
+    for (const auto& [key, payload] : churn_model) {
+      auto got = store->Get(key);
+      ASSERT_TRUE(got.ok()) << key.ToString();
+      ASSERT_EQ(*got, payload);
+    }
+    store->SimulateProcessCrashForTesting();  // keep teardown write-free
+    store.reset();
+    cleanup.RemoveAll();
   }
 }
 
