@@ -84,8 +84,10 @@ inline uint64_t ComposeBits(uint64_t v, int width, int offset, int len,
 uint64_t ReverseBits(uint64_t v, int width);
 
 /// \brief Interleaves the bits of the components MSB-first (z-order /
-/// Morton code over the first `width` bits of each of `d` components).
-/// Used by tests as an independent oracle for order-preserving partitioning.
+/// Morton code over the first `width` bits of each of `d` components,
+/// taken from the MSB of each 32-bit word).  tests/psi_test.cc uses it as
+/// the independent oracle for PsiLess and PsiPrefix (src/encoding/psi.h)
+/// on equal widths.
 uint64_t MortonInterleave(const uint32_t* components, int d, int width);
 
 }  // namespace bit_util

@@ -3,42 +3,18 @@
 // Extendible-hashing structures are insensitive to insertion order (the
 // final shape depends only on the key set, up to transient split-dimension
 // phases), so bulk loading is "just" sorted insertion — but the sort order
-// matters a great deal for locality: sorting by the bit-interleaved
-// (z-order / Morton) sequence makes every run of consecutive keys share
-// its directory path prefix, so page and node churn concentrates instead
-// of scattering.  The micro benchmark quantifies the wall-clock win.
+// matters a great deal for locality: sorting by the ψ digit order
+// (src/encoding/psi.h, the bit-interleaved z-order in which the directory
+// distinguishes keys) makes every run of consecutive keys share its
+// directory path prefix, so page and node churn concentrates instead of
+// scattering.  The micro benchmark quantifies the wall-clock win.
 
 #include <algorithm>
 
-#include "src/common/bit_util.h"
 #include "src/core/bmeh_tree.h"
+#include "src/encoding/psi.h"
 
 namespace bmeh {
-
-namespace {
-
-/// Compares two pseudo-keys in bit-interleaved order: bit 1 of dim 1,
-/// bit 1 of dim 2, ..., bit 2 of dim 1, ... (MSB first, per-dimension
-/// widths respected).  This is exactly the order in which the directory
-/// distinguishes keys, under the cyclic split schedule.
-bool ZOrderLess(const KeySchema& schema, const PseudoKey& a,
-                const PseudoKey& b) {
-  int max_width = 0;
-  for (int j = 0; j < schema.dims(); ++j) {
-    max_width = std::max(max_width, schema.width(j));
-  }
-  for (int bit = 0; bit < max_width; ++bit) {
-    for (int j = 0; j < schema.dims(); ++j) {
-      if (bit >= schema.width(j)) continue;
-      const int ba = bit_util::BitAt(a.component(j), schema.width(j), bit);
-      const int bb = bit_util::BitAt(b.component(j), schema.width(j), bit);
-      if (ba != bb) return ba < bb;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 Status BmehTree::BulkLoad(std::vector<Record> records) {
   if (records_ != 0) {
@@ -49,7 +25,7 @@ Status BmehTree::BulkLoad(std::vector<Record> records) {
   }
   std::sort(records.begin(), records.end(),
             [this](const Record& a, const Record& b) {
-              return ZOrderLess(schema_, a.key, b.key);
+              return PsiLess(a.key, b.key, schema_);
             });
   for (size_t i = 1; i < records.size(); ++i) {
     if (records[i].key == records[i - 1].key) {

@@ -4,10 +4,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <queue>
 #include <sstream>
 #include <thread>
 
+#include "src/common/bit_util.h"
 #include "src/obs/trace.h"
 
 namespace bmeh {
@@ -16,14 +16,6 @@ namespace {
 
 constexpr char kManifestName[] = "MANIFEST";
 constexpr char kManifestMagic[] = "BMEH-SHARD v1";
-
-bool IsPowerOfTwo(int n) { return n > 0 && (n & (n - 1)) == 0; }
-
-int Log2Exact(int n) {
-  int bits = 0;
-  while ((1 << bits) < n) ++bits;
-  return bits;
-}
 
 bool DirectoryIsEmptyExcept(const std::string& path,
                             const std::string& ignore) {
@@ -46,16 +38,39 @@ bool DirectoryIsEmpty(const std::string& path) {
 }
 
 Status ValidateShardCount(int shards, const KeySchema& schema) {
-  if (!IsPowerOfTwo(shards) || shards > 4096) {
+  if (shards <= 0 || !bit_util::IsPowerOfTwo(shards) || shards > 4096) {
     return Status::Invalid("shard count must be a power of two in [1, 4096], "
                            "got " + std::to_string(shards));
   }
-  if (Log2Exact(shards) > schema.total_bits()) {
+  if (bit_util::FloorLog2(shards) > schema.total_bits()) {
     return Status::Invalid("shard count " + std::to_string(shards) +
                            " needs more routing bits than the schema has (" +
                            std::to_string(schema.total_bits()) + ")");
   }
   return Status::OK();
+}
+
+/// The shape fields both manifest formats carry, checked as creating a
+/// store checks them; returns the schema.  A sealed manifest (`what`)
+/// that fails is corrupt: accepting it would route past the schema's ψ
+/// digits, or start an open thread per shard for any count it claims.
+Result<KeySchema> CheckManifestShape(const std::string& what, int shards,
+                                     int shard_bits, int page_size, int dims,
+                                     const std::vector<int>& widths) {
+  if (page_size <= 0 || dims <= 0 || dims > kMaxDims ||
+      static_cast<int>(widths.size()) != dims ||
+      std::any_of(widths.begin(), widths.end(),
+                  [](int w) { return w < 1 || w > 32; })) {
+    return Status::Corruption(what + " fields inconsistent");
+  }
+  KeySchema schema(std::span<const int>(widths.data(), widths.size()));
+  Status st = ValidateShardCount(shards, schema);
+  if (st.ok() && shard_bits != bit_util::FloorLog2(shards)) {
+    st = Status::Invalid("shard_bits " + std::to_string(shard_bits) +
+                         " does not match the shard count");
+  }
+  if (!st.ok()) return Status::Corruption(what + ": " + st.message());
+  return schema;
 }
 
 uint64_t SplitMix64(uint64_t z) {
@@ -66,44 +81,6 @@ uint64_t SplitMix64(uint64_t z) {
 }
 
 }  // namespace
-
-int ShardRouter::ShardOf(const PseudoKey& key, const KeySchema& schema,
-                         int shard_bits) {
-  if (shard_bits <= 0) return 0;
-  const int d = schema.dims();
-  int out = 0;
-  int got = 0;
-  // Walk the interleaved ψ digit string (dimension round-robin, MSB
-  // first) until the routing prefix is assembled; a dimension whose
-  // width is exhausted contributes no digit in that round.
-  for (int t = 0; got < shard_bits && t < d * 32; ++t) {
-    const int j = t % d;
-    const int i = t / d;
-    const int w = schema.width(j);
-    if (i >= w) continue;
-    out = (out << 1) |
-          static_cast<int>((key.component(j) >> (w - 1 - i)) & 1u);
-    ++got;
-  }
-  return out;
-}
-
-bool ShardRouter::PsiLess(const PseudoKey& a, const PseudoKey& b,
-                          const KeySchema& schema) {
-  const int d = schema.dims();
-  int max_w = 0;
-  for (int j = 0; j < d; ++j) max_w = std::max(max_w, schema.width(j));
-  for (int t = 0; t < d * max_w; ++t) {
-    const int j = t % d;
-    const int i = t / d;
-    const int w = schema.width(j);
-    if (i >= w) continue;
-    const uint32_t ba = (a.component(j) >> (w - 1 - i)) & 1u;
-    const uint32_t bb = (b.component(j) >> (w - 1 - i)) & 1u;
-    if (ba != bb) return ba < bb;
-  }
-  return false;
-}
 
 std::string ShardedStore::ShardPath(const std::string& dir, int shard_index) {
   char name[32];
@@ -160,12 +137,10 @@ Result<ShardManifest> ShardedStore::ReadManifest(const std::string& dir) {
     // Unknown fields are ignored: the crc seals them, and a newer writer
     // may add informational lines an older reader can skip.
   }
-  if (!IsPowerOfTwo(m.shards) || m.shard_bits != Log2Exact(m.shards) ||
-      m.page_size <= 0 || dims <= 0 || dims > kMaxDims ||
-      static_cast<int>(widths.size()) != dims) {
-    return Status::Corruption("manifest fields inconsistent: " + path);
-  }
-  m.schema = KeySchema(std::span<const int>(widths.data(), widths.size()));
+  BMEH_ASSIGN_OR_RETURN(m.schema,
+                        CheckManifestShape("manifest " + path, m.shards,
+                                           m.shard_bits, m.page_size, dims,
+                                           widths));
   return m;
 }
 
@@ -314,7 +289,7 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::OpenUnits(
     }
   }
   return std::unique_ptr<ShardedStore>(
-      new ShardedStore(std::move(units), Log2Exact(n), options));
+      new ShardedStore(std::move(units), bit_util::FloorLog2(n), options));
 }
 
 Result<std::unique_ptr<ShardedStore>> ShardedStore::Open(
@@ -355,7 +330,7 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::Open(
     manifest.shards = options.shards == 0 ? 1 : options.shards;
     BMEH_RETURN_NOT_OK(
         ValidateShardCount(manifest.shards, options.store.schema));
-    manifest.shard_bits = Log2Exact(manifest.shards);
+    manifest.shard_bits = bit_util::FloorLog2(manifest.shards);
     manifest.page_size = options.store.page_size;
     manifest.schema = options.store.schema;
     BMEH_RETURN_NOT_OK(WriteManifest(path, manifest));
@@ -615,39 +590,19 @@ Status ShardedStore::Range(const RangePredicate& pred,
     } else if (!st.ok()) {
       return st;
     }
-    // A shard returns its matches unordered; sort each by ψ so the
-    // cursors below emit it in order.
+    // A shard returns its matches unordered.
     std::sort(per[s].begin(), per[s].end(),
               [this](const Record& a, const Record& b) {
-                return ShardRouter::PsiLess(a.key, b.key, schema_);
+                return PsiLess(a.key, b.key, schema_);
               });
     total += per[s].size();
   }
-
-  // Ordered k-way merge across the shard cursors.  Shards own contiguous
-  // ψ ranges (the routing prefix is the most significant digits), so the
-  // merge preserves global ψ order across shard boundaries; it stays a
-  // real merge rather than a concatenation so the invariant holds even
-  // for exotic predicates or future non-prefix routers.
-  struct Cursor {
-    size_t shard;
-    size_t pos;
-  };
-  auto later = [&](const Cursor& x, const Cursor& y) {
-    return ShardRouter::PsiLess(per[y.shard][y.pos].key,
-                                per[x.shard][x.pos].key, schema_);
-  };
-  std::priority_queue<Cursor, std::vector<Cursor>, decltype(later)> heap(
-      later);
-  for (size_t s = 0; s < per.size(); ++s) {
-    if (!per[s].empty()) heap.push({s, 0});
-  }
+  // The shard index is the key's ψ prefix, so every key of shard s
+  // precedes every key of shard s + 1: the sorted runs concatenate in
+  // shard order into global ψ order.
   out->reserve(total);
-  while (!heap.empty()) {
-    Cursor c = heap.top();
-    heap.pop();
-    out->push_back(per[c.shard][c.pos]);
-    if (++c.pos < per[c.shard].size()) heap.push(c);
+  for (const std::vector<Record>& run : per) {
+    out->insert(out->end(), run.begin(), run.end());
   }
   if (down > 0) {
     // Unavailable outranks DataLoss: it is retryable (the shard may come
@@ -868,14 +823,14 @@ Result<ShardBackupSetInfo> ShardedStore::ReadBackupManifest(
     // Unknown fields are ignored: the crc seals them, and a newer
     // writer may add lines an older reader can skip.
   }
-  if (!IsPowerOfTwo(set.shards) || set.shard_bits != Log2Exact(set.shards) ||
-      set.page_size <= 0 || dims <= 0 || dims > kMaxDims ||
-      static_cast<int>(widths.size()) != dims ||
-      static_cast<int>(set.shard.size()) != set.shards) {
+  BMEH_ASSIGN_OR_RETURN(
+      set.schema, CheckManifestShape("backup super-manifest " + path,
+                                     set.shards, set.shard_bits,
+                                     set.page_size, dims, widths));
+  if (static_cast<int>(set.shard.size()) != set.shards) {
     return Status::Corruption("backup super-manifest fields inconsistent: " +
                               path);
   }
-  set.schema = KeySchema(std::span<const int>(widths.data(), widths.size()));
   return set;
 }
 

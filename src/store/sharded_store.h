@@ -3,9 +3,9 @@
 // Records are routed by the top log2(N) bits of the order-preserving ψ
 // pseudo-key — the bit-interleaved (z-order) digit string the paper's
 // directory addresses with, taken round-robin across dimensions,
-// most-significant bit first.  Each of the N shards is a complete
-// StorageUnit (tree + WAL + writer queue + page device + quota) over
-// its own file, so:
+// most-significant bit first (PsiPrefix, src/encoding/psi.h).  Each of
+// the N shards is a complete StorageUnit (tree + WAL + writer queue +
+// page device + quota) over its own file, so:
 //
 //  * writers on distinct shards never touch shared state (no global
 //    lock, no shared WAL tail, independently overlapping fsyncs);
@@ -14,9 +14,9 @@
 //    crashed shard recovers on its own while its siblings' committed
 //    data is untouched;
 //  * because the routing prefix is the most significant ψ digits, every
-//    shard owns one contiguous ψ range, and Range() can merge the
-//    per-shard results with an ordered k-way cursor merge that
-//    preserves global ψ order across shard boundaries.
+//    shard owns one contiguous ψ range and shard i's range precedes
+//    shard i+1's, so Range() sorts each shard's matches by ψ and
+//    appends them in shard order to get global ψ order.
 //
 // On disk a sharded store is a directory:
 //
@@ -54,24 +54,26 @@
 #include <vector>
 
 #include "src/common/backoff.h"
+#include "src/encoding/psi.h"
 #include "src/store/backup.h"
 #include "src/store/storage_unit.h"
 
 namespace bmeh {
 
-/// \brief ψ-prefix routing and ordering over interleaved pseudo-keys.
+/// \brief Shard routing and result order, both the ψ digit order of
+/// src/encoding/psi.h.
 struct ShardRouter {
-  /// \brief The shard owning `key`: the first `shard_bits` bits of the
-  /// interleaved ψ digit string (dimension-round-robin, MSB first;
-  /// dimensions narrower than the current round are skipped, matching
-  /// the paper's treatment of shorter digit strings).
+  /// \brief The shard owning `key`: the first `shard_bits` ψ digits.
   static int ShardOf(const PseudoKey& key, const KeySchema& schema,
-                     int shard_bits);
+                     int shard_bits) {
+    return static_cast<int>(PsiPrefix(key, schema, shard_bits));
+  }
 
-  /// \brief Strict weak order by the full interleaved ψ digit string —
-  /// the z-order the shards partition, and the order Range() returns.
+  /// \brief The order Range() returns: the whole ψ digit string.
   static bool PsiLess(const PseudoKey& a, const PseudoKey& b,
-                      const KeySchema& schema);
+                      const KeySchema& schema) {
+    return bmeh::PsiLess(a, b, schema);
+  }
 };
 
 /// \brief The durable routing contract of a sharded store directory.
@@ -249,11 +251,11 @@ class ShardedStore {
 
   /// \brief Partial-range query over all shards.  The result is in
   /// global ψ (z-)order: each shard's matches are sorted by ψ and the
-  /// per-shard cursors k-way merged — since shards own contiguous ψ
-  /// ranges the merge preserves order across shard boundaries.  Shards
+  /// shards appended in shard order.  The shard index is the ψ prefix,
+  /// so every key of shard i precedes every key of shard i+1.  Shards
   /// with no matches contribute nothing.  Partiality is never silent:
-  /// when a shard is unavailable the surviving matches are still merged
-  /// into `out`, `*partial` (if given) is set, and the status is
+  /// when a shard is unavailable the surviving matches are still
+  /// returned in `out`, `*partial` (if given) is set, and the status is
   /// kUnavailable; DataLoss from a degraded shard is reported the same
   /// way after all shards were collected.  Unavailable outranks DataLoss
   /// when both apply.

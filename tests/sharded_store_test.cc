@@ -223,6 +223,45 @@ TEST_F(ShardedStoreTest, WriteManifestAbsorbsEintr) {
   EXPECT_TRUE(back->schema == manifest.schema);
 }
 
+// The manifest readers check what creating a store checks.  A shard count
+// past 4096, more routing digits than the schema has, or a width outside
+// [1, 32] is corruption, even under a valid seal.  Read path only: opening
+// such a store would start one thread per shard it claims.
+TEST_F(ShardedStoreTest, ManifestReadersApplyTheCreateTimeChecks) {
+  ShardManifest many;
+  many.shards = 8192;
+  many.shard_bits = 13;
+  std::vector<int> narrow = {3, 3};
+  ShardManifest deep;  // 7 routing digits, 6 ψ digits
+  deep.shards = 128;
+  deep.shard_bits = 7;
+  deep.schema = KeySchema(std::span<const int>(narrow));
+  for (const ShardManifest& m : {many, deep}) {
+    ASSERT_TRUE(ShardedStore::WriteManifest(dir_, m).ok());
+    auto r = ShardedStore::ReadManifest(dir_);
+    EXPECT_TRUE(r.status().IsCorruption()) << m.shards << " " << r.status();
+    EXPECT_FALSE(ShardedStore::IsShardedDir(dir_));
+    EXPECT_FALSE(ShardedStore::ShardFiles(dir_).ok());
+  }
+  ASSERT_TRUE(WriteSealedText(dir_, "MANIFEST",
+                              "BMEH-SHARD v1\nshards 1\nshard_bits 0\n"
+                              "page_size 512\ndims 2\nwidths 40 3\n")
+                  .ok());
+  EXPECT_TRUE(ShardedStore::ReadManifest(dir_).status().IsCorruption());
+
+  std::string backup = "BMEH-SHARD-BACKUP v1\nshards 128\nshard_bits 7\n"
+                       "page_size 512\ndims 2\nwidths 3 3\n";
+  for (int s = 0; s < 128; ++s) {
+    backup += "shard " + std::to_string(s) + " ok 1 shard-" +
+              std::to_string(s) + "\n";
+  }
+  ASSERT_TRUE(WriteSealedText(dir_, "SHARDBACKUP", backup).ok());
+  auto set = ShardedStore::ReadBackupManifest(dir_);
+  EXPECT_TRUE(set.status().IsCorruption()) << set.status();
+  EXPECT_FALSE(ShardedStore::IsShardedBackupDir(dir_));
+  std::remove((dir_ + "/SHARDBACKUP").c_str());
+}
+
 TEST_F(ShardedStoreTest, DoubleOpenIsRefusedPerShardFlock) {
   auto first = MustOpen(Opts(2));
   auto second = ShardedStore::Open(dir_, Opts(0));
@@ -420,6 +459,61 @@ INSTANTIATE_TEST_SUITE_P(Distributions, ShardedRangeTest,
                          [](const auto& info) {
                            return workload::DistributionName(info.param);
                          });
+
+// Widths {6, 1} over 8 shards: the routing digits are k0[5] k1[0] k0[4],
+// and dimension 1 is exhausted after round 0.  Range order must still be
+// global ψ order when the shard index skips that dimension.
+TEST_F(ShardedStoreTest, RangeOrderWhenRoutingSkipsAnExhaustedDimension) {
+  std::vector<int> widths = {6, 1};
+  const KeySchema schema{std::span<const int>(widths)};
+  ShardedStoreOptions sharded_opts = Opts(8);
+  sharded_opts.store.schema = schema;
+  sharded_opts.store.tree = TreeOptions::Make(2, 4);
+  sharded_opts.store.tree.xi = {3, 1};
+  std::vector<std::unique_ptr<PageStore>> devices;
+  for (int i = 0; i < 8; ++i) {
+    devices.push_back(std::make_unique<InMemoryPageStore>(512));
+  }
+  auto sharded_r = ShardedStore::Open(std::move(devices), sharded_opts);
+  ASSERT_TRUE(sharded_r.ok()) << sharded_r.status();
+  auto sharded = std::move(sharded_r).ValueOrDie();
+  auto single_r = BmehStore::Open(std::make_unique<InMemoryPageStore>(512),
+                                  sharded_opts.store);
+  ASSERT_TRUE(single_r.ok()) << single_r.status();
+  auto single = std::move(single_r).ValueOrDie();
+
+  for (uint32_t k0 = 0; k0 < 64; ++k0) {
+    for (uint32_t k1 = 0; k1 < 2; ++k1) {
+      ASSERT_TRUE(sharded->Put(PseudoKey({k0, k1}), k0 * 2 + k1).ok());
+      ASSERT_TRUE(single->Put(PseudoKey({k0, k1}), k0 * 2 + k1).ok());
+    }
+  }
+  for (int s = 0; s < 8; ++s) {
+    EXPECT_EQ(sharded->shard(s)->tree().Stats().records, 16u) << s;
+  }
+
+  const std::vector<RangePredicate> predicates = {
+      RangePredicate(schema),                       // whole space
+      RangePredicate(schema).Constrain(0, 10, 55),  // crosses k0[5], k0[4]
+      RangePredicate(schema).ConstrainExact(1, 1),  // k1 fixed: 4 shards
+      RangePredicate(schema).Constrain(0, 20, 40).ConstrainExact(1, 0),
+  };
+  for (size_t p = 0; p < predicates.size(); ++p) {
+    std::vector<Record> want;
+    ASSERT_TRUE(single->Range(predicates[p], &want).ok());
+    std::sort(want.begin(), want.end(), [&](const Record& a, const Record& b) {
+      return ShardRouter::PsiLess(a.key, b.key, schema);
+    });
+    std::vector<Record> got;
+    ASSERT_TRUE(sharded->Range(predicates[p], &got).ok());
+    ASSERT_FALSE(want.empty()) << "predicate " << p;
+    ASSERT_EQ(got.size(), want.size()) << "predicate " << p;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].key, want[i].key) << "predicate " << p << " pos " << i;
+      EXPECT_EQ(got[i].payload, want[i].payload);
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // 1-shard equivalence
