@@ -31,9 +31,7 @@ Status BmehTree::Delete(const PseudoKey& key) {
                         hashdir::DescendToLeaf(schema_, nodes_, root_id_, key,
                                                &io_));
   const PathStep& leaf = path.back();
-  // Const view first: a mutable Get would clone the node into the
-  // copy-on-write shadow even on the not-found paths.
-  const Entry e = std::as_const(nodes_).Get(leaf.node_id)->at(leaf.tuple);
+  const Entry e = nodes_.Get(leaf.node_id)->at(leaf.tuple);
   if (e.ref.is_nil()) {
     return Status::KeyError("key " + key.ToString() + " not found");
   }
@@ -41,11 +39,11 @@ Status BmehTree::Delete(const PseudoKey& key) {
     return Status::DataLoss("bucket for " + key.ToString() +
                             " was lost to corruption");
   }
-  if (!std::as_const(pages_).Get(e.ref.id)->Contains(key)) {
+  if (!pages_.Get(e.ref.id)->Contains(key)) {
     io_.CountDataRead();
     return Status::KeyError("key " + key.ToString() + " not found");
   }
-  DataPage* page = pages_.Get(e.ref.id);
+  DataPage* page = pages_.Mutate(e.ref.id);
   io_.CountDataRead();
   BMEH_RETURN_NOT_OK(page->Remove(key));
   io_.CountDataWrite();
@@ -54,15 +52,16 @@ Status BmehTree::Delete(const PseudoKey& key) {
     MergeAfterDelete(path);
   } else if (page->empty()) {
     // Immediate deletion of empty pages (§2.1).
-    nodes_.Get(leaf.node_id)->SetGroupRef(leaf.tuple, Ref::Nil());
+    nodes_.Mutate(leaf.node_id)->SetGroupRef(leaf.tuple, Ref::Nil());
     io_.CountDirWrite();
-    pages_.Destroy(page->id());
+    pages_.Destroy(e.ref.id);
   }
   return Status::OK();
 }
 
-bool BmehTree::TryMergeNodeGroups(DirNode* parent, const IndexTuple& t) {
+bool BmehTree::TryMergeNodeGroups(uint32_t parent_id, const IndexTuple& t) {
   const int d = schema_.dims();
+  const DirNode* parent = nodes_.Get(parent_id);
   const Entry e = parent->at(t);
   if (!e.ref.is_node()) return false;
 
@@ -103,7 +102,7 @@ bool BmehTree::TryMergeNodeGroups(DirNode* parent, const IndexTuple& t) {
   const DirNode* right = nodes_.Get(right_id);
 
   const uint32_t merged_id = nodes_.Create();
-  DirNode* merged = nodes_.Get(merged_id);
+  DirNode* merged = nodes_.Mutate(merged_id);
   merged->Double(m);
   ReplayShape(*left, /*skip_dim=*/-1, merged);
   const uint32_t half =
@@ -122,7 +121,7 @@ bool BmehTree::TryMergeNodeGroups(DirNode* parent, const IndexTuple& t) {
     dst[m] += half;
     merged->at(dst) = re;
   }
-  parent->MergeGroup(t, m, Ref::Node(merged_id));
+  nodes_.Mutate(parent_id)->MergeGroup(t, m, Ref::Node(merged_id));
   nodes_.Destroy(left_id);
   nodes_.Destroy(right_id);
   io_.CountDirRead(2);
@@ -141,20 +140,22 @@ void BmehTree::TidyNode(uint32_t node_id) {
   // the quarantine marker.  (Delete already bypasses MergeAfterDelete
   // when degraded; this is the backstop for the force-split path.)
   if (degraded()) return;
-  DirNode* node = nodes_.Get(node_id);
+  // Every probe below reads through Get; the node (and a page) is Mutated
+  // only by the merge, drop or halving that changes it, so a sweep that
+  // finds nothing to do copies nothing.
   bool changed = true;
   while (changed) {
     changed = false;
     std::vector<IndexTuple> reps;
-    node->ForEachGroup(
+    nodes_.Get(node_id)->ForEachGroup(
         [&](const IndexTuple& rep, const Entry&) { reps.push_back(rep); });
     for (const IndexTuple& rep : reps) {
-      if (TryMergeNodeGroups(node, rep)) {
+      if (TryMergeNodeGroups(node_id, rep)) {
         changed = true;
         break;  // group layout changed; rescan
       }
       const int merged = hashdir::MergeGroupCascade(
-          node, rep, &pages_, options_.page_capacity, &io_);
+          &nodes_, node_id, rep, &pages_, options_.page_capacity, &io_);
       if (merged > 0) {
         mutations_.page_merges += merged;
         changed = true;
@@ -163,7 +164,8 @@ void BmehTree::TidyNode(uint32_t node_id) {
     }
   }
   IndexTuple origin{};
-  mutations_.node_halvings += hashdir::HalveNodeCascade(node, &origin, &io_);
+  mutations_.node_halvings +=
+      hashdir::HalveNodeCascade(&nodes_, node_id, &origin, &io_);
 }
 
 void BmehTree::MergeAfterDelete(const std::vector<PathStep>& path) {
@@ -183,7 +185,7 @@ void BmehTree::MergeAfterDelete(const std::vector<PathStep>& path) {
 
 void BmehTree::CollapseRoot() {
   for (;;) {
-    DirNode* root = nodes_.Get(root_id_);
+    const DirNode* root = nodes_.Get(root_id_);
     if (root->entry_count() != 1) return;
     const Entry e = root->at_address(0);
     if (!e.ref.is_node()) return;

@@ -35,7 +35,13 @@ Result<uint64_t> BmehTree::SearchOptimistic(const PseudoKey& key,
   const uint32_t root = published_root_.load(std::memory_order_acquire);
   uint32_t node_id = root;
   hashdir::Arena<DirNode>::Snapshot cur = nodes_.Acquire(node_id);
-  if (cur.ptr == nullptr || (cur.version & 1) != 0) {
+  // The root has no parent to validate against, so re-check that it is
+  // still the root: a reader delayed between the two loads could otherwise
+  // acquire a node that was created at the recycled id of a destroyed root
+  // and descend from it as if it were the root, returning "not found" for
+  // a present key.
+  if (cur.ptr == nullptr || (cur.version & 1) != 0 ||
+      published_root_.load(std::memory_order_acquire) != root) {
     *conflict = true;
     return ConflictStatus();
   }

@@ -35,7 +35,7 @@ using hashdir::Ref;
 
 Status BmehTree::SplitLeafOnce(const std::vector<PathStep>& path) {
   const PathStep& leaf = path.back();
-  DirNode* node = nodes_.Get(leaf.node_id);
+  const DirNode* node = nodes_.Get(leaf.node_id);
   const Entry e = node->at(leaf.tuple);
   BMEH_DCHECK(e.ref.is_page());
 
@@ -53,11 +53,12 @@ Status BmehTree::SplitLeafOnce(const std::vector<PathStep>& path) {
 
   if (e.h[m] < node->depth(m)) {
     ++mutations_.page_splits;
-    return hashdir::SplitPageGroup(schema_, node, leaf.tuple, m,
-                                   leaf.consumed, &pages_, &io_);
+    return hashdir::SplitPageGroup(schema_, nodes_.Mutate(leaf.node_id),
+                                   leaf.tuple, m, leaf.consumed, &pages_,
+                                   &io_);
   }
   if (node->depth(m) < options_.xi[m]) {
-    node->Double(m);
+    nodes_.Mutate(leaf.node_id)->Double(m);
     ++mutations_.node_doublings;
     io_.CountDirWrite();
     return Status::OK();
@@ -77,7 +78,7 @@ Status BmehTree::SplitNodeAt(const std::vector<PathStep>& path, size_t level,
     }
     BMEH_DCHECK(node_id == root_id_);
     const uint32_t new_root = nodes_.Create();
-    nodes_.Get(new_root)->at_address(0) =
+    nodes_.Mutate(new_root)->at_address(0) =
         hashdir::MakeEntry(Ref::Node(node_id), schema_.dims());
     root_id_ = new_root;
     ++levels_;
@@ -87,13 +88,13 @@ Status BmehTree::SplitNodeAt(const std::vector<PathStep>& path, size_t level,
   }
 
   const PathStep& pstep = path[level - 1];
-  DirNode* parent = nodes_.Get(pstep.node_id);
+  const DirNode* parent = nodes_.Get(pstep.node_id);
   const Entry pe = parent->at(pstep.tuple);
   BMEH_DCHECK(pe.ref == Ref::Node(node_id));
 
   if (pe.h[m] == parent->depth(m)) {
     if (parent->depth(m) < options_.xi[m]) {
-      parent->Double(m);
+      nodes_.Mutate(pstep.node_id)->Double(m);
       ++mutations_.node_doublings;
       io_.CountDirWrite();
       return Status::OK();
@@ -117,8 +118,9 @@ Status BmehTree::SplitNodeAt(const std::vector<PathStep>& path, size_t level,
   BMEH_ASSIGN_OR_RETURN(auto halves,
                         SplitNodeByLeadingBit(node_id, m,
                                               path[level].consumed));
-  parent->SplitGroup(pstep.tuple, m, Ref::Node(halves.first),
-                     Ref::Node(halves.second));
+  nodes_.Mutate(pstep.node_id)
+      ->SplitGroup(pstep.tuple, m, Ref::Node(halves.first),
+                   Ref::Node(halves.second));
   io_.CountDirWrite();
   // Canonicalize both halves so that a half left (nearly) empty by the
   // split does not freeze as an unreachable skeleton.  Safe with respect
@@ -149,7 +151,7 @@ uint64_t BmehTree::CountBalancedSplitNodes(uint32_t node_id, int m) const {
 Result<std::pair<uint32_t, uint32_t>> BmehTree::SplitNodeByLeadingBit(
     uint32_t node_id, int m,
     const std::array<uint16_t, kMaxDims>& consumed) {
-  DirNode* node = nodes_.Get(node_id);
+  const DirNode* node = nodes_.Get(node_id);
   const int d = schema_.dims();
   ++mutations_.node_splits;
   io_.CountDirRead();
@@ -162,7 +164,7 @@ Result<std::pair<uint32_t, uint32_t>> BmehTree::SplitNodeByLeadingBit(
       if (e.h[m] == 0) spanning.push_back(rep);
     });
     for (const IndexTuple& rep : spanning) {
-      const Entry e = node->at(rep);
+      const Entry e = nodes_.Get(node_id)->at(rep);
       std::pair<Ref, Ref> halves{Ref::Nil(), Ref::Nil()};
       if (!e.ref.is_nil()) {
         std::array<uint16_t, kMaxDims> child_consumed = consumed;
@@ -172,7 +174,8 @@ Result<std::pair<uint32_t, uint32_t>> BmehTree::SplitNodeByLeadingBit(
         BMEH_ASSIGN_OR_RETURN(halves, ForceSplitChild(e.ref, m,
                                                       child_consumed));
       }
-      node->SplitGroup(rep, m, halves.first, halves.second);
+      nodes_.Mutate(node_id)->SplitGroup(rep, m, halves.first,
+                                         halves.second);
     }
 
     // Partition the entries into two nodes by the leading i_m bit; each
@@ -181,9 +184,9 @@ Result<std::pair<uint32_t, uint32_t>> BmehTree::SplitNodeByLeadingBit(
     // "local depth h_1 of every directory entry ... is decreased by one").
     const uint32_t left_id = nodes_.Create();
     const uint32_t right_id = nodes_.Create();
-    node = nodes_.Get(node_id);  // re-fetch: arena may have reallocated
-    DirNode* left = nodes_.Get(left_id);
-    DirNode* right = nodes_.Get(right_id);
+    node = nodes_.Get(node_id);  // re-fetch: the splits above Mutated it
+    DirNode* left = nodes_.Mutate(left_id);
+    DirNode* right = nodes_.Mutate(right_id);
     ReplayShape(*node, m, left);
     ReplayShape(*node, m, right);
     const uint32_t half =
@@ -228,9 +231,8 @@ Result<std::pair<uint32_t, uint32_t>> BmehTree::SplitNodeByLeadingBit(
   }
   const uint32_t left_id = nodes_.Create();
   const uint32_t right_id = nodes_.Create();
-  node = nodes_.Get(node_id);
-  DirNode* left = nodes_.Get(left_id);
-  DirNode* right = nodes_.Get(right_id);
+  DirNode* left = nodes_.Mutate(left_id);
+  DirNode* right = nodes_.Mutate(right_id);
   ReplayShape(*node, /*skip_dim=*/-1, left);
   ReplayShape(*node, /*skip_dim=*/-1, right);
   for (size_t g = 0; g < groups.size(); ++g) {
@@ -281,12 +283,12 @@ Result<std::pair<Ref, Ref>> BmehTree::ForceSplitChild(
   // Fresh ids for both halves, old id tombstoned — see SplitPageGroup for
   // why a lock-free reader must never pair a stale parent snapshot with a
   // narrowed page republished at the old id.
-  const DataPage* old_page = std::as_const(pages_).Get(child.id);
+  const DataPage* old_page = pages_.Get(child.id);
   io_.CountDataRead();
   const uint32_t left_pid = pages_.Create();
   const uint32_t right_pid = pages_.Create();
-  DataPage* left_page = pages_.Get(left_pid);
-  DataPage* right_page = pages_.Get(right_pid);
+  DataPage* left_page = pages_.Mutate(left_pid);
+  DataPage* right_page = pages_.Mutate(right_pid);
   for (const Record& rec : old_page->records()) {
     const bool high =
         bit_util::BitAt(rec.key.component(m), w, split_bit) == 1;

@@ -92,15 +92,13 @@ Status BmehTree::InsertUnscoped(const PseudoKey& key, uint64_t payload) {
                           hashdir::DescendToLeaf(schema_, nodes_, root_id_,
                                                  key, &io_));
     const PathStep& leaf = path.back();
-    // Read the entry through the const view: a mutable Get would clone the
-    // node into the copy-on-write shadow even when nothing changes.
-    const Entry e = std::as_const(nodes_).Get(leaf.node_id)->at(leaf.tuple);
+    const Entry e = nodes_.Get(leaf.node_id)->at(leaf.tuple);
     if (e.ref.is_nil()) {
       // Paper's P = NIL branch: a fresh page serves the whole region.
       const uint32_t pid = pages_.Create();
-      nodes_.Get(leaf.node_id)->SetGroupRef(leaf.tuple, Ref::Page(pid));
+      nodes_.Mutate(leaf.node_id)->SetGroupRef(leaf.tuple, Ref::Page(pid));
       io_.CountDirWrite();
-      BMEH_CHECK_OK(pages_.Get(pid)->Insert({key, payload}));
+      BMEH_CHECK_OK(pages_.Mutate(pid)->Insert({key, payload}));
       io_.CountDataWrite();
       ++records_;
       if (split_ns != 0) split_latency_->Record(split_ns);
@@ -113,14 +111,14 @@ Status BmehTree::InsertUnscoped(const PseudoKey& key, uint64_t payload) {
       return Status::DataLoss("bucket for " + key.ToString() +
                               " was lost to corruption");
     }
-    const DataPage* page = std::as_const(pages_).Get(e.ref.id);
+    const DataPage* page = pages_.Get(e.ref.id);
     io_.CountDataRead();
     if (page->Contains(key)) {
       return Status::AlreadyExists("key " + key.ToString() +
                                    " already present");
     }
     if (!page->full()) {
-      BMEH_CHECK_OK(pages_.Get(e.ref.id)->Insert({key, payload}));
+      BMEH_CHECK_OK(pages_.Mutate(e.ref.id)->Insert({key, payload}));
       io_.CountDataWrite();
       ++records_;
       if (split_ns != 0) split_latency_->Record(split_ns);

@@ -303,10 +303,10 @@ class BmehTree : public MultiKeyIndex {
   void ReplayShape(const hashdir::DirNode& src, int skip_dim,
                    hashdir::DirNode* dst);
 
-  /// Merges the two sibling nodes of `t`'s group in `parent` back into one
-  /// (reverse of a node split).  Returns true when a merge happened.
-  bool TryMergeNodeGroups(hashdir::DirNode* parent,
-                          const hashdir::IndexTuple& t);
+  /// Merges the two sibling nodes of `t`'s group in node `parent_id` back
+  /// into one (reverse of a node split).  Returns true when a merge
+  /// happened; only then is the parent Mutated.
+  bool TryMergeNodeGroups(uint32_t parent_id, const hashdir::IndexTuple& t);
 
   /// Sweeps every group of a node, merging page buddies and sibling-node
   /// pairs until nothing changes, then reverses unneeded doublings.

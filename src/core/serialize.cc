@@ -357,7 +357,7 @@ Result<std::unique_ptr<BmehTree>> BmehTree::LoadImpl(PageStore* store,
       return Status::Corruption("duplicate node id in image");
     }
     tree->nodes_.CreateAt(id);
-    DirNode* node = tree->nodes_.Get(id);
+    DirNode* node = tree->nodes_.Mutate(id);
     BMEH_ASSIGN_OR_RETURN(uint32_t n_events, r.U32());
     if (n_events > 32u * kMaxDims) {
       return Status::Corruption("bad node event count");
@@ -410,7 +410,7 @@ Result<std::unique_ptr<BmehTree>> BmehTree::LoadImpl(PageStore* store,
     }
     tree->pages_.CreateAt(id);
     *created = id;
-    DataPage* page = tree->pages_.Get(id);
+    DataPage* page = tree->pages_.Mutate(id);
     BMEH_ASSIGN_OR_RETURN(uint32_t size, r.U32());
     if (size > static_cast<uint32_t>(options.page_capacity)) {
       return Status::Corruption("page record count over capacity");

@@ -47,19 +47,19 @@ Status ExtendibleHash::Insert(uint32_t key, uint64_t payload) {
       const uint64_t size = uint64_t{1} << (depth_ - e.h);
       for (uint64_t j = base; j < base + size; ++j) dir_[j].page_id = pid;
       io_.CountDirWrite(DirPages(size));
-      BMEH_CHECK_OK(pages_.Get(pid)->Insert(rec));
+      BMEH_CHECK_OK(pages_.Mutate(pid)->Insert(rec));
       io_.CountDataWrite();
       ++records_;
       return Status::OK();
     }
-    DataPage* page = pages_.Get(e.page_id);
+    const DataPage* page = pages_.Get(e.page_id);
     io_.CountDataRead();
     if (page->Contains(rec.key)) {
       return Status::AlreadyExists("key " + std::to_string(key) +
                                    " already present");
     }
     if (!page->full()) {
-      BMEH_CHECK_OK(page->Insert(rec));
+      BMEH_CHECK_OK(pages_.Mutate(e.page_id)->Insert(rec));
       io_.CountDataWrite();
       ++records_;
       return Status::OK();
@@ -94,8 +94,8 @@ Status ExtendibleHash::SplitOnce(uint64_t index) {
   const uint64_t base = GroupBase(index);
   const uint64_t size = uint64_t{1} << (depth_ - e.h);
   const uint32_t new_pid = pages_.Create();
-  DataPage* old_page = pages_.Get(e.page_id);
-  DataPage* new_page = pages_.Get(new_pid);
+  DataPage* old_page = pages_.Mutate(e.page_id);
+  DataPage* new_page = pages_.Mutate(new_pid);
   for (uint64_t j = base; j < base + size; ++j) {
     const int bit =
         static_cast<int>((j >> (depth_ - e.h - 1)) & 1);
@@ -145,7 +145,7 @@ Status ExtendibleHash::Delete(uint32_t key) {
   if (e.is_nil()) {
     return Status::KeyError("key " + std::to_string(key) + " not found");
   }
-  DataPage* page = pages_.Get(e.page_id);
+  DataPage* page = pages_.Mutate(e.page_id);
   io_.CountDataRead();
   BMEH_RETURN_NOT_OK(page->Remove(PseudoKey({key})));
   io_.CountDataWrite();
@@ -171,13 +171,13 @@ void ExtendibleHash::MergeAfterDelete(uint64_t index) {
 
     uint32_t merged = ~uint32_t{0};
     if (!e.is_nil() && !be.is_nil()) {
-      DataPage* target = pages_.Get(e.page_id);
-      DataPage* src = pages_.Get(be.page_id);
+      DataPage* target = pages_.Mutate(e.page_id);
+      const DataPage* src = pages_.Get(be.page_id);
       io_.CountDataRead(2);
       for (const Record& rec : src->records()) {
         BMEH_CHECK_OK(target->Insert(rec));
       }
-      pages_.Destroy(src->id());
+      pages_.Destroy(be.page_id);
       io_.CountDataWrite();
       merged = target->id();
     } else if (!e.is_nil()) {

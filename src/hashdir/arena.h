@@ -13,10 +13,12 @@
 //
 // Writers are serialized externally (the store's op mutex).  While the
 // optimistic read path is enabled, every mutation runs inside a *shadow
-// scope*: the first mutable access to an object clones it into a private
-// shadow map (copy-on-write), creations and destructions are recorded but
-// not published, and PublishScope atomically swings each touched slot to
-// its final object with an odd/even version bump around the store.
+// scope*: the first `Mutate` of an object clones it into a private shadow
+// map (copy-on-write), creations and destructions are recorded but not
+// published, and PublishScope atomically swings each touched slot to its
+// final object with an odd/even version bump around the store.  `Get` is
+// const and never clones, so a probe that only reads cannot republish an
+// object (which would bump its version and fail concurrent readers).
 // Published objects are therefore immutable — a reader can never observe
 // a torn node — and replaced originals are handed to the caller for
 // epoch-based retirement instead of being freed in place.  Ids destroyed
@@ -168,10 +170,11 @@ class Arena {
     return c != nullptr && c->ptr.load(std::memory_order_relaxed) != nullptr;
   }
 
-  /// \brief Writer-view mutable access.  Inside a scope, the first call
-  /// per id clones the published object into the shadow (copy-on-write);
-  /// later calls return the same shadow object.
-  T* Get(uint32_t id) {
+  /// \brief Writer-view mutable access, for a caller that changes the
+  /// object.  Inside a scope, the first call per id clones the published
+  /// object into the shadow (copy-on-write); later calls return the same
+  /// shadow object.
+  T* Mutate(uint32_t id) {
     if (scope_active_) {
       auto it = shadow_.find(id);
       if (it != shadow_.end()) {
@@ -191,7 +194,8 @@ class Arena {
     return pub;
   }
 
-  /// \brief Writer-view read access (sees this scope's shadows).
+  /// \brief Writer-view read access: this scope's shadow if there is one,
+  /// else the published object.  Never clones.
   const T* Get(uint32_t id) const {
     if (scope_active_) {
       auto it = shadow_.find(id);
@@ -408,8 +412,8 @@ class PageArena {
 
   void Destroy(uint32_t id) { arena_.Destroy(id); }
   bool Alive(uint32_t id) const { return arena_.Alive(id); }
-  DataPage* Get(uint32_t id) { return arena_.Get(id); }
   const DataPage* Get(uint32_t id) const { return arena_.Get(id); }
+  DataPage* Mutate(uint32_t id) { return arena_.Mutate(id); }
   uint64_t live_count() const { return arena_.live_count(); }
   int capacity() const { return capacity_; }
 
@@ -459,8 +463,8 @@ class NodeArena {
 
   void Destroy(uint32_t id) { arena_.Destroy(id); }
   bool Alive(uint32_t id) const { return arena_.Alive(id); }
-  DirNode* Get(uint32_t id) { return arena_.Get(id); }
   const DirNode* Get(uint32_t id) const { return arena_.Get(id); }
+  DirNode* Mutate(uint32_t id) { return arena_.Mutate(id); }
   uint64_t live_count() const { return arena_.live_count(); }
 
   void ForEach(const std::function<void(uint32_t, const DirNode&)>& fn) const {

@@ -1,7 +1,5 @@
 #include "src/hashdir/split_util.h"
 
-#include <utility>
-
 #include "src/common/bit_util.h"
 
 namespace bmeh {
@@ -22,11 +20,11 @@ Status SplitPageGroup(const KeySchema& schema, DirNode* node,
   // with the post-split page serving only half the region, and report a
   // present key as not found.  A null slot turns that interleave into a
   // conflict/retry instead, matching the node-split discipline.
-  const DataPage* old_page = std::as_const(*pages).Get(proto.ref.id);
+  const DataPage* old_page = pages->Get(proto.ref.id);
   const uint32_t left_pid = pages->Create();
   const uint32_t right_pid = pages->Create();
-  DataPage* left_page = pages->Get(left_pid);
-  DataPage* right_page = pages->Get(right_pid);
+  DataPage* left_page = pages->Mutate(left_pid);
+  DataPage* right_page = pages->Mutate(right_pid);
 
   node->SplitGroup(t, m, Ref::Page(left_pid), Ref::Page(right_pid));
   io->CountDirWrite();
@@ -57,20 +55,21 @@ Status SplitPageGroup(const KeySchema& schema, DirNode* node,
   return Status::OK();
 }
 
-int MergeGroupCascade(DirNode* node, IndexTuple t, PageArena* pages,
-                      int page_capacity, IoCounter* io) {
+int MergeGroupCascade(NodeArena* nodes, uint32_t node_id, IndexTuple t,
+                      PageArena* pages, int page_capacity, IoCounter* io) {
   // Immediate deletion of an emptied page (§2.1) even when no buddy merge
   // is possible.
   auto drop_if_empty = [&]() {
-    const Entry e = node->at(t);
+    const Entry e = nodes->Get(node_id)->at(t);
     if (e.ref.is_page() && pages->Get(e.ref.id)->empty()) {
       pages->Destroy(e.ref.id);
-      node->SetGroupRef(t, Ref::Nil());
+      nodes->Mutate(node_id)->SetGroupRef(t, Ref::Nil());
       io->CountDirWrite();
     }
   };
   int merges = 0;
   for (;;) {
+    const DirNode* node = nodes->Get(node_id);
     const Entry e = node->at(t);
     if (e.ref.is_node()) return merges;
     // Preferred reversal order is the recorded last-split dimension, but
@@ -107,15 +106,19 @@ int MergeGroupCascade(DirNode* node, IndexTuple t, PageArena* pages,
 
     Ref merged = Ref::Nil();
     if (e.ref.is_page() && be.ref.is_page()) {
-      DataPage* target = pages->Get(e.ref.id);
-      DataPage* src = pages->Get(be.ref.id);
+      // The source page is destroyed, so it is only read; the target
+      // changes only when the source brings records.
+      const DataPage* src = pages->Get(be.ref.id);
       io->CountDataRead(2);
-      for (const Record& rec : src->records()) {
-        BMEH_CHECK_OK(target->Insert(rec));
+      if (!src->empty()) {
+        DataPage* target = pages->Mutate(e.ref.id);
+        for (const Record& rec : src->records()) {
+          BMEH_CHECK_OK(target->Insert(rec));
+        }
       }
-      pages->Destroy(src->id());
+      pages->Destroy(be.ref.id);
       io->CountDataWrite();
-      merged = Ref::Page(target->id());
+      merged = e.ref;
     } else if (e.ref.is_page()) {
       merged = e.ref;
     } else if (be.ref.is_page()) {
@@ -125,18 +128,20 @@ int MergeGroupCascade(DirNode* node, IndexTuple t, PageArena* pages,
       pages->Destroy(merged.id);
       merged = Ref::Nil();
     }
-    node->MergeGroup(t, m, merged);
+    nodes->Mutate(node_id)->MergeGroup(t, m, merged);
     io->CountDirWrite();
     ++merges;
   }
 }
 
-int HalveNodeCascade(DirNode* node, IndexTuple* t, IoCounter* io) {
+int HalveNodeCascade(NodeArena* nodes, uint32_t node_id, IndexTuple* t,
+                     IoCounter* io) {
   int halvings = 0;
   for (;;) {
+    const DirNode* node = nodes->Get(node_id);
     const int dim = node->history().last_event_dim();
     if (dim < 0 || !node->CanHalve(dim)) return halvings;
-    node->Halve(dim);
+    nodes->Mutate(node_id)->Halve(dim);
     (*t)[dim] >>= 1;
     io->CountDirWrite();
     ++halvings;

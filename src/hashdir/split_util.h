@@ -26,15 +26,19 @@ Status SplitPageGroup(const KeySchema& schema, DirNode* node,
                       const std::array<uint16_t, kMaxDims>& consumed,
                       PageArena* pages, IoCounter* io);
 
-/// \brief Repeatedly merges `t`'s group with its last-split buddy while
-/// their combined records fit in one page (reversal of page splitting).
-/// Stops at node-pointer children.  Returns the number of merges.
-int MergeGroupCascade(DirNode* node, IndexTuple t, PageArena* pages,
-                      int page_capacity, IoCounter* io);
+/// \brief Repeatedly merges `t`'s group in node `node_id` with its
+/// last-split buddy while their combined records fit in one page (reversal
+/// of page splitting).  Stops at node-pointer children.  Reads the node and
+/// the pages through `Get` and `Mutate`s only what a merge or an
+/// emptied-page drop changes.  Returns the number of merges.
+int MergeGroupCascade(NodeArena* nodes, uint32_t node_id, IndexTuple t,
+                      PageArena* pages, int page_capacity, IoCounter* io);
 
-/// \brief Reverses node doublings no entry needs any more; adjusts `t` so
-/// it keeps addressing the same region.  Returns the number of halvings.
-int HalveNodeCascade(DirNode* node, IndexTuple* t, IoCounter* io);
+/// \brief Reverses node doublings no entry of node `node_id` needs any
+/// more; adjusts `t` so it keeps addressing the same region.  `Mutate`s the
+/// node only when it halves.  Returns the number of halvings.
+int HalveNodeCascade(NodeArena* nodes, uint32_t node_id, IndexTuple* t,
+                     IoCounter* io);
 
 }  // namespace hashdir
 }  // namespace bmeh

@@ -72,20 +72,20 @@ Status Mdeh::Insert(const PseudoKey& key, uint64_t payload) {
       std::vector<uint64_t> addrs = dir_.GroupAddresses(t);
       dir_.SetGroupRef(t, Ref::Page(pid));
       ChargeGroupWrite(addrs);
-      BMEH_CHECK_OK(pages_.Get(pid)->Insert({key, payload}));
+      BMEH_CHECK_OK(pages_.Mutate(pid)->Insert({key, payload}));
       io_.CountDataWrite();
       ++records_;
       return Status::OK();
     }
     BMEH_DCHECK(e.ref.is_page()) << "MDEH directory must point to pages";
-    DataPage* page = pages_.Get(e.ref.id);
+    const DataPage* page = pages_.Get(e.ref.id);
     io_.CountDataRead();
     if (page->Contains(key)) {
       return Status::AlreadyExists("key " + key.ToString() +
                                    " already present");
     }
     if (!page->full()) {
-      BMEH_CHECK_OK(page->Insert({key, payload}));
+      BMEH_CHECK_OK(pages_.Mutate(e.ref.id)->Insert({key, payload}));
       io_.CountDataWrite();
       ++records_;
       return Status::OK();
@@ -133,9 +133,9 @@ Status Mdeh::SplitOnce(const IndexTuple& t_in) {
   // Split the group: records move by their (h_m)-th dimension-m key bit
   // (offset from the MSB; MDEH consumes bits from offset 0).
   const int split_bit = proto.h[m];
-  DataPage* old_page = pages_.Get(proto.ref.id);
+  DataPage* old_page = pages_.Mutate(proto.ref.id);
   const uint32_t new_pid = pages_.Create();
-  DataPage* new_page = pages_.Get(new_pid);
+  DataPage* new_page = pages_.Mutate(new_pid);
 
   std::vector<uint64_t> addrs = dir_.GroupAddresses(t);
   dir_.SplitGroup(t, m, Ref::Page(proto.ref.id), Ref::Page(new_pid));
@@ -192,7 +192,7 @@ Status Mdeh::Delete(const PseudoKey& key) {
   if (e.ref.is_nil()) {
     return Status::KeyError("key " + key.ToString() + " not found");
   }
-  DataPage* page = pages_.Get(e.ref.id);
+  DataPage* page = pages_.Mutate(e.ref.id);
   io_.CountDataRead();
   BMEH_RETURN_NOT_OK(page->Remove(key));
   io_.CountDataWrite();
@@ -241,21 +241,18 @@ void Mdeh::MergeAfterDelete(const IndexTuple& t) {
     // Merge the records into one page (or keep NIL if both empty).
     Ref merged = Ref::Nil();
     if (sz + bsz > 0) {
-      DataPage* target;
-      if (e.ref.is_page()) {
-        target = pages_.Get(e.ref.id);
-        if (be.ref.is_page()) {
-          DataPage* src = pages_.Get(be.ref.id);
-          io_.CountDataRead(2);
-          for (const Record& rec : src->records()) {
-            BMEH_CHECK_OK(target->Insert(rec));
-          }
-          pages_.Destroy(src->id());
-          io_.CountDataWrite();
+      if (e.ref.is_page() && be.ref.is_page()) {
+        const DataPage* src = pages_.Get(be.ref.id);
+        io_.CountDataRead(2);
+        DataPage* dst = pages_.Mutate(e.ref.id);
+        for (const Record& rec : src->records()) {
+          BMEH_CHECK_OK(dst->Insert(rec));
         }
-      } else {
-        target = pages_.Get(be.ref.id);
+        pages_.Destroy(be.ref.id);
+        io_.CountDataWrite();
       }
+      const DataPage* target =
+          pages_.Get(e.ref.is_page() ? e.ref.id : be.ref.id);
       merged = Ref::Page(target->id());
       if (target->empty()) {
         pages_.Destroy(target->id());

@@ -35,25 +35,24 @@ Status MehTree::Insert(const PseudoKey& key, uint64_t payload) {
                           hashdir::DescendToLeaf(schema_, nodes_, root_id_,
                                                  key, &io_));
     const PathStep& leaf = path.back();
-    DirNode* node = nodes_.Get(leaf.node_id);
-    Entry& e = node->at(leaf.tuple);
+    const Entry e = nodes_.Get(leaf.node_id)->at(leaf.tuple);
     if (e.ref.is_nil()) {
       const uint32_t pid = pages_.Create();
-      node->SetGroupRef(leaf.tuple, Ref::Page(pid));
+      nodes_.Mutate(leaf.node_id)->SetGroupRef(leaf.tuple, Ref::Page(pid));
       io_.CountDirWrite();
-      BMEH_CHECK_OK(pages_.Get(pid)->Insert({key, payload}));
+      BMEH_CHECK_OK(pages_.Mutate(pid)->Insert({key, payload}));
       io_.CountDataWrite();
       ++records_;
       return Status::OK();
     }
-    DataPage* page = pages_.Get(e.ref.id);
+    const DataPage* page = pages_.Get(e.ref.id);
     io_.CountDataRead();
     if (page->Contains(key)) {
       return Status::AlreadyExists("key " + key.ToString() +
                                    " already present");
     }
     if (!page->full()) {
-      BMEH_CHECK_OK(page->Insert({key, payload}));
+      BMEH_CHECK_OK(pages_.Mutate(e.ref.id)->Insert({key, payload}));
       io_.CountDataWrite();
       ++records_;
       return Status::OK();
@@ -68,7 +67,7 @@ Status MehTree::SplitLeafOnce(const std::vector<PathStep>& path,
                               const PseudoKey& key) {
   (void)key;
   const PathStep& leaf = path.back();
-  DirNode* node = nodes_.Get(leaf.node_id);
+  const DirNode* node = nodes_.Get(leaf.node_id);
   const Entry e = node->at(leaf.tuple);
   BMEH_DCHECK(e.ref.is_page());
 
@@ -88,7 +87,7 @@ Status MehTree::SplitLeafOnce(const std::vector<PathStep>& path,
   if (e.h[m] == node->depth(m)) {
     if (node->depth(m) < options_.xi[m]) {
       // Room in the block: double the node in place.
-      node->Double(m);
+      nodes_.Mutate(leaf.node_id)->Double(m);
       io_.CountDirWrite();
     } else {
       // Node at its cap along m: spawn a child node below (top-down
@@ -97,17 +96,17 @@ Status MehTree::SplitLeafOnce(const std::vector<PathStep>& path,
         return Status::CapacityError("directory node cap exceeded");
       }
       const uint32_t cid = nodes_.Create();
-      DirNode* child = nodes_.Get(cid);
+      DirNode* child = nodes_.Mutate(cid);
       Entry ce = hashdir::MakeEntry(e.ref, schema_.dims());
       ce.m = e.m;  // the split-dimension cycle continues in the child
       child->at_address(0) = ce;
-      node->SetGroupRef(leaf.tuple, Ref::Node(cid));
+      nodes_.Mutate(leaf.node_id)->SetGroupRef(leaf.tuple, Ref::Node(cid));
       io_.CountDirWrite(2);
     }
     return Status::OK();  // structural change made; caller re-descends
   }
-  return hashdir::SplitPageGroup(schema_, node, leaf.tuple, m, leaf.consumed,
-                                 &pages_, &io_);
+  return hashdir::SplitPageGroup(schema_, nodes_.Mutate(leaf.node_id),
+                                 leaf.tuple, m, leaf.consumed, &pages_, &io_);
 }
 
 Result<uint64_t> MehTree::Search(const PseudoKey& key) {
@@ -134,12 +133,11 @@ Status MehTree::Delete(const PseudoKey& key) {
                         hashdir::DescendToLeaf(schema_, nodes_, root_id_, key,
                                                &io_));
   const PathStep& leaf = path.back();
-  DirNode* node = nodes_.Get(leaf.node_id);
-  const Entry e = node->at(leaf.tuple);
+  const Entry e = nodes_.Get(leaf.node_id)->at(leaf.tuple);
   if (e.ref.is_nil()) {
     return Status::KeyError("key " + key.ToString() + " not found");
   }
-  DataPage* page = pages_.Get(e.ref.id);
+  DataPage* page = pages_.Mutate(e.ref.id);
   io_.CountDataRead();
   BMEH_RETURN_NOT_OK(page->Remove(key));
   io_.CountDataWrite();
@@ -147,9 +145,9 @@ Status MehTree::Delete(const PseudoKey& key) {
   if (options_.merge_on_delete) {
     MergeAfterDelete(std::move(path));
   } else if (page->empty()) {
-    node->SetGroupRef(leaf.tuple, Ref::Nil());
+    nodes_.Mutate(leaf.node_id)->SetGroupRef(leaf.tuple, Ref::Nil());
     io_.CountDirWrite();
-    pages_.Destroy(page->id());
+    pages_.Destroy(e.ref.id);
   }
   return Status::OK();
 }
@@ -161,14 +159,14 @@ void MehTree::MergeAfterDelete(std::vector<PathStep> path) {
   while (!path.empty()) {
     const PathStep step = path.back();
     path.pop_back();
-    DirNode* node = nodes_.Get(step.node_id);
     IndexTuple t = step.tuple;
-    hashdir::MergeGroupCascade(node, t, &pages_, options_.page_capacity,
-                               &io_);
-    hashdir::HalveNodeCascade(node, &t, &io_);
+    hashdir::MergeGroupCascade(&nodes_, step.node_id, t, &pages_,
+                               options_.page_capacity, &io_);
+    hashdir::HalveNodeCascade(&nodes_, step.node_id, &t, &io_);
     if (path.empty()) break;  // the root never collapses in the MEH-tree
     // Collapse: a node whose single group spans everything with zero local
     // depths is pure indirection — the reverse of a spawn.
+    const DirNode* node = nodes_.Get(step.node_id);
     IndexTuple origin{};
     const Entry& oe = node->at(origin);
     bool trivial = true;
@@ -179,8 +177,8 @@ void MehTree::MergeAfterDelete(std::vector<PathStep> path) {
       }
     }
     if (!trivial || node->entry_count() != 1) continue;
-    DirNode* parent = nodes_.Get(path.back().node_id);
-    parent->SetGroupRef(path.back().tuple, oe.ref);
+    nodes_.Mutate(path.back().node_id)
+        ->SetGroupRef(path.back().tuple, oe.ref);
     io_.CountDirWrite();
     nodes_.Destroy(step.node_id);
   }

@@ -1,8 +1,24 @@
 #include "src/pagestore/data_page.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace bmeh {
+
+DataPage::DataPage(const DataPage& other)
+    : id_(other.id_), capacity_(other.capacity_) {
+  records_.reserve(
+      std::min(other.records_.size() + 1, static_cast<size_t>(capacity_)));
+  records_.assign(other.records_.begin(), other.records_.end());
+}
+
+void DataPage::Append(const Record& rec) {
+  if (records_.size() == records_.capacity()) {
+    records_.reserve(std::min(std::max<size_t>(2 * records_.size(), 1),
+                              static_cast<size_t>(capacity_)));
+  }
+  records_.push_back(rec);
+}
 
 int DataPage::Find(const PseudoKey& key) const {
   for (int i = 0; i < size(); ++i) {
@@ -19,7 +35,7 @@ Status DataPage::Insert(const Record& rec) {
   if (full()) {
     return Status::CapacityError("page " + std::to_string(id_) + " is full");
   }
-  records_.push_back(rec);
+  Append(rec);
   return Status::OK();
 }
 
@@ -46,7 +62,7 @@ void DataPage::Partition(const std::function<bool(const Record&)>& goes_right,
   for (size_t r = 0; r < records_.size(); ++r) {
     if (goes_right(records_[r])) {
       BMEH_CHECK(!right->full()) << "partition target overflow";
-      right->records_.push_back(records_[r]);
+      right->Append(records_[r]);
     } else {
       records_[w++] = records_[r];
     }

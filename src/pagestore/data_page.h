@@ -38,6 +38,15 @@ class DataPage {
     records_.reserve(capacity);
   }
 
+  /// \brief Copies the records into storage for one more record (at most
+  /// b): a copy-on-write clone is made to take one change, and a plain
+  /// vector copy would leave no room, so the next insert would double the
+  /// storage past b.
+  DataPage(const DataPage& other);
+  DataPage& operator=(const DataPage&) = delete;
+  DataPage(DataPage&&) = default;
+  DataPage& operator=(DataPage&&) = default;
+
   PageId id() const { return id_; }
   int capacity() const { return capacity_; }
   int size() const { return static_cast<int>(records_.size()); }
@@ -81,6 +90,9 @@ class DataPage {
                                       std::span<const uint8_t> in);
 
  private:
+  /// Appends to a non-full page, growing the storage at most to b.
+  void Append(const Record& rec);
+
   PageId id_;
   int capacity_;
   std::vector<Record> records_;

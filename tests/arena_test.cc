@@ -35,7 +35,7 @@ TEST(ArenaTest, PointerStabilityAcrossGrowth) {
   Arena<int> arena;
   uint32_t first =
       arena.Create([](uint32_t) { return std::make_unique<int>(42); });
-  int* p = arena.Get(first);
+  const int* p = arena.Get(first);
   for (int i = 0; i < 1000; ++i) {
     arena.Create([](uint32_t) { return std::make_unique<int>(0); });
   }
@@ -120,6 +120,32 @@ TEST(ArenaTest, ScopeRecyclesNeverPublishedIdsImmediately) {
   EXPECT_TRUE(retired.empty());
   EXPECT_EQ(*arena.Get(b), 2);
   EXPECT_EQ(arena.live_count(), 1u);
+}
+
+TEST(ArenaTest, GetNeverClones) {
+  // Inside a scope, Get is the const writer view: it returns the published
+  // object and records nothing to publish.  Only Mutate clones, once.
+  Arena<int> arena;
+  uint32_t a = arena.Create([](uint32_t) { return std::make_unique<int>(1); });
+  const int* published = arena.Acquire(a).ptr;
+  arena.BeginScope();
+  EXPECT_EQ(arena.Get(a), published);
+  EXPECT_FALSE(arena.ScopeDirty());
+
+  int* shadow = arena.Mutate(a);
+  EXPECT_NE(shadow, published);
+  EXPECT_TRUE(arena.ScopeDirty());
+  EXPECT_EQ(arena.Mutate(a), shadow);
+  *shadow = 2;
+  EXPECT_EQ(arena.Get(a), shadow);
+  EXPECT_EQ(*published, 1) << "the published object changed in place";
+
+  std::vector<RetiredObject> retired;
+  arena.PublishScope(&retired);
+  ASSERT_EQ(retired.size(), 1u);
+  EXPECT_EQ(retired[0].obj, published);
+  for (RetiredObject& r : retired) r.deleter(r.obj);
+  EXPECT_EQ(*arena.Get(a), 2);
 }
 
 TEST(ArenaTest, ForEachVisitsLiveOnly) {

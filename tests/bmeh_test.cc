@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
+#include "src/common/epoch.h"
 #include "tests/test_util.h"
 
 namespace bmeh {
@@ -9,6 +12,18 @@ namespace {
 
 using testing::DrainAndCheckEmpty;
 using testing::FuzzAgainstOracle;
+
+std::array<uint64_t, 9> Counts(const BmehMutationStats& s) {
+  return {s.page_splits,   s.node_doublings, s.node_splits,
+          s.forced_splits, s.new_roots,      s.page_merges,
+          s.node_halvings, s.node_merges,    s.root_collapses};
+}
+
+bool Splits(const BmehMutationStats& a, const BmehMutationStats& b) {
+  return a.page_splits != b.page_splits ||
+         a.node_doublings != b.node_doublings ||
+         a.node_splits != b.node_splits || a.new_roots != b.new_roots;
+}
 
 TEST(BmehTreeTest, EmptyIndexBasics) {
   BmehTree tree(KeySchema(2, 16), TreeOptions::Make(2, 4));
@@ -338,6 +353,103 @@ TEST(BmehTreeTest, QuadtreeShapeWithXiOne) {
   tree.nodes().ForEach([&](uint32_t, const hashdir::DirNode& node) {
     EXPECT_LE(node.entry_count(), 4u);
   });
+}
+
+TEST(BmehTreeTest, CommitRetiresOnlyWhatItChanges) {
+  // Under copy-on-write, a commit republishes (and retires the original
+  // of) every object it Mutates.  The delete-time tidy pass only reads the
+  // groups it inspects, so a Delete that merges, drops and halves nothing
+  // copies just the page it removes the record from, and leaves the root
+  // unpublished; the Put that restores the key copies one object too.
+  epoch::EpochManager mgr;
+  BmehTree tree(KeySchema(2, 31), TreeOptions::Make(2, 4));
+  tree.EnableConcurrentReads(&mgr);
+  auto keys =
+      workload::GenerateKeys(workload::WorkloadSpec{.seed = 23}, 3000);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(tree.Insert(keys[i], i).ok());
+  }
+  ASSERT_GT(tree.height(), 1);
+  int checked_deletes = 0;
+  int checked_puts = 0;
+  for (size_t i = 0; i < keys.size(); i += 15) {
+    const BmehMutationStats before = tree.mutation_stats();
+    const uint64_t pages = tree.Stats().data_pages;
+    const uint64_t retired = mgr.Stats().retired_total;
+    const uint32_t root = tree.root_id();
+    const uint64_t root_version = tree.nodes().VersionOf(root);
+    ASSERT_TRUE(tree.Delete(keys[i]).ok());
+    if (Counts(tree.mutation_stats()) == Counts(before) &&
+        tree.Stats().data_pages == pages) {
+      ++checked_deletes;
+      EXPECT_EQ(mgr.Stats().retired_total - retired, 1u)
+          << "delete of key " << i;
+      EXPECT_EQ(tree.root_id(), root);
+      EXPECT_EQ(tree.nodes().VersionOf(root), root_version)
+          << "delete of key " << i << " republished the root";
+    }
+
+    const BmehMutationStats before_put = tree.mutation_stats();
+    const uint64_t retired_put = mgr.Stats().retired_total;
+    ASSERT_TRUE(tree.Insert(keys[i], i).ok());
+    if (!Splits(before_put, tree.mutation_stats())) {
+      ++checked_puts;
+      EXPECT_EQ(mgr.Stats().retired_total - retired_put, 1u)
+          << "put of key " << i;
+    }
+  }
+  EXPECT_GE(checked_deletes, 150);
+  EXPECT_GE(checked_puts, 150);
+  ASSERT_TRUE(tree.Validate().ok());
+}
+
+TEST(BmehTreeTest, CowModeBuildsTheSameTreeAsDirectMode) {
+  // The copy-on-write tree reads through Get and copies lazily; every
+  // merge, drop and halving decision must still be the one the in-place
+  // tree makes.  Ids are not compared: a scope defers id recycling.
+  epoch::EpochManager mgr;
+  BmehTree cow(KeySchema(2, 31), TreeOptions::Make(2, 4));
+  BmehTree direct(KeySchema(2, 31), TreeOptions::Make(2, 4));
+  cow.EnableConcurrentReads(&mgr);
+  auto expect_same = [&](const char* when) {
+    SCOPED_TRACE(when);
+    EXPECT_EQ(Counts(cow.mutation_stats()), Counts(direct.mutation_stats()));
+    const IndexStructureStats a = cow.Stats();
+    const IndexStructureStats b = direct.Stats();
+    EXPECT_EQ(a.directory_entries, b.directory_entries);
+    EXPECT_EQ(a.directory_entries_used, b.directory_entries_used);
+    EXPECT_EQ(a.directory_nodes, b.directory_nodes);
+    EXPECT_EQ(a.directory_levels, b.directory_levels);
+    EXPECT_EQ(a.data_pages, b.data_pages);
+    EXPECT_EQ(a.records, b.records);
+    EXPECT_EQ(cow.PageFillHistogram(), direct.PageFillHistogram());
+    EXPECT_EQ(cow.height(), direct.height());
+    const IoStats ia = cow.io_stats();
+    const IoStats ib = direct.io_stats();
+    EXPECT_EQ(ia.dir_reads, ib.dir_reads);
+    EXPECT_EQ(ia.dir_writes, ib.dir_writes);
+    EXPECT_EQ(ia.data_reads, ib.data_reads);
+    EXPECT_EQ(ia.data_writes, ib.data_writes);
+  };
+  auto keys =
+      workload::GenerateKeys(workload::WorkloadSpec{.seed = 24}, 3000);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(cow.Insert(keys[i], i).ok());
+    ASSERT_TRUE(direct.Insert(keys[i], i).ok());
+  }
+  expect_same("after the inserts");
+  Rng rng(25);
+  for (size_t i = keys.size(); i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng.Uniform(i)]);
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(cow.Delete(keys[i]).ok());
+    ASSERT_TRUE(direct.Delete(keys[i]).ok());
+    if (i % 500 == 499) expect_same("during the deletes");
+  }
+  expect_same("after the deletes");
+  EXPECT_EQ(cow.height(), 1);
+  ASSERT_TRUE(cow.Validate().ok());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace bmeh {
 namespace {
 
@@ -75,6 +77,30 @@ TEST(DataPageTest, PartitionNothingAndEverything) {
   left.Partition([](const Record&) { return true; }, &right);
   EXPECT_EQ(left.size(), 0);
   EXPECT_EQ(right.size(), 4);
+}
+
+TEST(DataPageTest, CopyLeavesRoomForOneRecordAndNeverGrowsPastCapacity) {
+  // A copy-on-write clone takes one change; a plain vector copy would have
+  // no room left, and the insert after it would double the storage past b.
+  constexpr int kCapacity = 8;
+  for (int s = 0; s <= kCapacity; ++s) {
+    DataPage page(1, kCapacity);
+    for (int i = 0; i < s; ++i) {
+      ASSERT_TRUE(page.Insert(R(static_cast<uint32_t>(i), 0, 0)).ok());
+    }
+    DataPage copy(page);
+    EXPECT_EQ(copy.size(), s);
+    EXPECT_EQ(copy.records(), page.records());
+    EXPECT_EQ(copy.records().capacity(),
+              static_cast<size_t>(std::min(s + 1, kCapacity)))
+        << "s = " << s;
+    for (int i = s; i < kCapacity; ++i) {
+      ASSERT_TRUE(copy.Insert(R(static_cast<uint32_t>(i), 0, 0)).ok());
+      EXPECT_LE(copy.records().capacity(), static_cast<size_t>(kCapacity))
+          << "s = " << s << ", after " << i + 1 << " records";
+    }
+    EXPECT_TRUE(copy.full());
+  }
 }
 
 TEST(DataPageTest, SerializeDeserializeRoundTrip) {

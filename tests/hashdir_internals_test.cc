@@ -66,10 +66,10 @@ TEST(DescendTest, StopsAtPageLevelEntry) {
   NodeArena nodes(2);
   const uint32_t root = nodes.Create();
   const uint32_t child = nodes.Create();
-  DirNode* r = nodes.Get(root);
+  DirNode* r = nodes.Mutate(root);
   r->Double(0);
   r->SplitGroup(IndexTuple{}, 0, Ref::Node(child), Ref::Page(9));
-  nodes.Get(child)->at_address(0) = MakeEntry(Ref::Page(5), 2);
+  nodes.Mutate(child)->at_address(0) = MakeEntry(Ref::Page(5), 2);
 
   IoCounter io;
   // Key with leading dim-0 bit 0 descends into the child node.
@@ -92,7 +92,7 @@ TEST(DescendTest, DanglingNodeIsCorruption) {
   KeySchema schema(2, 8);
   NodeArena nodes(2);
   const uint32_t root = nodes.Create();
-  nodes.Get(root)->at_address(0) = MakeEntry(Ref::Node(1234), 2);
+  nodes.Mutate(root)->at_address(0) = MakeEntry(Ref::Node(1234), 2);
   auto r = DescendToLeaf(schema, nodes, root, PseudoKey({0u, 0u}), nullptr);
   EXPECT_TRUE(r.status().IsCorruption()) << r.status();
 }
@@ -104,8 +104,8 @@ TEST(DescendTest, ZeroDepthCycleIsCaught) {
   NodeArena nodes(2);
   const uint32_t a = nodes.Create();
   const uint32_t b = nodes.Create();
-  nodes.Get(a)->at_address(0) = MakeEntry(Ref::Node(b), 2);
-  nodes.Get(b)->at_address(0) = MakeEntry(Ref::Node(a), 2);
+  nodes.Mutate(a)->at_address(0) = MakeEntry(Ref::Node(b), 2);
+  nodes.Mutate(b)->at_address(0) = MakeEntry(Ref::Node(a), 2);
   auto r = DescendToLeaf(schema, nodes, a, PseudoKey({0u, 0u}), nullptr);
   EXPECT_TRUE(r.status().IsCorruption()) << r.status();
 }

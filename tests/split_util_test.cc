@@ -18,18 +18,25 @@ IndexTuple T(uint32_t a, uint32_t b) {
 
 class SplitUtilTest : public ::testing::Test {
  protected:
-  SplitUtilTest() : schema_(2, 8), node_(2), pages_(4) {}
+  SplitUtilTest()
+      : schema_(2, 8),
+        nodes_(2),
+        node_id_(nodes_.Create()),
+        node_(*nodes_.Mutate(node_id_)),
+        pages_(4) {}
 
   uint32_t NewPageWithKeys(std::initializer_list<PseudoKey> keys) {
     uint32_t id = pages_.Create();
     for (const PseudoKey& k : keys) {
-      BMEH_CHECK_OK(pages_.Get(id)->Insert({k, 0}));
+      BMEH_CHECK_OK(pages_.Mutate(id)->Insert({k, 0}));
     }
     return id;
   }
 
   KeySchema schema_;
-  DirNode node_;
+  NodeArena nodes_;
+  uint32_t node_id_;
+  DirNode& node_;
   PageArena pages_;
   IoCounter io_;
 };
@@ -99,8 +106,8 @@ TEST_F(SplitUtilTest, MergeCascadeJoinsSmallBuddies) {
   uint32_t left = NewPageWithKeys({PseudoKey({0b00000000u, 0u})});
   uint32_t right = NewPageWithKeys({PseudoKey({0b10000000u, 0u})});
   node_.SplitGroup(T(0, 0), 0, Ref::Page(left), Ref::Page(right));
-  const int merges =
-      hashdir::MergeGroupCascade(&node_, T(0, 0), &pages_, 4, &io_);
+  const int merges = hashdir::MergeGroupCascade(&nodes_, node_id_, T(0, 0),
+                                                &pages_, 4, &io_);
   EXPECT_EQ(merges, 1);
   EXPECT_EQ(pages_.live_count(), 1u);
   EXPECT_EQ(node_.at(T(0, 0)).ref, node_.at(T(1, 0)).ref);
@@ -117,7 +124,8 @@ TEST_F(SplitUtilTest, MergeRefusesWhenCombinedWouldBeFull) {
                                    PseudoKey({0b00000011u, 0u})});
   uint32_t right = NewPageWithKeys({PseudoKey({0b10000000u, 0u})});
   node_.SplitGroup(T(0, 0), 0, Ref::Page(left), Ref::Page(right));
-  EXPECT_EQ(hashdir::MergeGroupCascade(&node_, T(0, 0), &pages_, 4, &io_),
+  EXPECT_EQ(hashdir::MergeGroupCascade(&nodes_, node_id_, T(0, 0), &pages_,
+                                       4, &io_),
             0);
   EXPECT_EQ(pages_.live_count(), 2u);
 }
@@ -132,7 +140,7 @@ TEST_F(SplitUtilTest, MergeDropsEmptiedPageWithoutPartner) {
   node_.SplitGroup(T(0, 0), 0, Ref::Page(left), Ref::Page(right));
   // left empty + right full: cannot merge (4 >= capacity), so the empty
   // page is dropped and its group set to NIL.
-  hashdir::MergeGroupCascade(&node_, T(0, 0), &pages_, 4, &io_);
+  hashdir::MergeGroupCascade(&nodes_, node_id_, T(0, 0), &pages_, 4, &io_);
   EXPECT_TRUE(node_.at(T(0, 0)).ref.is_nil());
   EXPECT_EQ(pages_.live_count(), 1u);
 }
@@ -151,7 +159,8 @@ TEST_F(SplitUtilTest, MergeTriesAllDimensionsNotJustRecorded) {
     node_.at(member).m = 1;
   });
   // The cascade must still find the dim-0 merge.
-  EXPECT_EQ(hashdir::MergeGroupCascade(&node_, T(0, 0), &pages_, 4, &io_),
+  EXPECT_EQ(hashdir::MergeGroupCascade(&nodes_, node_id_, T(0, 0), &pages_,
+                                       4, &io_),
             1);
   EXPECT_EQ(pages_.live_count(), 1u);
 }
@@ -161,7 +170,8 @@ TEST_F(SplitUtilTest, HalveNodeCascadeReversesUnneededDoublings) {
   node_.Double(1);
   node_.Double(1);
   IndexTuple t = T(1, 3);
-  const int halvings = hashdir::HalveNodeCascade(&node_, &t, &io_);
+  const int halvings =
+      hashdir::HalveNodeCascade(&nodes_, node_id_, &t, &io_);
   EXPECT_EQ(halvings, 3);
   EXPECT_EQ(node_.depth(0), 0);
   EXPECT_EQ(node_.depth(1), 0);
@@ -174,7 +184,7 @@ TEST_F(SplitUtilTest, HalveStopsAtUsedDepth) {
   node_.Double(1);
   node_.SplitGroup(T(0, 0), 1, Ref::Nil(), Ref::Nil());  // uses the dim-1 bit
   IndexTuple t = T(0, 0);
-  EXPECT_EQ(hashdir::HalveNodeCascade(&node_, &t, &io_), 0);
+  EXPECT_EQ(hashdir::HalveNodeCascade(&nodes_, node_id_, &t, &io_), 0);
   EXPECT_EQ(node_.depth(1), 1);
 }
 

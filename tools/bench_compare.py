@@ -2,6 +2,7 @@
 """Compares perfbench runs of a parent and a change against BENCHMARK.json.
 
     python3 tools/bench_compare.py --parent P1 [P2 ...] --change C1 [C2 ...]
+        [--claim METRIC]
 
 Each file is the stdout of one `python3 perfbench/run.py` run: an
 environment line, then the result line.  For every end-to-end metric in
@@ -9,11 +10,21 @@ BENCHMARK.json it prints both medians, both min-max ranges, how far the
 change's median moved in the metric's worse direction, the bound, and
 `ok` or `WORSE`.
 
+--claim METRIC checks a claimed gain in one end-to-end metric.  The i-th
+--parent file is paired with the i-th --change file, so give them in the
+order they ran.  It prints each side's quartiles, the parent's IQR and
+how many pairs the change won (a tie counts for neither side), and
+`claim met` only when there are at least 10 pairs, the change won at
+least 9 in 10 of them, and its median is better than the parent's by more
+than the parent's IQR.
+
 Exit status: 0 when every median is within its bound, every run is
-correct and the change fails no larger share of its operations than the
-parent; 1 when any of those does not hold; 2 when the runs cannot be
-compared (unreadable output, runs whose workload, records, seconds or
-trace differ, or a result without an end-to-end metric).
+correct, the change fails no larger share of its operations than the
+parent and a claim, if given, is met; 1 when any of those does not hold;
+2 when the runs cannot be compared (unreadable output, runs whose
+workload, records, seconds or trace differ, a result without an
+end-to-end metric, a claimed metric that is not one, or a claim over
+unequal numbers of parent and change runs).
 """
 
 import argparse
@@ -24,6 +35,8 @@ from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 ENV_KEYS = ("workload", "records", "seconds", "trace")
+CLAIM_MIN_PAIRS = 10
+CLAIM_WIN_SHARE = 0.9
 
 
 class Incomparable(Exception):
@@ -56,8 +69,60 @@ def fmt(v):
     return f"{v:.0f}" if abs(v) >= 1000 else f"{v:.3g}"
 
 
-def compare(parent_paths, change_paths):
+def quartiles(values):
+    if len(values) < 2:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4)
+
+
+def check_claim(metric, parent_runs, change_runs):
+    """Prints the paired comparison of the claimed metric; returns whether
+    the claim is met."""
+    name, better = metric["name"], metric["better"]
+    values = {side: [r["metrics"][name]["value"] for _, _, r in runs]
+              for side, runs in (("parent", parent_runs),
+                                 ("change", change_runs))}
+    pairs = list(zip(values["parent"], values["change"]))
+    sign = 1 if better == "higher" else -1
+    wins = sum(1 for p, c in pairs if sign * (c - p) > 0)
+    losses = sum(1 for p, c in pairs if sign * (c - p) < 0)
+    q = {side: quartiles(v) for side, v in values.items()}
+    iqr = q["parent"][2] - q["parent"][0]
+    gain = sign * (q["change"][1] - q["parent"][1])
+    print(f"claim {name} ({better} is better), {len(pairs)} pairs:")
+    for side in ("parent", "change"):
+        print(f"  {side} quartiles {' / '.join(fmt(v) for v in q[side])}")
+    print(f"  parent IQR {fmt(iqr)}; the change's median is better by "
+          f"{fmt(gain)}")
+    print(f"  change won {wins}, lost {losses}, tied "
+          f"{len(pairs) - wins - losses} of {len(pairs)} pairs")
+    reasons = []
+    if len(pairs) < CLAIM_MIN_PAIRS:
+        reasons.append(f"fewer than {CLAIM_MIN_PAIRS} pairs")
+    if wins < CLAIM_WIN_SHARE * len(pairs):
+        reasons.append(f"the change won fewer than "
+                       f"{CLAIM_WIN_SHARE:.0%} of the pairs")
+    if not gain > iqr:
+        reasons.append("the medians differ by no more than the parent's IQR")
+    if reasons:
+        print("claim not met: " + "; ".join(reasons))
+        return False
+    print("claim met")
+    return True
+
+
+def compare(parent_paths, change_paths, claim=None):
     metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
+    claimed = None
+    if claim is not None:
+        claimed = next((m for m in metrics if m["name"] == claim), None)
+        if claimed is None:
+            raise Incomparable(f"--claim {claim}: not an end-to-end metric "
+                               f"in {BENCHMARK.name}")
+        if len(parent_paths) != len(change_paths):
+            raise Incomparable(f"--claim pairs runs, but there are "
+                               f"{len(parent_paths)} parent and "
+                               f"{len(change_paths)} change runs")
     sides = {"parent": [load_run(p) for p in parent_paths],
              "change": [load_run(p) for p in change_paths]}
     first = sides["parent"][0][1]
@@ -104,6 +169,9 @@ def compare(parent_paths, change_paths):
     if shares[1] > shares[0]:
         print("the change fails a larger share of operations")
         failing = True
+    if claimed is not None and not check_claim(claimed, sides["parent"],
+                                               sides["change"]):
+        failing = True
     return 1 if failing else 0
 
 
@@ -111,9 +179,12 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", nargs="+", required=True)
     parser.add_argument("--change", nargs="+", required=True)
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="end-to-end metric the change claims to "
+                             "improve (pairs the runs in order)")
     args = parser.parse_args()
     try:
-        return compare(args.parent, args.change)
+        return compare(args.parent, args.change, args.claim)
     except Incomparable as err:
         print(f"cannot compare: {err}", file=sys.stderr)
         return 2
