@@ -51,11 +51,11 @@ struct BmehLevelStats {
 
 /// \brief What a tolerant image load (LoadFromTolerant) found.
 struct TreeLoadReport {
-  /// Whole chain read and strictly parsed; the tree is exactly the image.
-  bool complete = true;
-  /// A chain page failed the store's checksum verification (vs. a chain
-  /// broken by structural garbage, which sets complete only).
-  bool data_loss = false;
+  /// OK when the walk reached the chain's terminator.  Otherwise why it
+  /// stopped (see BmehTree::WalkImageChain): DataLoss for a chain page
+  /// that failed the store's checksum verification, another read error,
+  /// or Corruption for structural garbage.
+  Status chain;
   /// The directory itself could not be reconstructed — nothing salvaged.
   bool directory_lost = false;
   /// Buckets referenced by the directory whose records were lost.
@@ -144,13 +144,18 @@ class BmehTree : public MultiKeyIndex {
     split_latency_ = hist;
   }
 
-  /// \brief Serializes the whole tree into `store` (page-chained format).
-  /// Returns the id of the first page of the chain.
-  Result<PageId> SaveTo(PageStore* store);
+  /// \brief Serializes the whole tree into `store` as a checkpoint image:
+  /// one byte stream over a chain of pages (serialize.cc).  Returns the
+  /// id of the chain's first page; `pages` (optional) receives every page
+  /// of the chain in chain order, so the owner can free the image later
+  /// without reading it.
+  Result<PageId> SaveTo(PageStore* store,
+                        std::vector<PageId>* pages = nullptr);
 
-  /// \brief Reconstructs a tree previously written by SaveTo.
-  static Result<std::unique_ptr<BmehTree>> LoadFrom(PageStore* store,
-                                                    PageId head);
+  /// \brief Reconstructs a tree previously written by SaveTo.  `pages`
+  /// (optional) receives the chain's pages in chain order.
+  static Result<std::unique_ptr<BmehTree>> LoadFrom(
+      PageStore* store, PageId head, std::vector<PageId>* pages = nullptr);
 
   /// \brief Like LoadFrom, but survives a chain cut short by corruption:
   /// the parseable prefix is reconstructed, and every bucket whose records
@@ -172,15 +177,17 @@ class BmehTree : public MultiKeyIndex {
     return quarantined_;
   }
 
-  /// \brief Frees every page of an image chain written by SaveTo
-  /// (used when replacing a checkpoint).
-  static Status FreeImage(PageStore* store, PageId head);
-
-  /// \brief Appends every page of an image chain written by SaveTo to
-  /// `out`, in chain order (used for reachability-based free-list
-  /// recovery after a crash).
-  static Status CollectImagePages(PageStore* store, PageId head,
-                                  std::vector<PageId>* out);
+  /// \brief Follows the image chain at `head` to its terminator — the one
+  /// reader of the chain's links, run once per image by the loaders and
+  /// by scrub.  Appends every page read to `pages` and, when `payload` is
+  /// non-null, that page's payload bytes to `payload`.  Returns OK at the
+  /// terminator; otherwise why the walk stopped, with `pages` holding the
+  /// pages before the stop: the failed read's status (DataLoss for a
+  /// verified-corrupt page), or Corruption for a cycle or, when
+  /// collecting payload, a length past the page.
+  static Status WalkImageChain(PageStore* store, PageId head,
+                               std::vector<PageId>* pages,
+                               std::vector<uint8_t>* payload);
 
   /// \brief Graphviz dot rendering of the directory (for small trees).
   std::string ToDot() const;
@@ -263,9 +270,11 @@ class BmehTree : public MultiKeyIndex {
   /// one per record, BulkLoad one for the whole batch).
   Status InsertUnscoped(const PseudoKey& key, uint64_t payload);
 
-  /// Shared body of LoadFrom / LoadFromTolerant (`report` null = strict).
+  /// Shared body of LoadFrom / LoadFromTolerant: walks the chain once,
+  /// filling `report`; a strict (non-tolerant) load fails on any cut.
   static Result<std::unique_ptr<BmehTree>> LoadImpl(PageStore* store,
                                                     PageId head,
+                                                    bool tolerant,
                                                     TreeLoadReport* report);
 
   /// One structural change toward making room at the leaf; caller retries.

@@ -1,15 +1,16 @@
-// Persistence for the BMEH-tree: the whole structure is serialized into a
-// compact byte stream and stored across a chain of PageStore pages
-// (each page: [next page id | payload length | payload]), written and read
-// through a BufferPool.  Round-trips through both the in-memory store and
-// the POSIX FilePageStore (see persistence tests).
+// Persistence for the BMEH-tree: the checkpoint image.  The whole tree is
+// serialized into one byte stream — a header, then every directory node
+// and every data page through the image codecs (EncodeNode beside
+// DirNode, DataPage::Serialize), each prefixed by its arena id — and the
+// stream is stored across a chain of PageStore pages, each
+// [next page id u32 | payload length u32 | payload].  WalkImageChain is
+// the only reader of the chain's links; docs/FORMATS.md has the layout.
 
-#include <cstring>
 #include <unordered_set>
 
+#include "src/common/bytes.h"
 #include "src/common/logging.h"
 #include "src/core/bmeh_tree.h"
-#include "src/pagestore/buffer_pool.h"
 #include "src/pagestore/undo_journal.h"
 
 namespace bmeh {
@@ -18,73 +19,23 @@ using hashdir::DirNode;
 using hashdir::Entry;
 using hashdir::IndexTuple;
 using hashdir::Ref;
-using hashdir::RefKind;
 
 namespace {
 
 constexpr uint32_t kTreeMagic = 0x424d5431;  // "BMT1"
+constexpr size_t kChainHeaderSize = 8;      // next + payload length
 
-class ByteWriter {
- public:
-  void U8(uint8_t v) { buf_.push_back(v); }
-  void U32(uint32_t v) {
-    size_t n = buf_.size();
-    buf_.resize(n + 4);
-    std::memcpy(buf_.data() + n, &v, 4);
-  }
-  void U64(uint64_t v) {
-    size_t n = buf_.size();
-    buf_.resize(n + 8);
-    std::memcpy(buf_.data() + n, &v, 8);
-  }
-  const std::vector<uint8_t>& bytes() const { return buf_; }
-
- private:
-  std::vector<uint8_t> buf_;
-};
-
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const uint8_t> data) : data_(data) {}
-
-  Result<uint8_t> U8() {
-    if (pos_ + 1 > data_.size()) return Truncated();
-    return data_[pos_++];
-  }
-  Result<uint32_t> U32() {
-    if (pos_ + 4 > data_.size()) return Truncated();
-    uint32_t v;
-    std::memcpy(&v, data_.data() + pos_, 4);
-    pos_ += 4;
-    return v;
-  }
-  Result<uint64_t> U64() {
-    if (pos_ + 8 > data_.size()) return Truncated();
-    uint64_t v;
-    std::memcpy(&v, data_.data() + pos_, 8);
-    pos_ += 8;
-    return v;
-  }
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  Status Truncated() const {
-    return Status::Corruption("truncated BMEH tree image at offset " +
-                              std::to_string(pos_));
-  }
-  std::span<const uint8_t> data_;
-  size_t pos_ = 0;
-};
-
-/// Writes `bytes` across a chain of store pages; returns the head page id.
+/// Writes `bytes` across a chain of store pages; returns the chain's pages
+/// in chain order, the head first.
 ///
 /// All-or-nothing: the chain's worst-case page count is reserved before
 /// the first allocation, so a full store refuses here with the store
 /// untouched; and a mid-chain allocation or write failure rolls the
 /// partial chain back (every allocated page freed, the reservation
 /// released) instead of leaking half an image.
-Result<PageId> WriteChain(PageStore* store, std::span<const uint8_t> bytes) {
-  const size_t payload_cap = store->page_size() - 8;
+Result<std::vector<PageId>> WriteChain(PageStore* store,
+                                       std::span<const uint8_t> bytes) {
+  const size_t payload_cap = store->page_size() - kChainHeaderSize;
   size_t n_pages = (bytes.size() + payload_cap - 1) / payload_cap;
   if (n_pages == 0) n_pages = 1;
   PageOpJournal journal(store);
@@ -102,122 +53,48 @@ Result<PageId> WriteChain(PageStore* store, std::span<const uint8_t> bytes) {
         (i + 1 < n_pages) ? ids[i + 1] : kInvalidPageId;
     const uint32_t len = static_cast<uint32_t>(
         std::min(payload_cap, bytes.size() - off));
-    std::memcpy(page.data(), &next, 4);
-    std::memcpy(page.data() + 4, &len, 4);
-    if (len > 0) std::memcpy(page.data() + 8, bytes.data() + off, len);
+    PutU32(page.data(), next);
+    PutU32(page.data() + 4, len);
+    if (len > 0) {
+      std::memcpy(page.data() + kChainHeaderSize, bytes.data() + off, len);
+    }
     BMEH_RETURN_NOT_OK(store->Write(ids[i], page));
     off += len;
   }
   journal.Commit();
-  return ids[0];
-}
-
-/// Outcome of a tolerant chain read: the readable prefix plus how (and
-/// whether) the chain ended early.
-struct ChainPrefix {
-  std::vector<uint8_t> bytes;
-  std::vector<PageId> pages;  ///< Chain pages successfully read, in order.
-  bool complete = true;       ///< Reached the kInvalidPageId terminator.
-  bool data_loss = false;     ///< The cut was a verified-corrupt page.
-};
-
-/// Reads a chain written by WriteChain up to the first unreadable or
-/// structurally invalid page; never fails, only stops early.
-ChainPrefix ReadChainPrefix(PageStore* store, PageId head) {
-  ChainPrefix out;
-  std::vector<uint8_t> buf(store->page_size());
-  PageId id = head;
-  std::unordered_set<PageId> visited;
-  while (id != kInvalidPageId) {
-    if (!visited.insert(id).second) {
-      out.complete = false;  // cycle: stale or corrupted link
-      break;
-    }
-    const Status st = store->Read(id, buf);
-    if (!st.ok()) {
-      out.complete = false;
-      out.data_loss = st.IsDataLoss();
-      break;
-    }
-    uint32_t next, len;
-    std::memcpy(&next, buf.data(), 4);
-    std::memcpy(&len, buf.data() + 4, 4);
-    if (len > static_cast<uint32_t>(store->page_size() - 8)) {
-      out.complete = false;
-      break;
-    }
-    out.pages.push_back(id);
-    out.bytes.insert(out.bytes.end(), buf.data() + 8, buf.data() + 8 + len);
-    id = next;
-  }
-  return out;
-}
-
-/// Reads a chain written by WriteChain (strict: any gap is an error).
-Result<std::vector<uint8_t>> ReadChain(PageStore* store, PageId head) {
-  BufferPool pool(store, /*capacity=*/8);
-  std::vector<uint8_t> out;
-  PageId id = head;
-  std::unordered_set<PageId> visited;
-  while (id != kInvalidPageId) {
-    if (!visited.insert(id).second) {
-      return Status::Corruption("page chain cycle at page " +
-                                std::to_string(id));
-    }
-    BMEH_ASSIGN_OR_RETURN(PageHandle h, pool.Fetch(id));
-    auto page = h.data();
-    uint32_t next, len;
-    std::memcpy(&next, page.data(), 4);
-    std::memcpy(&len, page.data() + 4, 4);
-    if (len > static_cast<uint32_t>(store->page_size() - 8)) {
-      return Status::Corruption("page chain payload overflow");
-    }
-    out.insert(out.end(), page.data() + 8, page.data() + 8 + len);
-    id = next;
-  }
-  return out;
+  return ids;
 }
 
 }  // namespace
 
-Status BmehTree::CollectImagePages(PageStore* store, PageId head,
-                                   std::vector<PageId>* out) {
-  PageId id = head;
-  std::unordered_set<PageId> visited;
+Status BmehTree::WalkImageChain(PageStore* store, PageId head,
+                                std::vector<PageId>* pages,
+                                std::vector<uint8_t>* payload) {
   std::vector<uint8_t> buf(store->page_size());
-  while (id != kInvalidPageId) {
-    if (!visited.insert(id).second) {
-      return Status::Corruption("page chain cycle at page " +
-                                std::to_string(id));
-    }
-    out->push_back(id);
-    BMEH_RETURN_NOT_OK(store->Read(id, buf));
-    uint32_t next;
-    std::memcpy(&next, buf.data(), 4);
-    id = next;
-  }
-  return Status::OK();
-}
-
-Status BmehTree::FreeImage(PageStore* store, PageId head) {
-  PageId id = head;
   std::unordered_set<PageId> visited;
-  std::vector<uint8_t> buf(store->page_size());
+  PageId id = head;
   while (id != kInvalidPageId) {
     if (!visited.insert(id).second) {
       return Status::Corruption("page chain cycle at page " +
                                 std::to_string(id));
     }
     BMEH_RETURN_NOT_OK(store->Read(id, buf));
-    uint32_t next;
-    std::memcpy(&next, buf.data(), 4);
-    BMEH_RETURN_NOT_OK(store->Free(id));
-    id = next;
+    if (payload != nullptr) {
+      const uint32_t len = GetU32(buf.data() + 4);
+      if (len > buf.size() - kChainHeaderSize) {
+        return Status::Corruption("page chain payload overflow");
+      }
+      const uint8_t* data = buf.data() + kChainHeaderSize;
+      payload->insert(payload->end(), data, data + len);
+    }
+    pages->push_back(id);
+    id = GetU32(buf.data());
   }
   return Status::OK();
 }
 
-Result<PageId> BmehTree::SaveTo(PageStore* store) {
+Result<PageId> BmehTree::SaveTo(PageStore* store,
+                                std::vector<PageId>* pages) {
   if (degraded()) {
     // Serializing now would replace the (partially corrupt but still
     // diagnosable) on-disk state with a clean-looking image that silently
@@ -242,43 +119,36 @@ Result<PageId> BmehTree::SaveTo(PageStore* store) {
   w.U64(nodes_.live_count());
   nodes_.ForEach([&](uint32_t id, const DirNode& node) {
     w.U32(id);
-    const auto& hist = node.history();
-    w.U32(static_cast<uint32_t>(hist.event_count()));
-    for (int i = 0; i < hist.event_count(); ++i) {
-      w.U8(static_cast<uint8_t>(hist.event_dim(i)));
-    }
-    for (uint64_t a = 0; a < node.entry_count(); ++a) {
-      const Entry& e = node.at_address(a);
-      w.U8(static_cast<uint8_t>(e.ref.kind));
-      w.U32(e.ref.id);
-      for (int j = 0; j < d; ++j) w.U8(e.h[j]);
-      w.U8(e.m);
-    }
+    hashdir::EncodeNode(node, &w);
   });
 
   w.U64(pages_.live_count());
   pages_.ForEach([&](uint32_t id, const DataPage& page) {
     w.U32(id);
-    w.U32(static_cast<uint32_t>(page.size()));
-    for (const Record& rec : page.records()) {
-      for (int j = 0; j < d; ++j) w.U32(rec.key.component(j));
-      w.U64(rec.payload);
-    }
+    page.Serialize(&w);
   });
 
-  return WriteChain(store, w.bytes());
+  BMEH_ASSIGN_OR_RETURN(std::vector<PageId> written,
+                        WriteChain(store, w.bytes()));
+  const PageId head = written.front();
+  if (pages != nullptr) *pages = std::move(written);
+  return head;
 }
 
-Result<std::unique_ptr<BmehTree>> BmehTree::LoadFrom(PageStore* store,
-                                                     PageId head) {
-  return LoadImpl(store, head, nullptr);
+Result<std::unique_ptr<BmehTree>> BmehTree::LoadFrom(
+    PageStore* store, PageId head, std::vector<PageId>* pages) {
+  TreeLoadReport report;
+  BMEH_ASSIGN_OR_RETURN(auto tree,
+                        LoadImpl(store, head, /*tolerant=*/false, &report));
+  if (pages != nullptr) *pages = std::move(report.chain_pages);
+  return tree;
 }
 
 Result<std::unique_ptr<BmehTree>> BmehTree::LoadFromTolerant(
     PageStore* store, PageId head, TreeLoadReport* report) {
   BMEH_CHECK(report != nullptr);
   *report = TreeLoadReport{};
-  auto res = LoadImpl(store, head, report);
+  auto res = LoadImpl(store, head, /*tolerant=*/true, report);
   if (!res.ok()) {
     // Page-section damage is absorbed inside LoadImpl, so any error
     // means the header/directory part could not be rebuilt.
@@ -289,19 +159,12 @@ Result<std::unique_ptr<BmehTree>> BmehTree::LoadFromTolerant(
 
 Result<std::unique_ptr<BmehTree>> BmehTree::LoadImpl(PageStore* store,
                                                      PageId head,
+                                                     bool tolerant,
                                                      TreeLoadReport* report) {
   std::vector<uint8_t> bytes;
-  bool chain_complete = true;
-  if (report == nullptr) {
-    BMEH_ASSIGN_OR_RETURN(bytes, ReadChain(store, head));
-  } else {
-    ChainPrefix prefix = ReadChainPrefix(store, head);
-    bytes = std::move(prefix.bytes);
-    chain_complete = prefix.complete;
-    report->complete = prefix.complete;
-    report->data_loss = prefix.data_loss;
-    report->chain_pages = std::move(prefix.pages);
-  }
+  report->chain =
+      WalkImageChain(store, head, &report->chain_pages, &bytes);
+  if (!tolerant) BMEH_RETURN_NOT_OK(report->chain);
   ByteReader r(bytes);
   BMEH_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
   if (magic != kTreeMagic) {
@@ -343,10 +206,10 @@ Result<std::unique_ptr<BmehTree>> BmehTree::LoadImpl(PageStore* store,
   tree->root_id_ = root;
   tree->levels_ = static_cast<int>(levels);
   tree->records_ = records;
-  if (report != nullptr) report->records_declared = records;
+  report->records_declared = records;
 
-  // Defensive bound on ids so a corrupted image cannot force a gigantic
-  // arena allocation.
+  // Defensive bound on arena ids so a corrupted image cannot force a
+  // gigantic arena allocation.
   constexpr uint32_t kMaxImageId = uint32_t{1} << 26;
 
   BMEH_ASSIGN_OR_RETURN(uint64_t n_nodes, r.U64());
@@ -356,41 +219,15 @@ Result<std::unique_ptr<BmehTree>> BmehTree::LoadImpl(PageStore* store,
     if (tree->nodes_.Alive(id)) {
       return Status::Corruption("duplicate node id in image");
     }
-    tree->nodes_.CreateAt(id);
-    DirNode* node = tree->nodes_.Mutate(id);
-    BMEH_ASSIGN_OR_RETURN(uint32_t n_events, r.U32());
-    if (n_events > 32u * kMaxDims) {
-      return Status::Corruption("bad node event count");
-    }
-    for (uint32_t i = 0; i < n_events; ++i) {
-      BMEH_ASSIGN_OR_RETURN(uint8_t dim, r.U8());
-      if (dim >= d) return Status::Corruption("bad doubling dimension");
-      if (node->depth(dim) >= schema.width(dim)) {
-        return Status::Corruption("node deeper than key width");
-      }
-      node->Double(dim);
-    }
-    for (uint64_t a = 0; a < node->entry_count(); ++a) {
-      Entry e;
-      BMEH_ASSIGN_OR_RETURN(uint8_t kind, r.U8());
-      if (kind > static_cast<uint8_t>(RefKind::kNode)) {
-        return Status::Corruption("bad ref kind");
-      }
-      e.ref.kind = static_cast<RefKind>(kind);
-      BMEH_ASSIGN_OR_RETURN(e.ref.id, r.U32());
-      if (!e.ref.is_nil() && e.ref.id > kMaxImageId) {
+    BMEH_ASSIGN_OR_RETURN(DirNode node, hashdir::DecodeNode(&r, schema));
+    for (uint64_t a = 0; a < node.entry_count(); ++a) {
+      const Ref& ref = node.at_address(a).ref;
+      if (!ref.is_nil() && ref.id > kMaxImageId) {
         return Status::Corruption("ref id out of range");
       }
-      for (int j = 0; j < d; ++j) {
-        BMEH_ASSIGN_OR_RETURN(e.h[j], r.U8());
-        if (e.h[j] > node->depth(j)) {
-          return Status::Corruption("entry local depth exceeds node depth");
-        }
-      }
-      BMEH_ASSIGN_OR_RETURN(e.m, r.U8());
-      if (e.m >= d) return Status::Corruption("bad entry split dimension");
-      node->at_address(a) = e;
     }
+    tree->nodes_.CreateAt(id);
+    *tree->nodes_.Mutate(id) = std::move(node);
   }
   if (!tree->nodes_.Alive(tree->root_id_)) {
     return Status::Corruption("root node missing from image");
@@ -401,35 +238,18 @@ Result<std::unique_ptr<BmehTree>> BmehTree::LoadImpl(PageStore* store,
   // there is no tree.  From here on, a cut chain (tolerant mode only)
   // degrades gracefully — the records that fell past the cut turn into
   // quarantined empty buckets instead of a failed load.
-  const bool tolerate_cut = (report != nullptr && !chain_complete);
-  auto parse_page = [&](uint32_t* created) -> Status {
+  const bool tolerate_cut = tolerant && !report->chain.ok();
+  auto parse_page = [&]() -> Status {
     BMEH_ASSIGN_OR_RETURN(uint32_t id, r.U32());
     if (id > kMaxImageId) return Status::Corruption("page id out of range");
     if (tree->pages_.Alive(id)) {
       return Status::Corruption("duplicate page id in image");
     }
+    BMEH_ASSIGN_OR_RETURN(
+        DataPage page,
+        DataPage::Deserialize(&r, id, options.page_capacity, schema));
     tree->pages_.CreateAt(id);
-    *created = id;
-    DataPage* page = tree->pages_.Mutate(id);
-    BMEH_ASSIGN_OR_RETURN(uint32_t size, r.U32());
-    if (size > static_cast<uint32_t>(options.page_capacity)) {
-      return Status::Corruption("page record count over capacity");
-    }
-    for (uint32_t i = 0; i < size; ++i) {
-      std::array<uint32_t, kMaxDims> comps{};
-      for (int j = 0; j < d; ++j) {
-        BMEH_ASSIGN_OR_RETURN(comps[j], r.U32());
-      }
-      Record rec;
-      rec.key = PseudoKey(std::span<const uint32_t>(comps.data(), d));
-      BMEH_ASSIGN_OR_RETURN(rec.payload, r.U64());
-      if (!schema.Validate(rec.key).ok()) {
-        return Status::Corruption("record key outside schema domain");
-      }
-      if (!page->Insert(rec).ok()) {
-        return Status::Corruption("duplicate record key in page image");
-      }
-    }
+    *tree->pages_.Mutate(id) = std::move(page);
     return Status::OK();
   };
 
@@ -446,13 +266,11 @@ Result<std::unique_ptr<BmehTree>> BmehTree::LoadImpl(PageStore* store,
     }
   }
   for (uint64_t n = 0; n < n_pages && !pages_cut; ++n) {
-    uint32_t created = kInvalidPageId;
-    const Status st = parse_page(&created);
+    const Status st = parse_page();
     if (!st.ok()) {
       if (!tolerate_cut) return st;
-      // A half-parsed bucket is as lost as an unparsed one: drop it so
-      // the quarantine sweep below rebuilds it as an empty placeholder.
-      if (created != kInvalidPageId) tree->pages_.Destroy(created);
+      // A half-parsed bucket is as lost as an unparsed one: the
+      // quarantine sweep below rebuilds it as an empty placeholder.
       pages_cut = true;
     }
   }

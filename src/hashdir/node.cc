@@ -138,5 +138,56 @@ void DirNode::SetGroupRef(const IndexTuple& t, Ref ref) {
   ForEachInGroup(t, [&](const IndexTuple& member) { at(member).ref = ref; });
 }
 
+void EncodeNode(const DirNode& node, ByteWriter* w) {
+  const auto& hist = node.history();
+  w->U32(static_cast<uint32_t>(hist.event_count()));
+  for (int i = 0; i < hist.event_count(); ++i) {
+    w->U8(static_cast<uint8_t>(hist.event_dim(i)));
+  }
+  for (uint64_t a = 0; a < node.entry_count(); ++a) {
+    const Entry& e = node.at_address(a);
+    w->U8(static_cast<uint8_t>(e.ref.kind));
+    w->U32(e.ref.id);
+    for (int j = 0; j < node.dims(); ++j) w->U8(e.h[j]);
+    w->U8(e.m);
+  }
+}
+
+Result<DirNode> DecodeNode(ByteReader* r, const KeySchema& schema) {
+  const int d = schema.dims();
+  DirNode node(d);
+  BMEH_ASSIGN_OR_RETURN(uint32_t n_events, r->U32());
+  if (n_events > 32u * kMaxDims) {
+    return Status::Corruption("bad node event count");
+  }
+  for (uint32_t i = 0; i < n_events; ++i) {
+    BMEH_ASSIGN_OR_RETURN(uint8_t dim, r->U8());
+    if (dim >= d) return Status::Corruption("bad doubling dimension");
+    if (node.depth(dim) >= schema.width(dim)) {
+      return Status::Corruption("node deeper than key width");
+    }
+    node.Double(dim);
+  }
+  for (uint64_t a = 0; a < node.entry_count(); ++a) {
+    Entry e;
+    BMEH_ASSIGN_OR_RETURN(uint8_t kind, r->U8());
+    if (kind > static_cast<uint8_t>(RefKind::kNode)) {
+      return Status::Corruption("bad ref kind");
+    }
+    e.ref.kind = static_cast<RefKind>(kind);
+    BMEH_ASSIGN_OR_RETURN(e.ref.id, r->U32());
+    for (int j = 0; j < d; ++j) {
+      BMEH_ASSIGN_OR_RETURN(e.h[j], r->U8());
+      if (e.h[j] > node.depth(j)) {
+        return Status::Corruption("entry local depth exceeds node depth");
+      }
+    }
+    BMEH_ASSIGN_OR_RETURN(e.m, r->U8());
+    if (e.m >= d) return Status::Corruption("bad entry split dimension");
+    node.at_address(a) = e;
+  }
+  return node;
+}
+
 }  // namespace hashdir
 }  // namespace bmeh

@@ -18,6 +18,8 @@
 #include <functional>
 #include <vector>
 
+#include "src/common/bytes.h"
+#include "src/encoding/key_schema.h"
 #include "src/extarray/extendible_directory.h"
 #include "src/hashdir/entry.h"
 
@@ -105,6 +107,21 @@ class DirNode {
  private:
   extarray::ExtendibleDirectory<Entry> dir_;
 };
+
+/// \brief Appends `node` in the tree image's node layout (the checkpoint
+/// stream and the frozen image's node pages both use it): the growth
+/// history as a u32 doubling count and one u8 dimension per doubling,
+/// oldest first, then every entry in address order as
+/// [ref kind u8 | ref id u32 | local depth u8 per dimension | split
+/// dimension u8].
+void EncodeNode(const DirNode& node, ByteWriter* w);
+
+/// \brief Decodes a node written by EncodeNode, checking it against
+/// `schema`: every doubling names a dimension below d and stays within
+/// that dimension's key width, every ref kind is known, every local depth
+/// is within the node's depth and every split dimension is below d.  Ref
+/// ids mean different things per image, so the caller checks them.
+Result<DirNode> DecodeNode(ByteReader* r, const KeySchema& schema);
 
 }  // namespace hashdir
 }  // namespace bmeh

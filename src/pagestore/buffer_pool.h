@@ -1,7 +1,8 @@
 // BufferPool: a pin-counted LRU page cache over a PageStore.
 //
-// Used by the serialization path (BMEH save/load) and directly testable as
-// a substrate.  Frames are pinned through the RAII PageHandle; unpinned
+// Used by the frozen tree (src/store/frozen_tree.h), whose probes read one
+// store page per directory node and data page, and directly testable as a
+// substrate.  Frames are pinned through the RAII PageHandle; unpinned
 // frames are evicted in LRU order, writing back dirty contents.
 
 #ifndef BMEH_PAGESTORE_BUFFER_POOL_H_

@@ -1,7 +1,6 @@
 #include "src/pagestore/data_page.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace bmeh {
 
@@ -70,54 +69,37 @@ void DataPage::Partition(const std::function<bool(const Record&)>& goes_right,
   records_.resize(w);
 }
 
-int DataPage::SerializedSize(int capacity, int dims) {
-  // count (4) + capacity * (dims * 4 key bytes + 8 payload bytes)
-  return 4 + capacity * (dims * 4 + 8);
-}
-
-void DataPage::Serialize(int dims, std::span<uint8_t> out) const {
-  BMEH_CHECK(out.size() >=
-             static_cast<size_t>(SerializedSize(capacity_, dims)));
-  uint8_t* p = out.data();
-  uint32_t n = static_cast<uint32_t>(records_.size());
-  std::memcpy(p, &n, 4);
-  p += 4;
+void DataPage::Serialize(ByteWriter* w) const {
+  w->U32(static_cast<uint32_t>(records_.size()));
   for (const Record& rec : records_) {
-    BMEH_DCHECK(rec.key.dims() == dims);
-    for (int j = 0; j < dims; ++j) {
-      uint32_t c = rec.key.component(j);
-      std::memcpy(p, &c, 4);
-      p += 4;
-    }
-    std::memcpy(p, &rec.payload, 8);
-    p += 8;
+    for (int j = 0; j < rec.key.dims(); ++j) w->U32(rec.key.component(j));
+    w->U64(rec.payload);
   }
 }
 
-Result<DataPage> DataPage::Deserialize(PageId id, int capacity, int dims,
-                                       std::span<const uint8_t> in) {
-  if (in.size() < static_cast<size_t>(SerializedSize(capacity, dims))) {
-    return Status::Corruption("data page buffer too small");
-  }
-  const uint8_t* p = in.data();
-  uint32_t n;
-  std::memcpy(&n, p, 4);
-  p += 4;
+Result<DataPage> DataPage::Deserialize(ByteReader* r, PageId id, int capacity,
+                                       const KeySchema& schema) {
+  BMEH_ASSIGN_OR_RETURN(uint32_t n, r->U32());
   if (n > static_cast<uint32_t>(capacity)) {
     return Status::Corruption("data page record count " + std::to_string(n) +
                               " exceeds capacity " + std::to_string(capacity));
   }
   DataPage page(id, capacity);
+  const int d = schema.dims();
   for (uint32_t i = 0; i < n; ++i) {
     std::array<uint32_t, kMaxDims> comps{};
-    for (int j = 0; j < dims; ++j) {
-      std::memcpy(&comps[j], p, 4);
-      p += 4;
+    for (int j = 0; j < d; ++j) {
+      BMEH_ASSIGN_OR_RETURN(comps[j], r->U32());
     }
     Record rec;
-    rec.key = PseudoKey(std::span<const uint32_t>(comps.data(), dims));
-    std::memcpy(&rec.payload, p, 8);
-    p += 8;
+    rec.key = PseudoKey(std::span<const uint32_t>(comps.data(), d));
+    BMEH_ASSIGN_OR_RETURN(rec.payload, r->U64());
+    if (!schema.Validate(rec.key).ok()) {
+      return Status::Corruption("record key outside schema domain");
+    }
+    if (page.Contains(rec.key)) {
+      return Status::Corruption("duplicate record key in page image");
+    }
     page.records_.push_back(rec);
   }
   return page;

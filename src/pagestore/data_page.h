@@ -3,7 +3,8 @@
 // The paper's data pages hold up to b records; pages split when the
 // (b+1)-st record arrives.  The experiments treat a data page as one disk
 // block regardless of b (b is the paper's independent variable).  DataPage
-// also knows how to serialize itself into a raw page for persistence.
+// also owns the tree image's page codec, which the checkpoint stream and
+// the frozen image both write.
 
 #ifndef BMEH_PAGESTORE_DATA_PAGE_H_
 #define BMEH_PAGESTORE_DATA_PAGE_H_
@@ -13,8 +14,10 @@
 #include <optional>
 #include <vector>
 
+#include "src/common/bytes.h"
 #include "src/common/result.h"
 #include "src/common/status.h"
+#include "src/encoding/key_schema.h"
 #include "src/encoding/pseudo_key.h"
 #include "src/pagestore/page.h"
 
@@ -78,16 +81,16 @@ class DataPage {
   /// \brief Removes all records.
   void Clear() { records_.clear(); }
 
-  /// \brief Bytes needed to serialize a page of `capacity` records with
-  /// `dims`-dimensional keys.
-  static int SerializedSize(int capacity, int dims);
+  /// \brief Appends the page in the tree image's page layout: a u32
+  /// record count, then per record its key components (u32 each) and its
+  /// u64 payload.
+  void Serialize(ByteWriter* w) const;
 
-  /// \brief Serializes into `out` (size >= SerializedSize).
-  void Serialize(int dims, std::span<uint8_t> out) const;
-
-  /// \brief Reconstructs a page from serialized bytes.
-  static Result<DataPage> Deserialize(PageId id, int capacity, int dims,
-                                      std::span<const uint8_t> in);
+  /// \brief Decodes a page written by Serialize, checking that it holds
+  /// at most `capacity` records, every key inside `schema` and no key
+  /// twice.
+  static Result<DataPage> Deserialize(ByteReader* r, PageId id, int capacity,
+                                      const KeySchema& schema);
 
  private:
   /// Appends to a non-full page, growing the storage at most to b.

@@ -16,6 +16,7 @@
 #include <unordered_map>
 
 #include "src/common/backoff.h"
+#include "src/common/bytes.h"
 #include "src/common/crc32.h"
 #include "src/common/logging.h"
 
@@ -248,19 +249,6 @@ namespace {
 constexpr uint32_t kMagicV1 = 0x424d4548;  // "BMEH": legacy, no trailers
 constexpr uint32_t kMagicV2 = 0x32484d42;  // "BMH2": self-checksumming pages
 constexpr size_t kHeaderSize = 64;
-
-void PutU32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, 4); }
-void PutU64(uint8_t* p, uint64_t v) { std::memcpy(p, &v, 8); }
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
 
 /// Seed binding a page's checksum to its identity and its file: the same
 /// bytes at another id (misdirected write / read) or in another store

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "src/common/bytes.h"
 #include "src/common/crc32.h"
 #include "src/common/result.h"
 
@@ -24,26 +25,6 @@ constexpr size_t kPagesHeaderSize = 16;  // magic u32 | page_size u32 | count u6
 constexpr char kBackupMagic[] = "BMEH-BACKUP v1";
 /// Longest prev chain Restore will follow before declaring a cycle.
 constexpr int kMaxChainLength = 4096;
-
-void PutU32(uint8_t* p, uint32_t v) {
-  p[0] = static_cast<uint8_t>(v);
-  p[1] = static_cast<uint8_t>(v >> 8);
-  p[2] = static_cast<uint8_t>(v >> 16);
-  p[3] = static_cast<uint8_t>(v >> 24);
-}
-void PutU64(uint8_t* p, uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
 
 /// Releases a BeginBackup pin on every exit path.
 class BackupPin {

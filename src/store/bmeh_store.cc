@@ -4,12 +4,13 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_set>
+#include <utility>
 
+#include "src/common/bytes.h"
 #include "src/common/crc32.h"
 #include "src/obs/stopwatch.h"
 
@@ -38,24 +39,21 @@ Status ReadSuperblockFrom(PageStore* store, PageId page, PageId* head,
                           uint64_t* wal_base_lsn) {
   std::vector<uint8_t> buf(store->page_size());
   BMEH_RETURN_NOT_OK(store->Read(page, buf));
-  uint32_t magic;
-  std::memcpy(&magic, buf.data(), 4);
+  const uint32_t magic = GetU32(buf.data());
   if (magic != kSuperMagic && magic != kSuperMagicV2) {
     return Status::Corruption("bad superblock magic");
   }
   const size_t payload =
       magic == kSuperMagic ? kSuperPayload : kSuperPayloadV2;
-  uint32_t crc;
-  std::memcpy(&crc, buf.data() + payload, 4);
-  if (crc != Crc32(buf.data(), payload)) {
+  if (GetU32(buf.data() + payload) != Crc32(buf.data(), payload)) {
     return Status::Corruption("superblock checksum mismatch");
   }
-  std::memcpy(head, buf.data() + 4, 4);
-  std::memcpy(generation, buf.data() + 8, 8);
-  std::memcpy(wal_head, buf.data() + 16, 4);
-  uint64_t base = 1;
-  if (magic == kSuperMagic) std::memcpy(&base, buf.data() + 20, 8);
-  if (wal_base_lsn != nullptr) *wal_base_lsn = base;
+  *head = GetU32(buf.data() + 4);
+  *generation = GetU64(buf.data() + 8);
+  *wal_head = GetU32(buf.data() + 16);
+  if (wal_base_lsn != nullptr) {
+    *wal_base_lsn = magic == kSuperMagic ? GetU64(buf.data() + 20) : 1;
+  }
   return Status::OK();
 }
 
@@ -63,13 +61,12 @@ Status WriteSuperblockTo(PageStore* store, PageId page, PageId head,
                          uint64_t generation, PageId wal_head,
                          uint64_t wal_base_lsn) {
   std::vector<uint8_t> buf(store->page_size(), 0);
-  std::memcpy(buf.data(), &kSuperMagic, 4);
-  std::memcpy(buf.data() + 4, &head, 4);
-  std::memcpy(buf.data() + 8, &generation, 8);
-  std::memcpy(buf.data() + 16, &wal_head, 4);
-  std::memcpy(buf.data() + 20, &wal_base_lsn, 8);
-  const uint32_t crc = Crc32(buf.data(), kSuperPayload);
-  std::memcpy(buf.data() + kSuperPayload, &crc, 4);
+  PutU32(buf.data(), kSuperMagic);
+  PutU32(buf.data() + 4, head);
+  PutU64(buf.data() + 8, generation);
+  PutU32(buf.data() + 16, wal_head);
+  PutU64(buf.data() + 20, wal_base_lsn);
+  PutU32(buf.data() + kSuperPayload, Crc32(buf.data(), kSuperPayload));
   BMEH_RETURN_NOT_OK(store->Write(page, buf));
   return store->Sync();
 }
@@ -346,7 +343,8 @@ Result<std::unique_ptr<BmehStore>> BmehStore::InitFresh(
 }
 
 Result<std::unique_ptr<BmehStore>> BmehStore::OpenExisting(
-    std::unique_ptr<PageStore> store, const StoreOptions& options) {
+    std::unique_ptr<PageStore> store, const StoreOptions& options,
+    Status* image_chain) {
   auto out = std::unique_ptr<BmehStore>(
       new BmehStore(std::move(store), nullptr, kInvalidPageId, 0, options));
   PageId head = kInvalidPageId, wal_head = kInvalidPageId;
@@ -376,26 +374,29 @@ Result<std::unique_ptr<BmehStore>> BmehStore::OpenExisting(
   if (head == kInvalidPageId) {
     out->tree_ = std::make_unique<BmehTree>(options.schema, options.tree);
   } else if (!options.tolerate_corruption) {
-    BMEH_ASSIGN_OR_RETURN(out->tree_,
-                          BmehTree::LoadFrom(out->store_.get(), head));
+    BMEH_ASSIGN_OR_RETURN(
+        out->tree_,
+        BmehTree::LoadFrom(out->store_.get(), head, &out->image_pages_));
   } else {
     TreeLoadReport image_report;
     auto loaded =
         BmehTree::LoadFromTolerant(out->store_.get(), head, &image_report);
+    *image_chain = image_report.chain;
     if (loaded.ok()) {
       out->tree_ = std::move(loaded).ValueOrDie();
+      out->image_pages_ = std::move(image_report.chain_pages);
       if (out->tree_->degraded()) {
         out->report_.degraded = true;
-        out->report_.image_data_loss = image_report.data_loss;
+        out->report_.image_data_loss = image_report.chain.IsDataLoss();
         out->report_.quarantined_buckets = image_report.quarantined_pages;
         out->store_->NoteQuarantined(image_report.quarantined_pages);
       }
-    } else if (image_report.directory_lost && !image_report.complete) {
+    } else if (image_report.directory_lost && !image_report.chain.ok()) {
       // The cut fell inside the directory itself: no bucket survives.
       // Keep the store openable for triage; WAL records still replay.
       out->report_.degraded = true;
       out->report_.image_lost = true;
-      out->report_.image_data_loss = image_report.data_loss;
+      out->report_.image_data_loss = image_report.chain.IsDataLoss();
       out->tree_ = std::make_unique<BmehTree>(options.schema, options.tree);
     } else {
       // Intact chain but unparseable image: structural corruption, not
@@ -475,7 +476,8 @@ Result<std::unique_ptr<BmehStore>> BmehStore::Open(
   if (store->live_page_count() == 0) {
     return InitFresh(std::move(store), options);
   }
-  return OpenExisting(std::move(store), options);
+  Status image_chain;
+  return OpenExisting(std::move(store), options, &image_chain);
 }
 
 Result<std::unique_ptr<BmehStore>> BmehStore::Open(
@@ -494,7 +496,9 @@ Result<std::unique_ptr<BmehStore>> BmehStore::Open(
   BMEH_ASSIGN_OR_RETURN(auto file, FilePageStore::OpenForRecovery(path));
   if (options.max_pages > 0) file->SetMaxPages(options.max_pages);
   FilePageStore* raw = file.get();
-  BMEH_ASSIGN_OR_RETURN(auto out, OpenExisting(std::move(file), options));
+  Status image_chain;
+  BMEH_ASSIGN_OR_RETURN(auto out,
+                        OpenExisting(std::move(file), options, &image_chain));
 
   if (out->degraded()) {
     // With verified corruption in play, "unreachable" can no longer be
@@ -504,14 +508,12 @@ Result<std::unique_ptr<BmehStore>> BmehStore::Open(
     // growing the file instead of recycling.
     return out;
   }
-  std::unordered_set<PageId> reachable;
+  // The load's walk listed the image's pages; one that stopped short of
+  // the chain's terminator cannot say which pages are the image's.
+  BMEH_RETURN_NOT_OK(image_chain);
+  std::unordered_set<PageId> reachable(out->image_pages_.begin(),
+                                       out->image_pages_.end());
   reachable.insert(out->super_page_);
-  if (out->image_head_ != kInvalidPageId) {
-    std::vector<PageId> image_pages;
-    BMEH_RETURN_NOT_OK(BmehTree::CollectImagePages(
-        out->store_.get(), out->image_head_, &image_pages));
-    reachable.insert(image_pages.begin(), image_pages.end());
-  }
   for (PageId id : out->wal_->pages()) reachable.insert(id);
   std::vector<PageId> free_pages;
   for (PageId id = 1; id < raw->page_count(); ++id) {
@@ -538,13 +540,10 @@ Result<StoreInfo> BmehStore::Inspect(const std::string& path) {
   info.wal_base_lsn = wal_base_lsn;
 
   std::unique_ptr<BmehTree> tree;
-  uint64_t image_pages = 0;
+  std::vector<PageId> image_pages;
   if (head != kInvalidPageId) {
-    std::vector<PageId> pages;
-    BMEH_RETURN_NOT_OK(
-        BmehTree::CollectImagePages(file.get(), head, &pages));
-    image_pages = pages.size();
-    BMEH_ASSIGN_OR_RETURN(tree, BmehTree::LoadFrom(file.get(), head));
+    BMEH_ASSIGN_OR_RETURN(tree,
+                          BmehTree::LoadFrom(file.get(), head, &image_pages));
   }
   // Count the replayed state without mutating the file (no tail
   // sanitization, no superblock rewrite).
@@ -569,7 +568,7 @@ Result<StoreInfo> BmehStore::Inspect(const std::string& path) {
   info.records = tree != nullptr ? tree->Stats().records : scratch.size();
   // Live pages after the recovery a real Open() would perform:
   // superblock + image chain + WAL chain.
-  info.live_pages = 1 + image_pages + info.wal_pages;
+  info.live_pages = 1 + image_pages.size() + info.wal_pages;
   info.free_pages =
       info.page_count > info.live_pages + 1  // +1: the header page
           ? info.page_count - info.live_pages - 1
@@ -581,6 +580,7 @@ Result<StoreInfo> BmehStore::Inspect(const std::string& path) {
   info.read_retries = file->stats().read_retries;
   info.checksum_failures = file->stats().checksum_failures;
   info.pages_quarantined = file->stats().pages_quarantined;
+  info.page_reads = file->stats().reads;
   return info;
 }
 
@@ -911,7 +911,9 @@ Status BmehStore::CheckpointArmedLocked() {
   // archive (when configured) *before* anything becomes unreachable; a
   // failed archive write fails the checkpoint with the log intact.
   BMEH_RETURN_NOT_OK(ArchiveWalLocked());
-  BMEH_ASSIGN_OR_RETURN(PageId new_head, tree_->SaveTo(store_.get()));
+  std::vector<PageId> new_pages;
+  BMEH_ASSIGN_OR_RETURN(PageId new_head,
+                        tree_->SaveTo(store_.get(), &new_pages));
   if (crash_before_publish_) {
     // Testing hook: the image is on disk but the superblock still points
     // at the previous checkpoint — exactly the state after a crash here.
@@ -929,30 +931,28 @@ Status BmehStore::CheckpointArmedLocked() {
     return publish;
   }
   // Publish succeeded: the new image and an empty WAL are the durable
-  // truth.  Update in-memory state first, then reclaim the old chains —
-  // a failed Free here leaks pages (reclaimed by the next recovery Open)
-  // but cannot corrupt the published state.  While an online backup has
-  // the old chains pinned, their frees are deferred to EndBackup() so
-  // the pages cannot be recycled under the backup's page copies.
-  const PageId old_image = image_head_;
+  // truth.  Update in-memory state first — the log detaches before any
+  // page is freed, so a failed Free cannot leave checkpointed records in
+  // the live log — then release the old chains as one list, the old
+  // image in chain order and then the log's pages, without reading any
+  // of them.  A failed Free leaks pages (reclaimed by the next recovery
+  // Open) but cannot corrupt the published state.  While an online
+  // backup has the old chains pinned, the list waits for EndBackup() so
+  // its pages cannot be recycled under the backup's page copies.
   image_head_ = new_head;
+  std::vector<PageId> released =
+      std::exchange(image_pages_, std::move(new_pages));
+  const std::vector<PageId> wal_pages = wal_->TruncateDeferred();
+  released.insert(released.end(), wal_pages.begin(), wal_pages.end());
   ++generation_;
   dirty_ops_ = 0;
   published_wal_head_ = kInvalidPageId;
-  wal_->NoteSynced();
   if (backup_pins_ > 0) {
-    if (old_image != kInvalidPageId) {
-      deferred_image_frees_.push_back(old_image);
-    }
-    const std::vector<PageId> wal_pages = wal_->TruncateDeferred();
-    deferred_page_frees_.insert(deferred_page_frees_.end(),
-                                wal_pages.begin(), wal_pages.end());
+    deferred_page_frees_.insert(deferred_page_frees_.end(), released.begin(),
+                                released.end());
     return Status::OK();
   }
-  if (old_image != kInvalidPageId) {
-    BMEH_RETURN_NOT_OK(BmehTree::FreeImage(store_.get(), old_image));
-  }
-  BMEH_RETURN_NOT_OK(wal_->Truncate());
+  for (PageId id : released) BMEH_RETURN_NOT_OK(store_->Free(id));
   return Status::OK();
 }
 
@@ -1004,10 +1004,7 @@ Result<BmehStore::BackupSnapshot> BmehStore::BeginBackup() {
   snap.generation = generation_;
   snap.base_lsn = wal_->base_lsn();
   snap.watermark = wal_->next_lsn() - 1;
-  if (image_head_ != kInvalidPageId) {
-    BMEH_RETURN_NOT_OK(BmehTree::CollectImagePages(
-        store_.get(), image_head_, &snap.image_pages));
-  }
+  snap.image_pages = image_pages_;
   if (wal_->record_count() > 0) {
     snap.wal_records.reserve(wal_->record_count());
     Wal reader(store_.get(), 0);
@@ -1040,17 +1037,10 @@ void BmehStore::EndBackup() {
   // Last pin released: perform the frees checkpoints deferred.  A failed
   // free only leaks pages (the next recovery Open reclaims them from
   // reachability), so log and keep going.
-  for (PageId head : deferred_image_frees_) {
-    Status st = BmehTree::FreeImage(store_.get(), head);
-    if (!st.ok()) {
-      BMEH_LOG(Warning) << "deferred image free leaked pages: " << st;
-    }
-  }
-  deferred_image_frees_.clear();
   for (PageId id : deferred_page_frees_) {
     Status st = store_->Free(id);
     if (!st.ok()) {
-      BMEH_LOG(Warning) << "deferred WAL page free leaked a page: " << st;
+      BMEH_LOG(Warning) << "deferred page free leaked a page: " << st;
     }
   }
   deferred_page_frees_.clear();

@@ -10,7 +10,10 @@
 //    header) is then rewritten to point at the new chain, and the old
 //    chain's pages are returned to the free list.  The superblock write
 //    is one page-sized pwrite, so a crash leaves the store at either the
-//    old or the new checkpoint, never in between.
+//    old or the new checkpoint, never in between.  The store keeps the
+//    page list of the chain it last wrote or loaded, so freeing the old
+//    image, an online backup's snapshot and Open's free-list rebuild
+//    never re-read an image; only the load itself reads it, once.
 //
 //  * Write-ahead log.  Every mutation between checkpoints is appended to
 //    a page-chain log (src/store/wal.h) *before* it is applied to the
@@ -205,6 +208,9 @@ struct StoreInfo {
   uint64_t read_retries = 0;
   uint64_t checksum_failures = 0;
   uint64_t pages_quarantined = 0;
+  /// Pages the inspection itself read: the superblock, the image chain
+  /// once and the WAL chain.
+  uint64_t page_reads = 0;
 };
 
 /// \brief Builder for a set of mutations applied by BmehStore::Write as
@@ -413,8 +419,11 @@ class BmehStore {
 
   /// Loads superblock + tree + WAL from an already-open device.  Factored
   /// so the path and PageStore overloads share one recovery path.
+  /// `image_chain` receives why a tolerant load's walk of the image chain
+  /// stopped short of its terminator (OK when it did not).
   static Result<std::unique_ptr<BmehStore>> OpenExisting(
-      std::unique_ptr<PageStore> store, const StoreOptions& options);
+      std::unique_ptr<PageStore> store, const StoreOptions& options,
+      Status* image_chain);
   static Result<std::unique_ptr<BmehStore>> InitFresh(
       std::unique_ptr<PageStore> store, const StoreOptions& options);
 
@@ -474,6 +483,11 @@ class BmehStore {
   std::vector<Status> group_outcomes_;
   PageId super_page_ = kInvalidPageId;
   PageId image_head_ = kInvalidPageId;
+  /// Pages of the published image's chain, in chain order, as SaveTo or
+  /// the load wrote or read them: the free-list rebuild, BeginBackup and
+  /// the next checkpoint's release use this list instead of re-walking
+  /// the chain.
+  std::vector<PageId> image_pages_;
   /// WAL head the on-disk superblock currently points at.
   PageId published_wal_head_ = kInvalidPageId;
   uint64_t generation_ = 0;
@@ -482,10 +496,9 @@ class BmehStore {
   /// WAL archiving directory ("" = archiving off).
   std::string wal_archive_dir_;
   /// Outstanding BeginBackup() pins.  While nonzero, checkpoints defer
-  /// the frees below so pinned snapshot pages cannot be recycled under a
-  /// concurrent page copy.
+  /// their page releases (old image, then old WAL) to this list so pinned
+  /// snapshot pages cannot be recycled under a concurrent page copy.
   uint64_t backup_pins_ = 0;
-  std::vector<PageId> deferred_image_frees_;
   std::vector<PageId> deferred_page_frees_;
   RecoveryReport report_;
   bool crash_before_publish_ = false;

@@ -1,8 +1,8 @@
 #include "src/store/frozen_tree.h"
 
-#include <cstring>
 #include <unordered_map>
 
+#include "src/common/bytes.h"
 #include "src/hashdir/descent.h"
 #include "src/hashdir/range_walk.h"
 
@@ -12,126 +12,12 @@ using hashdir::DirNode;
 using hashdir::Entry;
 using hashdir::IndexTuple;
 using hashdir::Ref;
-using hashdir::RefKind;
 
 namespace {
 
 constexpr uint32_t kFrozenMagic = 0x424d465a;  // "BMFZ"
 constexpr uint8_t kNodePageType = 1;
 constexpr uint8_t kDataPageType = 2;
-
-class PageWriter {
- public:
-  explicit PageWriter(int page_size) : buf_(page_size, 0) {}
-
-  bool U8(uint8_t v) { return Put(&v, 1); }
-  bool U16(uint16_t v) { return Put(&v, 2); }
-  bool U32(uint32_t v) { return Put(&v, 4); }
-  bool U64(uint64_t v) { return Put(&v, 8); }
-
-  std::span<const uint8_t> bytes() const { return buf_; }
-  std::span<uint8_t> tail() {
-    return std::span<uint8_t>(buf_).subspan(pos_);
-  }
-  void Advance(size_t n) { pos_ += n; }
-  size_t remaining() const { return buf_.size() - pos_; }
-
- private:
-  bool Put(const void* p, size_t n) {
-    if (pos_ + n > buf_.size()) return false;
-    std::memcpy(buf_.data() + pos_, p, n);
-    pos_ += n;
-    return true;
-  }
-  std::vector<uint8_t> buf_;
-  size_t pos_ = 0;
-};
-
-class PageReader {
- public:
-  explicit PageReader(std::span<const uint8_t> data) : data_(data) {}
-
-  Result<uint8_t> U8() { return Get<uint8_t>(); }
-  Result<uint16_t> U16() { return Get<uint16_t>(); }
-  Result<uint32_t> U32() { return Get<uint32_t>(); }
-  Result<uint64_t> U64() { return Get<uint64_t>(); }
-  std::span<const uint8_t> tail() const { return data_.subspan(pos_); }
-
- private:
-  template <typename T>
-  Result<T> Get() {
-    if (pos_ + sizeof(T) > data_.size()) {
-      return Status::Corruption("truncated frozen page");
-    }
-    T v;
-    std::memcpy(&v, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-  std::span<const uint8_t> data_;
-  size_t pos_ = 0;
-};
-
-/// Serializes one directory node (with child refs already translated to
-/// store page ids) into a page image.
-Status EncodeNode(const DirNode& node, int dims, PageWriter* w) {
-  const auto& hist = node.history();
-  bool ok = w->U8(kNodePageType);
-  ok = ok && w->U16(static_cast<uint16_t>(hist.event_count()));
-  for (int i = 0; ok && i < hist.event_count(); ++i) {
-    ok = w->U8(static_cast<uint8_t>(hist.event_dim(i)));
-  }
-  for (uint64_t a = 0; ok && a < node.entry_count(); ++a) {
-    const Entry& e = node.at_address(a);
-    ok = w->U8(static_cast<uint8_t>(e.ref.kind));
-    ok = ok && w->U32(e.ref.id);
-    for (int j = 0; ok && j < dims; ++j) ok = w->U8(e.h[j]);
-    ok = ok && w->U8(e.m);
-  }
-  if (!ok) {
-    return Status::CapacityError(
-        "directory node does not fit in one store page; use a larger "
-        "page size or smaller phi");
-  }
-  return Status::OK();
-}
-
-Result<DirNode> DecodeNode(std::span<const uint8_t> data,
-                           const KeySchema& schema) {
-  PageReader r(data);
-  const int d = schema.dims();
-  BMEH_ASSIGN_OR_RETURN(uint8_t type, r.U8());
-  if (type != kNodePageType) {
-    return Status::Corruption("expected a frozen node page");
-  }
-  BMEH_ASSIGN_OR_RETURN(uint16_t n_events, r.U16());
-  DirNode node(d);
-  for (uint16_t i = 0; i < n_events; ++i) {
-    BMEH_ASSIGN_OR_RETURN(uint8_t dim, r.U8());
-    if (dim >= d || node.depth(dim) >= schema.width(dim)) {
-      return Status::Corruption("bad node growth event");
-    }
-    node.Double(dim);
-  }
-  for (uint64_t a = 0; a < node.entry_count(); ++a) {
-    Entry e;
-    BMEH_ASSIGN_OR_RETURN(uint8_t kind, r.U8());
-    if (kind > static_cast<uint8_t>(RefKind::kNode)) {
-      return Status::Corruption("bad frozen ref kind");
-    }
-    e.ref.kind = static_cast<RefKind>(kind);
-    BMEH_ASSIGN_OR_RETURN(e.ref.id, r.U32());
-    for (int j = 0; j < d; ++j) {
-      BMEH_ASSIGN_OR_RETURN(e.h[j], r.U8());
-      if (e.h[j] > node.depth(j)) {
-        return Status::Corruption("frozen local depth exceeds node depth");
-      }
-    }
-    BMEH_ASSIGN_OR_RETURN(e.m, r.U8());
-    node.at_address(a) = e;
-  }
-  return node;
-}
 
 }  // namespace
 
@@ -164,65 +50,65 @@ Result<PageId> FrozenBmehTree::Freeze(const BmehTree& tree,
   });
   BMEH_RETURN_NOT_OK(bad);
 
+  // Every page is encoded into `w`, then written zero-padded to a page.
+  ByteWriter w;
+  std::vector<uint8_t> buf;
+  auto write_page = [&](PageId page, const char* too_big) -> Status {
+    if (w.size() > static_cast<size_t>(store->page_size())) {
+      return Status::CapacityError(too_big);
+    }
+    buf.assign(w.bytes().begin(), w.bytes().end());
+    buf.resize(store->page_size(), 0);
+    return store->Write(page, buf);
+  };
+
   // Pass 2: write data pages.
   tree.data_pages().ForEach([&](uint32_t id, const DataPage& page) {
     if (!bad.ok()) return;
-    PageWriter w(store->page_size());
-    if (!w.U8(kDataPageType) ||
-        w.remaining() <
-            static_cast<size_t>(
-                DataPage::SerializedSize(page.capacity(), d))) {
-      bad = Status::CapacityError(
-          "data page does not fit in one store page; use a larger page "
-          "size or smaller b");
-      return;
-    }
-    page.Serialize(d, w.tail());
-    bad = store->Write(data_page[id], w.bytes());
+    w.Clear();
+    w.U8(kDataPageType);
+    page.Serialize(&w);
+    bad = write_page(data_page[id],
+                     "data page does not fit in one store page; use a "
+                     "larger page size or smaller b");
   });
   BMEH_RETURN_NOT_OK(bad);
 
-  // Pass 3: write directory nodes with translated child refs.
+  // Pass 3: write directory nodes with child refs translated to store
+  // page ids.
   tree.nodes().ForEach([&](uint32_t id, const DirNode& node) {
     if (!bad.ok()) return;
-    // Copy the node and rewrite refs.
-    DirNode copy(d);
-    {
-      const auto& hist = node.history();
-      for (int i = 0; i < hist.event_count(); ++i) {
-        copy.Double(hist.event_dim(i));
-      }
-      for (uint64_t a = 0; a < node.entry_count(); ++a) {
-        Entry e = node.at_address(a);
-        if (e.ref.is_node()) {
-          e.ref.id = node_page.at(e.ref.id);
-        } else if (e.ref.is_page()) {
-          e.ref.id = data_page.at(e.ref.id);
-        }
-        copy.at_address(a) = e;
+    DirNode copy = node;
+    for (uint64_t a = 0; a < copy.entry_count(); ++a) {
+      Ref& ref = copy.at_address(a).ref;
+      if (ref.is_node()) {
+        ref.id = node_page.at(ref.id);
+      } else if (ref.is_page()) {
+        ref.id = data_page.at(ref.id);
       }
     }
-    PageWriter w(store->page_size());
-    bad = EncodeNode(copy, d, &w);
-    if (!bad.ok()) return;
-    bad = store->Write(node_page[id], w.bytes());
+    w.Clear();
+    w.U8(kNodePageType);
+    hashdir::EncodeNode(copy, &w);
+    bad = write_page(node_page[id],
+                     "directory node does not fit in one store page; use a "
+                     "larger page size or smaller phi");
   });
   BMEH_RETURN_NOT_OK(bad);
 
   // Metadata page.
   BMEH_ASSIGN_OR_RETURN(PageId meta, store->Allocate());
-  PageWriter w(store->page_size());
-  bool ok = w.U32(kFrozenMagic);
-  ok = ok && w.U8(static_cast<uint8_t>(d));
-  for (int j = 0; ok && j < d; ++j) {
-    ok = w.U8(static_cast<uint8_t>(tree.schema().width(j)));
+  w.Clear();
+  w.U32(kFrozenMagic);
+  w.U8(static_cast<uint8_t>(d));
+  for (int j = 0; j < d; ++j) {
+    w.U8(static_cast<uint8_t>(tree.schema().width(j)));
   }
-  ok = ok && w.U32(static_cast<uint32_t>(tree.page_capacity()));
-  ok = ok && w.U32(static_cast<uint32_t>(tree.height()));
-  ok = ok && w.U64(tree.Stats().records);
-  ok = ok && w.U32(node_page.at(tree.root_id()));
-  if (!ok) return Status::CapacityError("metadata page overflow");
-  BMEH_RETURN_NOT_OK(store->Write(meta, w.bytes()));
+  w.U32(static_cast<uint32_t>(tree.page_capacity()));
+  w.U32(static_cast<uint32_t>(tree.height()));
+  w.U64(tree.Stats().records);
+  w.U32(node_page.at(tree.root_id()));
+  BMEH_RETURN_NOT_OK(write_page(meta, "metadata page overflow"));
   return meta;
 }
 
@@ -242,7 +128,7 @@ Result<std::unique_ptr<FrozenBmehTree>> FrozenBmehTree::Open(
     PageStore* store, PageId meta, int pool_pages) {
   std::vector<uint8_t> buf(store->page_size());
   BMEH_RETURN_NOT_OK(store->Read(meta, buf));
-  PageReader r(buf);
+  ByteReader r(buf);
   BMEH_ASSIGN_OR_RETURN(uint32_t magic, r.U32());
   if (magic != kFrozenMagic) {
     return Status::Corruption("bad frozen-tree magic");
@@ -274,18 +160,22 @@ Result<std::unique_ptr<FrozenBmehTree>> FrozenBmehTree::Open(
 
 Result<DirNode> FrozenBmehTree::FetchNode(PageId page) {
   BMEH_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
-  return DecodeNode(h.data(), schema_);
+  ByteReader r(h.data());
+  BMEH_ASSIGN_OR_RETURN(uint8_t type, r.U8());
+  if (type != kNodePageType) {
+    return Status::Corruption("expected a frozen node page");
+  }
+  return hashdir::DecodeNode(&r, schema_);
 }
 
 Result<DataPage> FrozenBmehTree::FetchDataPage(PageId page) {
   BMEH_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
-  PageReader r(h.data());
+  ByteReader r(h.data());
   BMEH_ASSIGN_OR_RETURN(uint8_t type, r.U8());
   if (type != kDataPageType) {
     return Status::Corruption("expected a frozen data page");
   }
-  return DataPage::Deserialize(page, page_capacity_, schema_.dims(),
-                               r.tail());
+  return DataPage::Deserialize(&r, page, page_capacity_, schema_);
 }
 
 Result<uint64_t> FrozenBmehTree::Search(const PseudoKey& key) {

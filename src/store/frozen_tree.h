@@ -1,14 +1,17 @@
 // FrozenBmehTree: a read-only, physically paged image of a BMEH-tree.
 //
-// SaveTo/LoadFrom (serialize.cc) stream the whole tree through a page
-// chain — good for checkpoints, useless for page-at-a-time access.  A
-// *frozen* tree instead gives every directory node and every data page
-// its own store page, with child references translated to store page ids
-// at freeze time.  Queries then run directly against the PageStore
-// through a BufferPool: every directory probe and page fetch is a real
-// page read, so the paper's logical disk-access model (lambda = height
-// with the root pinned, Theorem 4's O(l * n_R) ranges) can be validated
-// against physical I/O counts — see bench/physical_io.cc and
+// The checkpoint image (SaveTo/LoadFrom, serialize.cc) streams the whole
+// tree through a page chain — good for checkpoints, useless for
+// page-at-a-time access.  A *frozen* tree instead gives every directory
+// node and every data page its own store page: a type byte, then the
+// object in the codec the checkpoint stream uses too (EncodeNode,
+// DataPage::Serialize), with child references translated to store page
+// ids at freeze time.  Nothing persists a frozen image across builds.
+// Queries then run directly against the PageStore through a BufferPool:
+// every directory probe and page fetch is a real page read, so the
+// paper's logical disk-access model (lambda = height with the root
+// pinned, Theorem 4's O(l * n_R) ranges) can be validated against
+// physical I/O counts — see bench/physical_io.cc and
 // tests/frozen_tree_test.cc.
 
 #ifndef BMEH_STORE_FROZEN_TREE_H_

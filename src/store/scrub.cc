@@ -1,32 +1,15 @@
 #include "src/store/scrub.h"
 
-#include <cstring>
 #include <map>
 #include <unordered_set>
 
+#include "src/common/bytes.h"
 #include "src/common/logging.h"
 #include "src/store/wal.h"
 
 namespace bmeh {
 
 namespace {
-
-/// Walks a [next u32 | ...] page chain starting at `head`, appending every
-/// readable page to `out`.  Returns false when the walk was cut short (an
-/// unreadable page, a cycle, or an out-of-range link).
-bool WalkChainTolerant(PageStore* store, PageId head, uint64_t page_count,
-                       std::vector<PageId>* out) {
-  std::vector<uint8_t> buf(store->page_size());
-  std::unordered_set<PageId> visited;
-  PageId id = head;
-  while (id != kInvalidPageId) {
-    if (id >= page_count || !visited.insert(id).second) return false;
-    if (!store->Read(id, buf).ok()) return false;
-    out->push_back(id);
-    std::memcpy(&id, buf.data(), 4);
-  }
-  return true;
-}
 
 /// The ordered (key -> payload) state a salvage pass accumulates.
 using RecordMap = std::map<PseudoKey, uint64_t>;
@@ -101,9 +84,11 @@ Status ScrubStoreImpl(const std::string& path, ScrubReport* report) {
   ++reachable;  // the superblock
 
   if (image_head != kInvalidPageId) {
+    // Links only: a link past the file's end fails its read.
     std::vector<PageId> image_pages;
-    if (!WalkChainTolerant(file.get(), image_head, file->page_count(),
-                           &image_pages)) {
+    if (!BmehTree::WalkImageChain(file.get(), image_head, &image_pages,
+                                  /*payload=*/nullptr)
+             .ok()) {
       report->structure_damaged = true;
       report->notes.push_back(
           "checkpoint image chain cut after " +
@@ -187,10 +172,8 @@ Status SweepSalvage(FilePageStore* file, const StoreOptions& options,
   std::unordered_set<PageId> wal_pages, linked;
   for (PageId id = file->first_data_page(); id < file->page_count(); ++id) {
     if (!file->Read(id, buf).ok()) continue;
-    uint32_t magic, next;
-    std::memcpy(&magic, buf.data(), 4);
-    if (magic != Wal::kPageMagic) continue;
-    std::memcpy(&next, buf.data() + 4, 4);
+    if (GetU32(buf.data()) != Wal::kPageMagic) continue;
+    const PageId next = GetU32(buf.data() + 4);
     wal_pages.insert(id);
     if (next != kInvalidPageId) linked.insert(next);
   }
@@ -257,7 +240,7 @@ Status SalvageStoreImpl(const std::string& src, const std::string& dst,
                                  ", caller expects " +
                                  options.schema.ToString());
         }
-        if (tree->degraded() || !tr.complete) {
+        if (tree->degraded() || !tr.chain.ok()) {
           report->source_degraded = true;
         }
         tree->Scan([&](const Record& rec) {

@@ -1,9 +1,9 @@
 #include "src/store/wal.h"
 
 #include <cstdio>
-#include <cstring>
 #include <unordered_set>
 
+#include "src/common/bytes.h"
 #include "src/common/crc32.h"
 #include "src/pagestore/undo_journal.h"
 
@@ -15,18 +15,6 @@ constexpr uint32_t kWalMagic = Wal::kPageMagic;  // "BMWL"
 constexpr size_t kPageHeaderSize = 8;            // magic + next
 constexpr size_t kLenSize = 2;
 constexpr size_t kCrcSize = 4;
-
-void PutU32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, 4); }
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-uint16_t GetU16(const uint8_t* p) {
-  uint16_t v;
-  std::memcpy(&v, p, 2);
-  return v;
-}
 
 size_t BodySize(uint8_t op, int dims) {
   return 2 + 4 * static_cast<size_t>(dims) +
@@ -60,9 +48,7 @@ bool ParseMutationBody(const uint8_t* body, uint16_t len,
     comps[j] = GetU32(body + 2 + 4 * j);
   }
   rec->key = PseudoKey(std::span<const uint32_t>(comps.data(), dims));
-  if (op == Wal::kOpInsert) {
-    std::memcpy(&rec->payload, body + 2 + 4 * dims, 8);
-  }
+  if (op == Wal::kOpInsert) rec->payload = GetU64(body + 2 + 4 * dims);
   return true;
 }
 
@@ -79,7 +65,7 @@ size_t Wal::MarkerWireSize() {
 void Wal::EncodeMarker(uint8_t op, uint32_t count, uint8_t* buf,
                        size_t off) {
   const uint16_t len = static_cast<uint16_t>(kMarkerBodySize);
-  std::memcpy(buf + off, &len, 2);
+  PutU16(buf + off, len);
   uint8_t* body = buf + off + kLenSize;
   body[0] = op;
   body[1] = 0;
@@ -91,16 +77,14 @@ void Wal::EncodeMarker(uint8_t op, uint32_t count, uint8_t* buf,
 void Wal::Encode(const LogRecord& rec, uint8_t* buf, size_t off) {
   const uint16_t len =
       static_cast<uint16_t>(BodySize(rec.op, rec.key.dims()));
-  std::memcpy(buf + off, &len, 2);
+  PutU16(buf + off, len);
   uint8_t* body = buf + off + kLenSize;
   body[0] = rec.op;
   body[1] = static_cast<uint8_t>(rec.key.dims());
   for (int j = 0; j < rec.key.dims(); ++j) {
     PutU32(body + 2 + 4 * j, rec.key.component(j));
   }
-  if (rec.op == kOpInsert) {
-    std::memcpy(body + 2 + 4 * rec.key.dims(), &rec.payload, 8);
-  }
+  if (rec.op == kOpInsert) PutU64(body + 2 + 4 * rec.key.dims(), rec.payload);
   const uint32_t crc = Crc32(body, len, static_cast<uint32_t>(off));
   PutU32(body + len, crc);
 }
@@ -499,23 +483,6 @@ Status Wal::Replay(PageId head, const ReplayFn& fn, bool sanitize_tail) {
   return Status::OK();
 }
 
-Status Wal::Truncate() {
-  for (PageId id : pages_) {
-    BMEH_RETURN_NOT_OK(store_->Free(id));
-  }
-  pages_.clear();
-  head_ = kInvalidPageId;
-  tail_ = kInvalidPageId;
-  tail_buf_.clear();
-  tail_used_ = 0;
-  // The discarded records keep their identity: the next append continues
-  // the LSN sequence where the truncated log left off.
-  base_lsn_ += record_count_;
-  record_count_ = 0;
-  unsynced_ = 0;
-  return Status::OK();
-}
-
 std::vector<PageId> Wal::TruncateDeferred() {
   std::vector<PageId> owned = std::move(pages_);
   pages_.clear();
@@ -523,6 +490,8 @@ std::vector<PageId> Wal::TruncateDeferred() {
   tail_ = kInvalidPageId;
   tail_buf_.clear();
   tail_used_ = 0;
+  // The discarded records keep their identity: the next append continues
+  // the LSN sequence where the truncated log left off.
   base_lsn_ += record_count_;
   record_count_ = 0;
   unsynced_ = 0;
@@ -536,9 +505,8 @@ std::vector<uint8_t> Wal::EncodeArchiveSegment(
   std::vector<uint8_t> out(total, 0);
   PutU32(out.data(), kArchiveMagic);
   PutU32(out.data() + 4, kArchiveVersion);
-  std::memcpy(out.data() + 8, &lo_lsn, 8);
-  const uint64_t count = recs.size();
-  std::memcpy(out.data() + 16, &count, 8);
+  PutU64(out.data() + 8, lo_lsn);
+  PutU64(out.data() + 16, recs.size());
   size_t off = kArchiveHeaderSize;
   for (const LogRecord& rec : recs) {
     Encode(rec, out.data(), off);
@@ -561,9 +529,8 @@ Status Wal::DecodeArchiveSegment(std::span<const uint8_t> bytes,
     return Status::Corruption("unsupported archive segment version " +
                               std::to_string(version));
   }
-  uint64_t lo = 0, n = 0;
-  std::memcpy(&lo, bytes.data() + 8, 8);
-  std::memcpy(&n, bytes.data() + 16, 8);
+  const uint64_t lo = GetU64(bytes.data() + 8);
+  const uint64_t n = GetU64(bytes.data() + 16);
   size_t off = kArchiveHeaderSize;
   for (uint64_t i = 0; i < n; ++i) {
     if (off + kLenSize > bytes.size()) {

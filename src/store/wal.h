@@ -93,9 +93,9 @@ class Wal {
   uint64_t record_count() const { return record_count_; }
 
   /// \brief LSN of the first record in the current log incarnation.  LSNs
-  /// are monotonic across checkpoints: Truncate() advances the base by the
-  /// records it discards, and the owner persists the base in the
-  /// superblock so identity survives reopen.  A fresh log starts at 1.
+  /// are monotonic across checkpoints: TruncateDeferred() advances the
+  /// base by the records it discards, and the owner persists the base in
+  /// the superblock so identity survives reopen.  A fresh log starts at 1.
   uint64_t base_lsn() const { return base_lsn_; }
 
   /// \brief Restores the base LSN recorded by the owner (called before
@@ -176,14 +176,10 @@ class Wal {
   /// owner should surface degradation instead of staying silent.
   bool replay_hit_data_loss() const { return replay_hit_data_loss_; }
 
-  /// \brief Frees every page of the log and resets it to empty, advancing
-  /// base_lsn() past the discarded records so LSNs stay monotonic.  Called
-  /// after a checkpoint made the logged mutations redundant.
-  Status Truncate();
-
-  /// \brief Like Truncate(), but transfers page ownership to the caller
-  /// instead of freeing — used while an online backup pins the chain so
-  /// the pages cannot be recycled under a concurrent copy.
+  /// \brief Resets the log to empty, advancing base_lsn() past the
+  /// discarded records so LSNs stay monotonic, and hands the log's pages
+  /// (in chain order) to the caller to free once nothing reads them.
+  /// Called after a checkpoint made the logged mutations redundant.
   std::vector<PageId> TruncateDeferred();
 
   // ---- Archive segments -------------------------------------------------

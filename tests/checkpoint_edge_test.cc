@@ -1,11 +1,13 @@
 // Edge cases of the checkpoint/recovery machinery: double-open protection,
 // checkpoint_every boundaries, fsync failures surfacing through
-// Checkpoint(), crashed-checkpoint page reclamation, and read-only
-// inspection of a crashed file.
+// Checkpoint(), crashed-checkpoint page reclamation, read-only inspection
+// of a crashed file, and which paths read the checkpoint image.
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdio>
 
@@ -38,6 +40,38 @@ class CheckpointEdgeTest : public ::testing::Test {
     auto r = BmehStore::Open(path_, options);
     BMEH_CHECK(r.ok()) << r.status();
     return std::move(r).ValueOrDie();
+  }
+
+  /// `n` distinct records with keys inside the 2-D, 31-bit schema.
+  static std::vector<Record> Records(uint32_t n) {
+    std::vector<Record> recs;
+    for (uint32_t i = 0; i < n; ++i) {
+      recs.push_back({PseudoKey({(i * 2654435761u) & 0x7fffffffu, i}), i});
+    }
+    return recs;
+  }
+
+  /// Pages of the store's published image, from a backup snapshot.
+  static std::vector<PageId> ImagePages(BmehStore* store) {
+    auto snap = store->BeginBackup();
+    BMEH_CHECK(snap.ok()) << snap.status();
+    store->EndBackup();
+    return snap->image_pages;
+  }
+
+  /// Flips one byte of `page` on disk through a descriptor of its own.
+  void FlipPageByte(PageId page, int byte) {
+    const int fd = ::open(path_.c_str(), O_RDWR);
+    ASSERT_GE(fd, 0);
+    const off_t off =
+        static_cast<off_t>(page) *
+            (kDefaultPageSize + FilePageStore::kPageTrailerSize) +
+        byte;
+    uint8_t b = 0;
+    ASSERT_EQ(::pread(fd, &b, 1, off), 1);
+    b ^= 0xff;
+    ASSERT_EQ(::pwrite(fd, &b, 1, off), 1);
+    ::close(fd);
   }
 
   uint64_t FileSize() {
@@ -264,6 +298,102 @@ TEST_F(CheckpointEdgeTest, InspectReportsDurableStateWithoutMutating) {
   EXPECT_TRUE(store->Get(PseudoKey({1u, 1u})).status().IsKeyError());
   EXPECT_TRUE(store->Get(PseudoKey({4u, 4u})).ok());
   ASSERT_TRUE(store->tree().Validate().ok());
+}
+
+TEST_F(CheckpointEdgeTest, OnlyALoadReadsTheImage) {
+  // The store keeps the page list of the image it wrote or loaded, so a
+  // load is the one path that reads an image, once; a checkpoint frees
+  // the image it replaces and a backup lists the one it copies from that
+  // list.
+  {
+    auto store = MustOpen(Opts());
+    ASSERT_TRUE(store->InsertBatch(Records(20000)).ok());
+    ASSERT_TRUE(store->Checkpoint().ok());
+    for (uint32_t i = 0; i < 10; ++i) {
+      ASSERT_TRUE(store->Put(PseudoKey({i, 1u << 30}), i).ok());
+    }
+    store->SimulateCrashForTesting();  // leave the WAL for the reopen
+  }
+  auto info = BmehStore::Inspect(path_);
+  ASSERT_TRUE(info.ok()) << info.status();
+  ASSERT_EQ(info->wal_pages, 1u);
+  const uint64_t image_pages = info->live_pages - 1 - info->wal_pages;
+  ASSERT_GT(image_pages, 1u);
+  EXPECT_EQ(info->page_reads, 1 + image_pages + info->wal_pages)
+      << "Inspect reads the superblock, the image once and the WAL";
+
+  auto store = MustOpen(Opts());
+  const PageStore& device = store->page_store();
+  EXPECT_EQ(device.stats().reads, 1 + image_pages + info->wal_pages)
+      << "reopening reads the superblock, the image once and the WAL";
+
+  uint64_t before = device.stats().reads;
+  std::vector<PageId> listed = ImagePages(store.get());
+  EXPECT_EQ(listed.size(), image_pages);
+  EXPECT_EQ(device.stats().reads - before, info->wal_pages)
+      << "a backup snapshot reads the WAL records, none of the image";
+
+  before = device.stats().reads;
+  ASSERT_TRUE(store->Checkpoint().ok());
+  EXPECT_EQ(device.stats().reads - before, 0u)
+      << "a checkpoint reads none of the image it replaces";
+
+  before = device.stats().reads;
+  listed = ImagePages(store.get());
+  EXPECT_EQ(device.stats().reads - before, 0u);
+  EXPECT_EQ(device.live_page_count(), 1 + listed.size())
+      << "the old image and the old WAL went back to the free list";
+}
+
+TEST_F(CheckpointEdgeTest, CorruptionInTheDiscardedImageCannotFailACheckpoint) {
+  // The checkpoint publishes a new image, then releases the old one.  A
+  // page of the old image rotting on disk is no reason to fail: the
+  // records are durable and the release reads nothing.
+  auto store = MustOpen(Opts(/*checkpoint_every=*/100));
+  ASSERT_TRUE(store->InsertBatch(Records(20000)).ok());
+  ASSERT_EQ(store->generation(), 1u);
+  FlipPageByte(ImagePages(store.get()).at(1), 100);
+
+  for (uint32_t i = 0; i < 99; ++i) {
+    ASSERT_TRUE(store->Put(PseudoKey({i, 1u << 30}), i).ok()) << i;
+  }
+  ASSERT_EQ(store->generation(), 1u);
+  const Status last = store->Put(PseudoKey({99u, 1u << 30}), 99);
+  EXPECT_TRUE(last.ok()) << "the auto-checkpoint of the 100th Put: " << last;
+  EXPECT_TRUE(store->Get(PseudoKey({99u, 1u << 30})).ok());
+  EXPECT_EQ(store->generation(), 2u);
+  EXPECT_EQ(store->dirty_ops(), 0u);
+  EXPECT_EQ(store->wal_records(), 0u)
+      << "the checkpointed records left the live log";
+  EXPECT_EQ(store->page_store().live_page_count(),
+            1 + ImagePages(store.get()).size())
+      << "live pages are the superblock and the new image";
+}
+
+TEST_F(CheckpointEdgeTest, OpenRefusesAnImageChainThatNeverEnds) {
+  // A link from the image's last page back to its head passes every page
+  // check, and the load has every byte of the image by then, but the walk
+  // never reached the terminator: the open cannot tell which pages are
+  // the image's, so it refuses to rebuild the free list from them.
+  std::vector<PageId> image;
+  {
+    auto store = MustOpen(Opts());
+    ASSERT_TRUE(store->InsertBatch(Records(2000)).ok());
+    ASSERT_TRUE(store->Checkpoint().ok());
+    image = ImagePages(store.get());
+  }
+  ASSERT_GT(image.size(), 1u);
+  {
+    auto file = FilePageStore::Open(path_);
+    ASSERT_TRUE(file.ok()) << file.status();
+    std::vector<uint8_t> buf(kDefaultPageSize);
+    ASSERT_TRUE((*file)->Read(image.back(), buf).ok());
+    PutU32(buf.data(), image.front());
+    ASSERT_TRUE((*file)->Write(image.back(), buf).ok());
+    ASSERT_TRUE((*file)->Sync().ok());
+  }
+  auto reopened = BmehStore::Open(path_, Opts());
+  EXPECT_TRUE(reopened.status().IsCorruption()) << reopened.status();
 }
 
 }  // namespace

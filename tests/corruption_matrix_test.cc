@@ -431,5 +431,39 @@ TEST_F(CorruptionMatrixTest, ImageTailCorruptionQuarantinesOnlyLostBuckets) {
   CheckSalvage();
 }
 
+TEST_F(CorruptionMatrixTest, ScrubReportsWhereTheImageChainIsCut) {
+  // A verified-corrupt second image page cuts the chain after the head:
+  // scrub names the cut and counts only the pages before it reachable.
+  ScrubReport clean;
+  ASSERT_TRUE(ScrubStore(base_, &clean).ok());
+  ASSERT_TRUE(clean.clean());
+  auto info = BmehStore::Inspect(base_);
+  ASSERT_TRUE(info.ok()) << info.status();
+  const uint64_t image_pages = info->live_pages - 1 - info->wal_pages;
+  ASSERT_GT(image_pages, 2u);
+  PageId second = kInvalidPageId;
+  {
+    auto f = FilePageStore::OpenForRecovery(base_);
+    ASSERT_TRUE(f.ok()) << f.status();
+    std::vector<uint8_t> buf(kPageSize);
+    ASSERT_TRUE((*f)->Read(info->image_head, buf).ok());
+    memcpy(&second, buf.data(), 4);
+  }
+  ASSERT_NE(second, kInvalidPageId);
+  CopyBaseToWork();
+  FlipByteAt(work_, static_cast<long>(second) * kPhysical + 77);
+
+  ScrubReport sr;
+  ASSERT_TRUE(ScrubStore(work_, &sr).ok());
+  EXPECT_TRUE(sr.structure_damaged);
+  EXPECT_EQ(sr.corrupt_pages, std::vector<PageId>{second});
+  EXPECT_EQ(sr.pages_reachable, clean.pages_reachable - (image_pages - 1));
+  bool noted = false;
+  for (const std::string& note : sr.notes) {
+    noted |= note == "checkpoint image chain cut after 1 page(s)";
+  }
+  EXPECT_TRUE(noted);
+}
+
 }  // namespace
 }  // namespace bmeh

@@ -107,9 +107,10 @@ TEST(DataPageTest, SerializeDeserializeRoundTrip) {
   DataPage page(7, 5);
   ASSERT_TRUE(page.Insert(R(11, 22, 1001)).ok());
   ASSERT_TRUE(page.Insert(R(33, 44, 2002)).ok());
-  std::vector<uint8_t> buf(DataPage::SerializedSize(5, 2));
-  page.Serialize(2, buf);
-  auto r = DataPage::Deserialize(7, 5, 2, buf);
+  ByteWriter w;
+  page.Serialize(&w);
+  ByteReader in(w.bytes());
+  auto r = DataPage::Deserialize(&in, 7, 5, KeySchema(2, 31));
   ASSERT_TRUE(r.ok()) << r.status();
   const DataPage& back = *r;
   EXPECT_EQ(back.id(), 7u);
@@ -120,9 +121,10 @@ TEST(DataPageTest, SerializeDeserializeRoundTrip) {
 
 TEST(DataPageTest, SerializeEmptyPage) {
   DataPage page(1, 3);
-  std::vector<uint8_t> buf(DataPage::SerializedSize(3, 2));
-  page.Serialize(2, buf);
-  auto r = DataPage::Deserialize(1, 3, 2, buf);
+  ByteWriter w;
+  page.Serialize(&w);
+  ByteReader in(w.bytes());
+  auto r = DataPage::Deserialize(&in, 1, 3, KeySchema(2, 31));
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->empty());
 }
@@ -130,16 +132,40 @@ TEST(DataPageTest, SerializeEmptyPage) {
 TEST(DataPageTest, DeserializeRejectsOverCapacityCount) {
   DataPage page(1, 3);
   ASSERT_TRUE(page.Insert(R(1, 1, 0)).ok());
-  std::vector<uint8_t> buf(DataPage::SerializedSize(3, 2));
-  page.Serialize(2, buf);
+  ByteWriter w;
+  page.Serialize(&w);
+  std::vector<uint8_t> buf = w.bytes();
   buf[0] = 200;  // corrupt the record count
-  auto r = DataPage::Deserialize(1, 3, 2, buf);
+  ByteReader in(buf);
+  auto r = DataPage::Deserialize(&in, 1, 3, KeySchema(2, 31));
   EXPECT_TRUE(r.status().IsCorruption());
+}
+
+TEST(DataPageTest, DeserializeRejectsDuplicateAndOutOfSchemaKeys) {
+  DataPage page(1, 3);
+  ASSERT_TRUE(page.Insert(R(1, 1, 0)).ok());
+  ASSERT_TRUE(page.Insert(R(2, 2, 0)).ok());
+  ByteWriter w;
+  page.Serialize(&w);
+  // [count u32 | record 0: key u32 x 2, payload u64 | record 1: ...]
+  std::vector<uint8_t> dup = w.bytes();
+  dup[20] = 1;
+  dup[24] = 1;  // record 1 now has record 0's key
+  ByteReader dup_in(dup);
+  EXPECT_TRUE(
+      DataPage::Deserialize(&dup_in, 1, 3, KeySchema(2, 31)).status()
+          .IsCorruption());
+  ByteReader wide_in(w.bytes());
+  EXPECT_TRUE(
+      DataPage::Deserialize(&wide_in, 1, 3, KeySchema(2, 1)).status()
+          .IsCorruption())
+      << "key component 2 does not fit a 1-bit dimension";
 }
 
 TEST(DataPageTest, DeserializeRejectsShortBuffer) {
   std::vector<uint8_t> tiny(3);
-  auto r = DataPage::Deserialize(1, 3, 2, tiny);
+  ByteReader in(tiny);
+  auto r = DataPage::Deserialize(&in, 1, 3, KeySchema(2, 31));
   EXPECT_TRUE(r.status().IsCorruption());
 }
 

@@ -173,6 +173,47 @@ TEST(DirNodeDeathTest, SplitBeyondDepthAborts) {
                "SplitGroup");
 }
 
+TEST(DirNodeCodecTest, RoundTripsAndRejectsBadFields) {
+  DirNode node(2);
+  node.Double(0);
+  node.Double(1);
+  node.Double(0);
+  node.SplitGroup(T(0, 0), 0, Ref::Page(7), Ref::Node(9));
+  ByteWriter w;
+  EncodeNode(node, &w);
+  const KeySchema schema(2, 16);
+  ByteReader r(w.bytes());
+  auto back = DecodeNode(&r, schema);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_TRUE(r.AtEnd());
+  ASSERT_EQ(back->history().event_count(), 3);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(back->history().event_dim(i), node.history().event_dim(i));
+  }
+  ASSERT_EQ(back->entry_count(), node.entry_count());
+  for (uint64_t a = 0; a < node.entry_count(); ++a) {
+    const Entry& x = node.at_address(a);
+    const Entry& y = back->at_address(a);
+    EXPECT_EQ(y.ref, x.ref);
+    EXPECT_TRUE(y.SameShape(x, 2));
+    EXPECT_EQ(y.m, x.m);
+  }
+
+  // [doubling count u32 | 3 dimensions | entry 0: kind, id u32, h x 2, m]
+  auto decode_with = [&](size_t at, uint8_t value) {
+    std::vector<uint8_t> bytes = w.bytes();
+    bytes[at] = value;
+    ByteReader in(bytes);
+    return DecodeNode(&in, schema).status();
+  };
+  EXPECT_TRUE(decode_with(4, 2).IsCorruption()) << "doubling dimension >= d";
+  EXPECT_TRUE(decode_with(7, 3).IsCorruption()) << "unknown ref kind";
+  EXPECT_TRUE(decode_with(12, 3).IsCorruption()) << "local depth > depth";
+  EXPECT_TRUE(decode_with(14, 2).IsCorruption()) << "split dimension >= d";
+  ByteReader cut(std::span<const uint8_t>(w.bytes()).first(w.size() - 1));
+  EXPECT_TRUE(DecodeNode(&cut, schema).status().IsCorruption());
+}
+
 TEST(EntryTest, ChooseSplitDimCyclesAndSkipsExhausted) {
   Entry e = MakeEntry(Ref::Nil(), 3);
   const int limits_all[] = {4, 4, 4};

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
+#include "src/common/crc32.h"
 #include "src/core/bmeh_tree.h"
 #include "src/pagestore/page_store.h"
 #include "src/workload/distributions.h"
@@ -151,6 +153,67 @@ TEST(SerializeTest, TruncatedChainRejected) {
   ASSERT_TRUE(store.Write(*head, buf).ok());
   auto loaded = BmehTree::LoadFrom(&store, *head);
   EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
+}
+
+TEST(SerializeTest, ImageBytesDoNotChange) {
+  // Every store file and backup set holds a checkpoint image, so its bytes
+  // must not move.  kCrc and kLength were recorded from the image writer
+  // that predates the shared node and page codecs, by following each
+  // chain page's next link from the head.
+  constexpr uint32_t kCrc = 0x6c9ce3e1;
+  constexpr uint64_t kLength = 60 * 512;
+  KeySchema schema(2, 31);
+  BmehTree tree(schema, TreeOptions::Make(2, /*b=*/4, /*phi=*/6));
+  workload::WorkloadSpec spec;
+  spec.seed = 20;
+  const auto keys = workload::GenerateKeys(spec, 1500);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    BMEH_CHECK_OK(tree.Insert(keys[i], i * 7 + 3));
+  }
+  for (size_t i = 0; i < keys.size(); i += 3) {
+    BMEH_CHECK_OK(tree.Delete(keys[i]));
+  }
+  ASSERT_GT(tree.mutation_stats().page_merges, 0u);
+  ASSERT_GT(tree.mutation_stats().node_merges, 0u);
+
+  InMemoryPageStore store(512);
+  std::vector<PageId> pages;
+  auto head = tree.SaveTo(&store, &pages);
+  ASSERT_TRUE(head.ok()) << head.status();
+  ASSERT_FALSE(pages.empty());
+  EXPECT_EQ(pages.front(), *head);
+  std::vector<uint8_t> buf(512);
+  uint32_t crc = 0;
+  uint64_t length = 0;
+  for (PageId id : pages) {
+    ASSERT_TRUE(store.Read(id, buf).ok());
+    crc = Crc32(buf.data(), buf.size(), crc);
+    length += buf.size();
+  }
+  EXPECT_EQ(length, kLength);
+  EXPECT_EQ(crc, kCrc);
+
+  std::vector<PageId> read_pages;
+  auto loaded = BmehTree::LoadFrom(&store, *head, &read_pages);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(read_pages, pages);
+  BmehTree& back = **loaded;
+  const IndexStructureStats a = tree.Stats();
+  const IndexStructureStats b = back.Stats();
+  EXPECT_EQ(b.directory_entries, a.directory_entries);
+  EXPECT_EQ(b.directory_entries_used, a.directory_entries_used);
+  EXPECT_EQ(b.directory_nodes, a.directory_nodes);
+  EXPECT_EQ(b.directory_levels, a.directory_levels);
+  EXPECT_EQ(b.data_pages, a.data_pages);
+  EXPECT_EQ(b.records, a.records);
+  EXPECT_EQ(back.height(), tree.height());
+  std::vector<Record> want, got;
+  tree.Scan([&](const Record& r) { want.push_back(r); });
+  back.Scan([&](const Record& r) { got.push_back(r); });
+  auto by_key = [](const Record& x, const Record& y) { return x.key < y.key; };
+  std::sort(want.begin(), want.end(), by_key);
+  std::sort(got.begin(), got.end(), by_key);
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace
