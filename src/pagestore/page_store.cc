@@ -533,21 +533,33 @@ Result<std::string> ReadSealedText(const std::string& path,
   return text;
 }
 
-FilePageStore::FilePageStore(int fd, int page_size, int format_version,
-                             uint32_t epoch)
-    : fd_(fd),
-      page_size_(page_size),
-      format_version_(format_version),
-      epoch_(epoch) {}
-
 FilePageStore::~FilePageStore() {
-  if (fd_ >= 0) {
-    Status st = WriteHeader();
-    if (!st.ok()) {
-      BMEH_LOG(Error) << "FilePageStore header flush failed: " << st;
-    }
-    ::close(fd_);  // releases the flock
+  if (fd_ >= 0) ::close(fd_);  // releases the flock
+}
+
+Result<std::unique_ptr<FilePageStore>> FilePageStore::OpenLocked(
+    const std::string& path, int flags) {
+  const int fd = OpenRetryEintr(path.c_str(), flags, 0644);
+  if (fd < 0) {
+    return ErrnoStatus("open(" + path + ")", errno);
   }
+  auto store = std::unique_ptr<FilePageStore>(new FilePageStore(fd));
+  if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+    return Status::IoError("store file already open: " + path);
+  }
+  return store;
+}
+
+Status FilePageStore::SizeByFile() {
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) {
+    return Status::IoError(std::string("fstat: ") + std::strerror(errno));
+  }
+  const uint64_t physical = static_cast<uint64_t>(physical_page_size());
+  page_count_ = std::max<uint64_t>(
+      (static_cast<uint64_t>(st.st_size) + physical - 1) / physical, 1);
+  stats_.high_water_pages = live_page_count();
+  return Status::OK();
 }
 
 Result<std::unique_ptr<FilePageStore>> FilePageStore::Create(
@@ -555,34 +567,52 @@ Result<std::unique_ptr<FilePageStore>> FilePageStore::Create(
   if (page_size < 64) {
     return Status::Invalid("page_size too small: " + std::to_string(page_size));
   }
-  int fd = OpenRetryEintr(path.c_str(), O_RDWR | O_CREAT, 0644);
-  if (fd < 0) {
-    return ErrnoStatus("open(" + path + ")", errno);
-  }
-  if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
-    ::close(fd);
-    return Status::IoError("store file already open: " + path);
-  }
+  BMEH_ASSIGN_OR_RETURN(auto store, OpenLocked(path, O_RDWR | O_CREAT));
   // Truncate only after the lock is held, so a concurrent Create cannot
   // wipe a store another handle is using.
-  if (::ftruncate(fd, 0) != 0) {
-    ::close(fd);
+  if (::ftruncate(store->fd_, 0) != 0) {
     return ErrnoStatus("ftruncate(" + path + ")", errno);
   }
-  auto store = std::unique_ptr<FilePageStore>(
-      new FilePageStore(fd, page_size, /*format_version=*/2, FreshEpoch()));
+  store->page_size_ = page_size;
+  store->epoch_ = FreshEpoch();
   BMEH_RETURN_NOT_OK(store->WriteHeader());
   return store;
 }
 
 Result<std::unique_ptr<FilePageStore>> FilePageStore::Open(
     const std::string& path) {
-  return OpenImpl(path, /*walk_free_chain=*/true);
-}
-
-Result<std::unique_ptr<FilePageStore>> FilePageStore::OpenForRecovery(
-    const std::string& path) {
-  return OpenImpl(path, /*walk_free_chain=*/false);
+  BMEH_ASSIGN_OR_RETURN(auto store, OpenLocked(path, O_RDWR));
+  uint8_t header[kHeaderSize];
+  if (!PreadFull(store->fd_, header, sizeof(header), 0, "header pread").ok()) {
+    return Status::Corruption("short read of header in " + path);
+  }
+  const uint32_t magic = GetU32(header);
+  if (magic != kMagicV1 && magic != kMagicV2) {
+    return Status::Corruption("bad magic in " + path);
+  }
+  store->format_version_ = magic == kMagicV2 ? 2 : 1;
+  store->page_size_ = static_cast<int>(GetU32(header + 4));
+  if (store->page_size_ < 64 || store->page_size_ > (1 << 24)) {
+    return Status::DataLoss("implausible page size " +
+                            std::to_string(store->page_size_) +
+                            " in header of " + path + " (header corrupt?)");
+  }
+  if (store->format_version_ >= 2) {
+    store->epoch_ = GetU32(header + 28);
+    // Verify the whole header page against its trailer.  A damaged header
+    // is tolerated: nothing past the fields above is read, and the next
+    // Sync rewrites the page, healing it.
+    std::vector<uint8_t> page0(store->physical_page_size());
+    Status vst =
+        PreadFull(store->fd_, page0.data(), page0.size(), 0, "page 0 pread");
+    if (vst.ok()) vst = store->CheckTrailer(0, page0);
+    if (!vst.ok()) {
+      ++store->stats_.checksum_failures;
+      store->header_damaged_ = true;
+    }
+  }
+  BMEH_RETURN_NOT_OK(store->SizeByFile());
+  return store;
 }
 
 Result<std::unique_ptr<FilePageStore>> FilePageStore::OpenIgnoringHeader(
@@ -590,191 +620,46 @@ Result<std::unique_ptr<FilePageStore>> FilePageStore::OpenIgnoringHeader(
   if (page_size < 64) {
     return Status::Invalid("page_size too small: " + std::to_string(page_size));
   }
-  int fd = OpenRetryEintr(path.c_str(), O_RDWR);
-  if (fd < 0) {
-    return ErrnoStatus("open(" + path + ")", errno);
-  }
-  if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
-    ::close(fd);
-    return Status::IoError("store file already open: " + path);
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return Status::IoError(std::string("fstat: ") + std::strerror(errno));
-  }
-  const uint64_t physical =
-      static_cast<uint64_t>(page_size) + kPageTrailerSize;
-  const uint64_t page_count = std::max<uint64_t>(
-      (static_cast<uint64_t>(st.st_size) + physical - 1) / physical, 1);
+  BMEH_ASSIGN_OR_RETURN(auto store, OpenLocked(path, O_RDWR));
+  store->page_size_ = page_size;
+  store->header_damaged_ = true;  // by assumption: that is why we are here
+  BMEH_RETURN_NOT_OK(store->SizeByFile());
   // Recover the epoch: a trailer whose CRC verifies under its own claimed
   // epoch at its own offset was written by this store for this slot — a
   // forged match would need a preimage of the seeded CRC.
+  const int physical = store->physical_page_size();
   std::vector<uint8_t> phys(physical);
-  bool found = false;
-  uint32_t epoch = 0;
-  for (PageId id = 1; id < page_count && !found; ++id) {
+  for (PageId id = 1; id < store->page_count_; ++id) {
     const off_t off = static_cast<off_t>(id) * physical;
-    if (!PreadFull(fd, phys.data(), phys.size(), off, "pread").ok()) continue;
+    if (!PreadFull(store->fd_, phys.data(), phys.size(), off, "pread").ok()) {
+      continue;
+    }
     const uint8_t* t = phys.data() + page_size;
     if (t[0] != kPageFormatV2 || GetU32(t + 4) != id) continue;
     const uint32_t claimed = GetU32(t + 8);
     if (GetU32(t + 12) == Crc32(phys.data(), page_size + 12,
                                 TrailerSeed(id, claimed))) {
-      epoch = claimed;
-      found = true;
+      store->epoch_ = claimed;
+      return store;
     }
   }
-  if (!found) {
-    ::close(fd);
-    return Status::DataLoss(
-        "no self-consistent page trailer in " + path +
-        "; cannot recover the store epoch (wrong page size, v1 file, or "
-        "total corruption)");
-  }
-  auto store = std::unique_ptr<FilePageStore>(
-      new FilePageStore(fd, page_size, /*format_version=*/2, epoch));
-  store->page_count_ = page_count;
-  store->live_count_ = page_count - 1;
-  store->free_head_ = kInvalidPageId;
-  store->header_damaged_ = true;  // by assumption: that is why we are here
-  store->stats_.high_water_pages = store->live_count_;
-  return store;
-}
-
-Result<std::unique_ptr<FilePageStore>> FilePageStore::OpenImpl(
-    const std::string& path, bool walk_free_chain) {
-  int fd = OpenRetryEintr(path.c_str(), O_RDWR);
-  if (fd < 0) {
-    return ErrnoStatus("open(" + path + ")", errno);
-  }
-  if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
-    ::close(fd);
-    return Status::IoError("store file already open: " + path);
-  }
-  uint8_t header[kHeaderSize];
-  Status hst = PreadFull(fd, header, sizeof(header), 0, "header pread");
-  if (!hst.ok()) {
-    ::close(fd);
-    return Status::Corruption("short read of header in " + path);
-  }
-  const uint32_t magic = GetU32(header);
-  if (magic != kMagicV1 && magic != kMagicV2) {
-    ::close(fd);
-    return Status::Corruption("bad magic in " + path);
-  }
-  const int version = magic == kMagicV2 ? 2 : 1;
-  const int page_size = static_cast<int>(GetU32(header + 4));
-  if (page_size < 64 || page_size > (1 << 24)) {
-    ::close(fd);
-    return Status::DataLoss("implausible page size " +
-                            std::to_string(page_size) + " in header of " +
-                            path + " (header corrupt?)");
-  }
-  const uint32_t epoch = version >= 2 ? GetU32(header + 28) : 0;
-  auto store = std::unique_ptr<FilePageStore>(
-      new FilePageStore(fd, page_size, version, epoch));
-  store->page_count_ = GetU64(header + 8);
-  store->live_count_ = GetU64(header + 16);
-  store->free_head_ = GetU32(header + 24);
-  // A failed Open must leave the file byte-identical: the destructor's
-  // header flush would otherwise overwrite the (possibly corrupt, but
-  // evidentiary) header page with a freshly-checksummed copy — healing in
-  // the best case, laundering garbage fields under a valid trailer in the
-  // worst.  Drop the fd without the flush on every rejection path.
-  const auto reject = [&store](Status st) {
-    ::close(store->fd_);
-    store->fd_ = -1;
-    return st;
-  };
-  if (version >= 2) {
-    // Verify the whole header page against its trailer.  A recovery open
-    // tolerates a damaged header (every field it relies on is recomputed
-    // below, and the next Sync rewrites the page, healing it); a plain
-    // open refuses — its free-chain walk trusts header state.
-    std::vector<uint8_t> page0(store->physical_page_size());
-    Status vst = PreadFull(fd, page0.data(), page0.size(), 0, "page 0 pread");
-    if (vst.ok()) vst = store->CheckTrailer(0, page0);
-    if (!vst.ok()) {
-      ++store->stats_.checksum_failures;
-      if (walk_free_chain) {
-        return reject(
-            Status::DataLoss("header page of " + path +
-                             " failed verification: " + vst.message()));
-      }
-      store->header_damaged_ = true;
-    }
-  }
-  if (!walk_free_chain) {
-    // Recovery mode: the header itself may be stale (it is only rewritten
-    // on Sync).  Pages allocated after the last sync extended the file but
-    // not the header's page count, and some of them may be reachable (a
-    // superblock publish can land just before the crash), so size the
-    // store by the file rather than the header.  The chain may be equally
-    // stale: start with nothing free; the caller adopts the real free set.
-    struct stat st;
-    if (::fstat(fd, &st) != 0) {
-      return reject(
-          Status::IoError(std::string("fstat: ") + std::strerror(errno)));
-    }
-    const uint64_t phys =
-        static_cast<uint64_t>(store->physical_page_size());
-    const uint64_t by_size =
-        (static_cast<uint64_t>(st.st_size) + phys - 1) / phys;
-    if (store->header_damaged_) {
-      // A damaged header's page count is noise; the file size is ground
-      // truth.
-      store->page_count_ = std::max<uint64_t>(by_size, 1);
-    } else {
-      store->page_count_ =
-          std::max(store->page_count_, std::max<uint64_t>(by_size, 1));
-    }
-    store->free_head_ = kInvalidPageId;
-    store->live_count_ = store->page_count_ - 1;
-    store->stats_.high_water_pages = store->live_count_;
-    return store;
-  }
-  // Rebuild the free-list mirror by walking the on-disk free chain; the
-  // chain head is the *last* element of the mirror vector (LIFO).
-  PageId cursor = store->free_head_;
-  std::vector<uint8_t> buf(page_size);
-  while (cursor != kInvalidPageId) {
-    if (cursor >= store->page_count_ ||
-        !store->free_set_.insert(cursor).second) {
-      return reject(Status::Corruption("free chain corrupt in " + path));
-    }
-    store->free_list_.push_back(cursor);
-    Status rst = store->ReadRaw(cursor, buf);
-    if (!rst.ok()) return reject(rst);
-    cursor = GetU32(buf.data());
-  }
-  std::reverse(store->free_list_.begin(), store->free_list_.end());
-  // The handle's high-water mark starts at the file's current live count.
-  store->stats_.high_water_pages = store->live_count_;
-  return store;
+  return Status::DataLoss(
+      "no self-consistent page trailer in " + path +
+      "; cannot recover the store epoch (wrong page size, v1 file, or "
+      "total corruption)");
 }
 
 Status FilePageStore::WriteHeader() {
-  if (format_version_ < 2) {
-    // Legacy store: keep the legacy header layout (and no trailer — v1
-    // page offsets leave no room for one).
-    uint8_t header[kHeaderSize];
-    std::memset(header, 0, sizeof(header));
-    PutU32(header, kMagicV1);
-    PutU32(header + 4, static_cast<uint32_t>(page_size_));
-    PutU64(header + 8, page_count_);
-    PutU64(header + 16, live_count_);
-    PutU32(header + 24, free_head_);
-    return PwriteFull(fd_, header, sizeof(header), 0, "header pwrite");
-  }
-  // v2: the whole physical page 0 is written (zero padded) so its trailer
+  // The whole physical page 0 is written (zero padded) so its trailer
   // covers every byte — a flip anywhere in the header page is detectable.
+  // The page count, live count and free head keep Create's values (1, 0,
+  // none) and nothing reads them: an open sizes the store by the file.
   std::vector<uint8_t> page0(physical_page_size(), 0);
   PutU32(page0.data(), kMagicV2);
   PutU32(page0.data() + 4, static_cast<uint32_t>(page_size_));
-  PutU64(page0.data() + 8, page_count_);
-  PutU64(page0.data() + 16, live_count_);
-  PutU32(page0.data() + 24, free_head_);
+  PutU64(page0.data() + 8, 1);
+  PutU64(page0.data() + 16, 0);
+  PutU32(page0.data() + 24, kInvalidPageId);
   PutU32(page0.data() + 28, epoch_);
   FillTrailer(0, page0);
   BMEH_RETURN_NOT_OK(PwriteFull(fd_, page0.data(), page0.size(), 0,
@@ -912,44 +797,35 @@ Result<PageId> FilePageStore::Allocate() {
   ++stats_.allocs;
   bool from_reservation = false;
   BMEH_RETURN_NOT_OK(TakeAllocationSlot(&from_reservation));
-  std::vector<uint8_t> zero(page_size_, 0);
   PageId id;
-  const bool grew = free_list_.empty();
-  if (!grew) {
+  if (!free_list_.empty()) {
+    // Free() erased the page, so it already reads as zeros.
     id = free_list_.back();
     free_list_.pop_back();
     free_set_.erase(id);
-    // The next chain link lives in the new back of the mirror.
-    free_head_ = free_list_.empty() ? kInvalidPageId : free_list_.back();
   } else {
+    // Growth writes the zero page, so the file never has a hole and a
+    // full disk surfaces here, not at the caller's first Write.
     id = static_cast<PageId>(page_count_);
-    ++page_count_;
-  }
-  Status wst = WriteRaw(id, zero);
-  if (!wst.ok()) {
-    // Roll back every bookkeeping effect so a failed allocation (the real
-    // ENOSPC path) leaves the store exactly as before the call.
-    if (grew) {
-      --page_count_;
+    Status wst = WriteRaw(id, std::vector<uint8_t>(page_size_, 0));
+    if (!wst.ok()) {
       // The failed pwrite may have extended the file with a partial page;
-      // trim it so recovery opens (which size the store by st_size) never
-      // see a garbage page past the logical end.
+      // trim it so an open (which sizes the store by the file) never sees
+      // a garbage page past the logical end.  Nothing else changed, so the
+      // store is exactly as before the call.
       if (::ftruncate(fd_, static_cast<off_t>(page_count_) *
                                physical_page_size()) != 0) {
         BMEH_LOG(Warning) << "could not trim partially allocated page "
                           << id << ": " << std::strerror(errno);
       }
-    } else {
-      free_list_.push_back(id);
-      free_set_.insert(id);
-      free_head_ = id;
+      ReturnAllocationSlot(from_reservation);
+      ++stats_.alloc_failures;
+      return wst;
     }
-    ReturnAllocationSlot(from_reservation);
-    ++stats_.alloc_failures;
-    return wst;
+    ++page_count_;
   }
-  ++live_count_;
-  stats_.high_water_pages = std::max(stats_.high_water_pages, live_count_);
+  stats_.high_water_pages =
+      std::max(stats_.high_water_pages, live_page_count());
   return id;
 }
 
@@ -957,20 +833,12 @@ Status FilePageStore::Free(PageId id) {
   if (id == 0 || id >= page_count_ || free_set_.count(id) != 0) {
     return Status::Invalid("Free of invalid page " + std::to_string(id));
   }
+  // Erase the page.  If that fails it stays live, so Allocate() never
+  // hands out a page that still holds old bytes.
+  BMEH_RETURN_NOT_OK(WriteRaw(id, std::vector<uint8_t>(page_size_, 0)));
   ++stats_.frees;
-  std::vector<uint8_t> buf(page_size_, 0);
-  PutU32(buf.data(), free_head_);
-  Status wst = WriteRaw(id, buf);
-  if (!wst.ok()) {
-    // The chain link never hit the disk: keep the page live so the
-    // free-list mirror and the file stay consistent.
-    --stats_.frees;
-    return wst;
-  }
   free_set_.insert(id);
   free_list_.push_back(id);
-  free_head_ = id;
-  --live_count_;
   return Status::OK();
 }
 
@@ -981,13 +849,10 @@ Status FilePageStore::AdoptFreeList(const std::vector<PageId>& pages) {
                              std::to_string(id));
     }
   }
-  // Reset to "everything live", then free the adopted pages one by one —
-  // this rewrites their chain links on disk, so a subsequent plain Open()
-  // sees a coherent chain again.
+  // Reset to "everything live", then free (and so erase) the adopted
+  // pages one by one.
   free_list_.clear();
   free_set_.clear();
-  free_head_ = kInvalidPageId;
-  live_count_ = page_count_ - 1;
   for (PageId id : pages) {
     BMEH_RETURN_NOT_OK(Free(id));
   }
@@ -1019,13 +884,15 @@ Status FilePageStore::Write(PageId id, std::span<const uint8_t> data) {
   return WriteRaw(id, data);
 }
 
-uint64_t FilePageStore::live_page_count() const { return live_count_; }
+uint64_t FilePageStore::live_page_count() const {
+  return page_count_ - 1 - free_list_.size();
+}
 
 Status FilePageStore::Sync() {
   if (!sticky_sync_error_.ok()) {
     return sticky_sync_error_;
   }
-  BMEH_RETURN_NOT_OK(WriteHeader());
+  if (header_damaged_) BMEH_RETURN_NOT_OK(WriteHeader());
   if (fsync_enabled_ && ::fsync(fd_) != 0) {
     sticky_sync_error_ =
         Status::IoError(std::string("fsync: ") + std::strerror(errno));

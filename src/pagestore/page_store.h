@@ -1,7 +1,7 @@
 // PageStore: the block device abstraction.
 //
 // Two implementations: an in-memory store for simulation and tests, and a
-// POSIX-file-backed store (4 KiB pages, header page with a free-list chain)
+// POSIX-file-backed store (4 KiB pages behind a write-once header page)
 // used by the BMEH-tree's save/load path and the persistence tests.  A
 // third, FaultInjectingPageStore (fault_injecting_page_store.h), decorates
 // any of them with deterministic failure injection for crash testing.
@@ -206,9 +206,15 @@ class InMemoryPageStore : public PageStore {
 
 /// \brief POSIX-file-backed page store.
 ///
-/// Layout: page 0 is a header (magic, page size, page count, free-list
-/// head); each free page stores the id of the next free page in its first
-/// four bytes.  The header is rewritten on Sync() and on destruction.
+/// Layout: page 0 is a header (magic, page size, store epoch) that
+/// Create() writes once; the pages after it hold data, and the file's
+/// size is the page count.  The free list lives only in memory.  Open()
+/// starts with every page live, and the owner hands it the free list
+/// with AdoptFreeList() once it knows which pages are unreachable
+/// (BmehStore does on every open).  A freed page is erased: it holds
+/// zeros on disk, so a recycled page reads as zeros without another
+/// write, and a link that reaches a page allocated but not yet written
+/// finds no stale bytes there.
 ///
 /// On-disk integrity (format v2): every physical page — header, live,
 /// and free alike — ends in a 16-byte self-checksum trailer
@@ -234,13 +240,10 @@ class InMemoryPageStore : public PageStore {
 /// payloads occupy the whole physical page, so there is no room for a
 /// trailer at the v1 offsets.
 ///
-/// Crash-consistency contract: the on-disk header (and with it the free
-/// chain) is only guaranteed coherent as of the last Sync().  A reader
-/// reopening after a crash must therefore either trust the chain (plain
-/// Open(), fine after a clean close) or open with OpenForRecovery() —
-/// which ignores the possibly-stale chain — and hand the store a
-/// reconstructed free list via AdoptFreeList() once it has determined
-/// which pages are reachable.  BmehStore does the latter on every open.
+/// Crash consistency: nothing on disk records which pages are free, so
+/// there is nothing to go stale.  A page that grows the file is written
+/// (as zeros) by Allocate(), so the file never has a hole, and an open
+/// after a crash sizes the store by the file like any other open.
 ///
 /// The file is flock()ed exclusively for the lifetime of the object, so a
 /// second Open/Create of the same path (from this or another process)
@@ -258,19 +261,16 @@ class FilePageStore : public PageStore {
   static Result<std::unique_ptr<FilePageStore>> Create(
       const std::string& path, int page_size = kDefaultPageSize);
 
-  /// \brief Opens an existing store file, validating the header and
-  /// rebuilding the free list from the on-disk chain.
+  /// \brief Opens an existing store file.  Reads the magic, page size
+  /// and epoch from the header and sizes the store by the file; every
+  /// page starts live, and the caller hands over the free list with
+  /// AdoptFreeList() once it has determined which pages are unreachable.
+  /// A header page that fails verification is tolerated
+  /// (header_damaged()).
   static Result<std::unique_ptr<FilePageStore>> Open(const std::string& path);
 
-  /// \brief Opens an existing store file without walking the free chain
-  /// (which may be stale after a crash).  The store starts with an empty
-  /// free list; the caller is expected to call AdoptFreeList() with the
-  /// set of unreachable pages it computed.
-  static Result<std::unique_ptr<FilePageStore>> OpenForRecovery(
-      const std::string& path);
-
   /// \brief Last-ditch open for the salvage tooling, used when even
-  /// OpenForRecovery rejects the file because the header page is
+  /// Open() rejects the file because the header page is
   /// destroyed (bad magic or implausible page size).  Ignores the header
   /// entirely: the caller supplies the page size, the file is sized by
   /// st_size, and the store epoch is recovered from the first page whose
@@ -288,16 +288,17 @@ class FilePageStore : public PageStore {
   uint64_t total_page_count() const override { return page_count_; }
   PageId first_data_page() const override { return 1; }
 
-  /// \brief Flushes the header and fsyncs the file.  Once an fsync has
-  /// failed the error is sticky: the kernel may have dropped the dirty
-  /// pages, so later "successful" fsyncs must not be reported as
-  /// durability (the PostgreSQL fsync-gate lesson).
+  /// \brief Fsyncs the file (and first rewrites the header while
+  /// header_damaged()).  Once an fsync has failed the error is sticky:
+  /// the kernel may have dropped the dirty pages, so later "successful"
+  /// fsyncs must not be reported as durability (the PostgreSQL
+  /// fsync-gate lesson).
   Status Sync() override;
 
   /// \brief Replaces the free list wholesale with `pages` (each must be a
-  /// valid non-header page, not currently free).  Rewrites the on-disk
-  /// chain over the adopted pages — safe even mid-crash, because adopted
-  /// pages are by definition unreachable from any live structure.
+  /// valid non-header page, listed once) and erases each of them — safe
+  /// even after a crash, because adopted pages are by definition
+  /// unreachable from any live structure.
   Status AdoptFreeList(const std::vector<PageId>& pages);
 
   /// \brief Total pages in the file, including the header page.
@@ -311,9 +312,9 @@ class FilePageStore : public PageStore {
   /// v1 files).
   uint32_t epoch() const { return epoch_; }
 
-  /// \brief Whether the header page failed verification at open (only
-  /// possible for OpenForRecovery, which tolerates it; a later Sync
-  /// rewrites the header and heals it).
+  /// \brief Whether the header page failed verification at open (or was
+  /// ignored by OpenIgnoringHeader).  The next Sync rewrites the header
+  /// and heals it; it is the only write of the header after Create.
   bool header_damaged() const { return header_damaged_; }
 
   /// \brief Verifies the trailer of physical page `id` without touching
@@ -344,24 +345,27 @@ class FilePageStore : public PageStore {
   /// read that a re-read resolves).
   void CorruptNextReadsForTesting(int n) { inject_read_corruptions_ = n; }
 
-  /// \brief Testing hook: drops the file descriptor *without* the
-  /// destructor's header flush, leaving the on-disk state exactly as the
-  /// last completed write left it — what a process crash would leave.
-  /// Every subsequent operation fails with IoError.
+  /// \brief Testing hook: closes the file descriptor as a process crash
+  /// would, leaving the on-disk state exactly as the last completed write
+  /// left it.  Every subsequent operation fails with IoError.
   void CrashForTesting();
 
-  /// \brief Testing hook: skip the physical fsync in Sync() (header write
-  /// still happens).  Process-level crash tests do not need the kernel
-  /// flush and save two orders of magnitude of wall clock on ext4.
+  /// \brief Testing hook: skip the physical fsync in Sync().
+  /// Process-level crash tests do not need the kernel flush and save two
+  /// orders of magnitude of wall clock on ext4.
   void DisableFsyncForTesting() { fsync_enabled_ = false; }
 
  protected:
   uint64_t QuotaHeadroom() const override;
 
  private:
-  FilePageStore(int fd, int page_size, int format_version, uint32_t epoch);
-  static Result<std::unique_ptr<FilePageStore>> OpenImpl(
-      const std::string& path, bool walk_free_chain);
+  explicit FilePageStore(int fd) : fd_(fd) {}
+  /// Opens `path` with `flags` and takes its flock; the returned store
+  /// owns the descriptor and has no geometry yet.
+  static Result<std::unique_ptr<FilePageStore>> OpenLocked(
+      const std::string& path, int flags);
+  /// Sets the page count from the file's size; every page starts live.
+  Status SizeByFile();
   Status WriteHeader();
   /// Physical page size: payload plus trailer (v2) or payload alone (v1).
   int physical_page_size() const {
@@ -381,8 +385,6 @@ class FilePageStore : public PageStore {
   int format_version_ = 2;
   uint32_t epoch_ = 0;
   uint64_t page_count_ = 1;  // includes the header page
-  uint64_t live_count_ = 0;
-  PageId free_head_ = kInvalidPageId;
   bool fsync_enabled_ = true;
   bool header_damaged_ = false;
   int max_read_retries_ = 3;
@@ -391,8 +393,7 @@ class FilePageStore : public PageStore {
   int inject_read_corruptions_ = 0;
   // First fsync failure, remembered forever (see Sync()).
   Status sticky_sync_error_;
-  // In-memory mirror of the free chain, newest free page last (the back
-  // is always free_head_).  Lets Allocate() pop without a disk read.
+  // The free list, newest free page last; Allocate() pops the back.
   std::vector<PageId> free_list_;
   // Membership mirror, to reject use-after-free and double free.
   std::unordered_set<PageId> free_set_;

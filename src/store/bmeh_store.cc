@@ -171,14 +171,14 @@ void BmehStore::AttachObservability(const StoreOptions& options) {
   watchdog_ = options.watchdog;
   shard_index_ = options.shard_index;
   watchdog_deadline_ms_ = options.watchdog_deadline_ms;
+  const std::string label = shard_index_ < 0 ? "" : MetricsLabel(shard_index_);
   if (watchdog_ != nullptr) {
     // Armed only around a leader's append+sync and around CheckpointLocked
     // (both are legally absent most of the time); the label keeps sibling
     // shards distinguishable.
-    commit_hb_ = watchdog_->Register(options.metrics_label + "commit",
-                                     watchdog_deadline_ms_);
-    checkpoint_hb_ = watchdog_->Register(options.metrics_label + "checkpoint",
-                                         watchdog_deadline_ms_);
+    commit_hb_ = watchdog_->Register(label + "commit", watchdog_deadline_ms_);
+    checkpoint_hb_ =
+        watchdog_->Register(label + "checkpoint", watchdog_deadline_ms_);
   }
   if (options.metrics == nullptr) return;
   metrics_ = options.metrics;
@@ -204,7 +204,7 @@ void BmehStore::AttachObservability(const StoreOptions& options) {
   range_retried_latency_ = metrics_->GetHistogram("range_retried_latency_ns");
   checkpoint_latency_ = metrics_->GetHistogram("checkpoint_latency_ns");
   wal_append_latency_ = metrics_->GetHistogram("wal_append_latency_ns");
-  store_->AttachMetrics(metrics_, &plane_.mutex(), options.metrics_label);
+  store_->AttachMetrics(metrics_, &plane_.mutex(), label);
   if (tree_ != nullptr) {
     tree_->set_split_latency_histogram(
         metrics_->GetHistogram("split_latency_ns"));
@@ -217,7 +217,6 @@ void BmehStore::AttachObservability(const StoreOptions& options) {
   // Every sampled name carries the store's label (empty for a standalone
   // store) so sibling shards sharing the registry don't overwrite each
   // other at Snapshot() time.
-  const std::string label = options.metrics_label;
   metrics_source_ =
       metrics_->AddSource([this, label](obs::RegistrySnapshot* s) {
         std::shared_lock<std::shared_mutex> lock(plane_.mutex());
@@ -489,11 +488,10 @@ Result<std::unique_ptr<BmehStore>> BmehStore::Open(
     return InitFresh(std::move(file), options);
   }
 
-  // Existing file: the on-disk free chain may be stale if the last close
-  // was a crash, so open in recovery mode and rebuild the free list from
-  // reachability once the superblock, image and WAL told us which pages
-  // are live.
-  BMEH_ASSIGN_OR_RETURN(auto file, FilePageStore::OpenForRecovery(path));
+  // Existing file: the page store keeps no free list on disk, so rebuild
+  // it from reachability once the superblock, image and WAL told us which
+  // pages are live.
+  BMEH_ASSIGN_OR_RETURN(auto file, FilePageStore::Open(path));
   if (options.max_pages > 0) file->SetMaxPages(options.max_pages);
   FilePageStore* raw = file.get();
   Status image_chain;
@@ -524,7 +522,7 @@ Result<std::unique_ptr<BmehStore>> BmehStore::Open(
 }
 
 Result<StoreInfo> BmehStore::Inspect(const std::string& path) {
-  BMEH_ASSIGN_OR_RETURN(auto file, FilePageStore::OpenForRecovery(path));
+  BMEH_ASSIGN_OR_RETURN(auto file, FilePageStore::Open(path));
   StoreInfo info;
   info.page_size = file->page_size();
   info.page_count = file->page_count();

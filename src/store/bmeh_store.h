@@ -115,27 +115,26 @@ struct StoreOptions {
   /// scoped span.  Null (the default) costs one branch per charge site.
   obs::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
-  /// Prefix for this store's *sampled* metric names (e.g. "shard3_" makes
-  /// the source publish shard3_tree_records instead of tree_records).
-  /// Required when several stores share one registry: snapshot sources
-  /// assign by name, so unlabeled sources would silently overwrite each
-  /// other.  Shared Counter / Histogram handles are never prefixed — they
-  /// are single objects that aggregate across stores by construction.
-  std::string metrics_label;
   /// Wide-event operation log (optional; must outlive the store).  Every
   /// public operation emits one correlated JSON line — trace_id, op,
   /// shard, status, latency, LSN — subject to the log's sampling policy.
   /// Null (the default) costs one branch per op.
   obs::OpLog* oplog = nullptr;
   /// Commit-path stall watchdog (optional; must outlive the store).  Each
-  /// commit leader arms a heartbeat named "<metrics_label>commit" around
-  /// its WAL append and sync, and the checkpoint path arms
-  /// "<metrics_label>checkpoint" around each image write, so a stuck
-  /// fsync flips /healthz degraded instead of hanging silently.
+  /// commit leader arms a heartbeat named "<label>commit" around its WAL
+  /// append and sync, and the checkpoint path arms "<label>checkpoint"
+  /// around each image write (the label as for shard_index below), so a
+  /// stuck fsync flips /healthz degraded instead of hanging silently.
   obs::Watchdog* watchdog = nullptr;
   /// Heartbeat deadline for the watchdog registrations above.
   uint64_t watchdog_deadline_ms = 5000;
   /// Shard ordinal stamped on this store's wide events (-1 = unsharded).
+  /// Shard k also prefixes its *sampled* metric names and its heartbeats
+  /// with BmehStore::MetricsLabel(k), "shard<k>_" (shard3_tree_records
+  /// instead of tree_records): snapshot sources assign by name, so stores
+  /// sharing one registry would otherwise overwrite each other.  Shared
+  /// Counter / Histogram handles are never prefixed — they are single
+  /// objects that aggregate across stores by construction.
   int shard_index = -1;
   /// WAL archiving: when non-empty, every checkpoint first seals the
   /// records it is about to truncate into a CRC-sealed segment file
@@ -257,6 +256,12 @@ class BmehStore {
 
   /// \brief Reads the durable state of a store file without mutating it.
   static Result<StoreInfo> Inspect(const std::string& path);
+
+  /// \brief The "shard<k>_" prefix shard k's sampled metrics and
+  /// heartbeats carry (see StoreOptions::shard_index).
+  static std::string MetricsLabel(int shard_index) {
+    return "shard" + std::to_string(shard_index) + "_";
+  }
 
   /// \brief Inserts a record (AlreadyExists on duplicates).
   Status Put(const PseudoKey& key, uint64_t payload);

@@ -5,6 +5,7 @@
 #include "src/common/bytes.h"
 #include "src/hashdir/descent.h"
 #include "src/hashdir/range_walk.h"
+#include "src/pagestore/undo_journal.h"
 
 namespace bmeh {
 
@@ -25,13 +26,15 @@ Result<PageId> FrozenBmehTree::Freeze(const BmehTree& tree,
                                       PageStore* store) {
   const int d = tree.schema().dims();
 
-  // Pass 1: reserve a store page for every node and data page.
+  // Pass 1: reserve a store page for every node and data page.  Every
+  // allocation is journaled, so a freeze that fails frees what it took.
+  PageOpJournal journal(store);
   std::unordered_map<uint32_t, PageId> node_page;
   std::unordered_map<uint32_t, PageId> data_page;
   Status bad = Status::OK();
   tree.nodes().ForEach([&](uint32_t id, const DirNode&) {
     if (!bad.ok()) return;
-    auto p = store->Allocate();
+    auto p = journal.Allocate();
     if (!p.ok()) {
       bad = p.status();
       return;
@@ -41,7 +44,7 @@ Result<PageId> FrozenBmehTree::Freeze(const BmehTree& tree,
   BMEH_RETURN_NOT_OK(bad);
   tree.data_pages().ForEach([&](uint32_t id, const DataPage&) {
     if (!bad.ok()) return;
-    auto p = store->Allocate();
+    auto p = journal.Allocate();
     if (!p.ok()) {
       bad = p.status();
       return;
@@ -97,7 +100,7 @@ Result<PageId> FrozenBmehTree::Freeze(const BmehTree& tree,
   BMEH_RETURN_NOT_OK(bad);
 
   // Metadata page.
-  BMEH_ASSIGN_OR_RETURN(PageId meta, store->Allocate());
+  BMEH_ASSIGN_OR_RETURN(PageId meta, journal.Allocate());
   w.Clear();
   w.U32(kFrozenMagic);
   w.U8(static_cast<uint8_t>(d));
@@ -109,6 +112,7 @@ Result<PageId> FrozenBmehTree::Freeze(const BmehTree& tree,
   w.U64(tree.Stats().records);
   w.U32(node_page.at(tree.root_id()));
   BMEH_RETURN_NOT_OK(write_page(meta, "metadata page overflow"));
+  journal.Commit();
   return meta;
 }
 

@@ -27,7 +27,7 @@ void ApplySalvagedOp(const Wal::LogRecord& rec, RecordMap* state) {
 Status ScrubStoreImpl(const std::string& path, ScrubReport* report) {
   BMEH_CHECK(report != nullptr);
   *report = ScrubReport{};
-  auto opened = FilePageStore::OpenForRecovery(path);
+  auto opened = FilePageStore::Open(path);
   if (!opened.ok()) {
     if (opened.status().IsDataLoss() || opened.status().IsCorruption()) {
       // The header page itself is destroyed — detection succeeded, even
@@ -208,7 +208,7 @@ Status SalvageStoreImpl(const std::string& src, const std::string& dst,
   // salvage must control the ordering (checkpoint records first, then the
   // WAL ops replayed on top) to avoid resurrecting deleted keys.
   std::unique_ptr<FilePageStore> file;
-  auto src_open = FilePageStore::OpenForRecovery(src);
+  auto src_open = FilePageStore::Open(src);
   if (src_open.ok()) {
     file = std::move(src_open).ValueOrDie();
   } else if (src_open.status().IsDataLoss() ||

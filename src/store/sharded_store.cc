@@ -192,7 +192,7 @@ ShardedStore::ShardedStore(std::vector<std::unique_ptr<StorageUnit>> units,
     int64_t height = 0, down = 0;
     for (size_t k = 0; k < units_.size(); ++k) {
       StorageUnit::Ref ref = units_[k]->Acquire();
-      s->gauges[StorageUnit::MetricsLabel(static_cast<int>(k)) + "up"] =
+      s->gauges[BmehStore::MetricsLabel(static_cast<int>(k)) + "up"] =
           ref ? 1 : 0;
       if (!ref) {
         ++down;

@@ -370,9 +370,9 @@ class ShardedStore {
   /// final checkpoint (the per-shard files keep their WALs).
   void SimulateCrashForTesting();
 
-  /// \brief Testing hook: process death — poisons every shard and drops
-  /// the file descriptors of file-backed shards without the clean-close
-  /// header flush, so only completed page writes survive.
+  /// \brief Testing hook: process death — poisons every shard, so no
+  /// final checkpoint runs, and closes the file descriptors of
+  /// file-backed shards, so only completed page writes survive.
   void SimulateProcessCrashForTesting();
 
   /// \brief Testing hook: disables fsync on every file-backed shard.

@@ -15,7 +15,6 @@ std::string StorageUnit::ShardArchiveDir(const std::string& root,
 
 StoreOptions StorageUnit::ShardOptions(StoreOptions options,
                                        int shard_index) {
-  options.metrics_label = MetricsLabel(shard_index);
   options.shard_index = shard_index;
   if (!options.wal_archive_dir.empty()) {
     options.wal_archive_dir =

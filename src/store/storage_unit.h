@@ -84,9 +84,10 @@ class StorageUnit {
                                            Status reason);
 
   /// \brief `options` with shard `shard_index`'s identity applied — the
-  /// one place a shard gets it: the "shard<k>_" label on its sampled
-  /// metrics and watchdog heartbeats, the shard index on its wide events,
-  /// and its own subdirectory of a configured WAL archive root (shards
+  /// one place a shard gets it: the shard index on its wide events, from
+  /// which BmehStore derives the "shard<k>_" label on its sampled metrics
+  /// and watchdog heartbeats, and its own subdirectory of a configured
+  /// WAL archive root (shards
   /// have independent LSN domains, so their segment file names — keyed by
   /// LSN — would collide in a shared directory).
   static StoreOptions ShardOptions(StoreOptions options, int shard_index);
@@ -167,11 +168,6 @@ class StorageUnit {
 
   /// \brief The unit's file path (empty for an injected device).
   const std::string& path() const { return path_; }
-
-  /// \brief The "shard<k>_" prefix this unit's sampled metrics carry.
-  static std::string MetricsLabel(int shard_index) {
-    return "shard" + std::to_string(shard_index) + "_";
-  }
 
   /// \brief Where shard `shard_index` archives its WAL segments under a
   /// shared archive root (see ShardOptions).

@@ -10,9 +10,12 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <unordered_set>
 
 #include "src/pagestore/fault_injecting_page_store.h"
 #include "src/store/bmeh_store.h"
+#include "src/store/scrub.h"
+#include "tests/test_util.h"
 
 namespace bmeh {
 namespace {
@@ -72,6 +75,25 @@ class CheckpointEdgeTest : public ::testing::Test {
     b ^= 0xff;
     ASSERT_EQ(::pwrite(fd, &b, 1, off), 1);
     ::close(fd);
+  }
+
+  std::vector<uint8_t> FileBytes() {
+    std::vector<uint8_t> bytes;
+    BMEH_CHECK(ReadWholeFile(path_, &bytes).ok());
+    return bytes;
+  }
+
+  /// Expects every page in `pages` to read back verified and all zero
+  /// through a fresh open of the closed file.
+  void ExpectErased(const std::vector<PageId>& pages) {
+    auto file = FilePageStore::Open(path_);
+    ASSERT_TRUE(file.ok()) << file.status();
+    std::vector<uint8_t> buf(kDefaultPageSize);
+    for (PageId id : pages) {
+      ASSERT_TRUE((*file)->Read(id, buf).ok()) << "page " << id;
+      EXPECT_EQ(buf, std::vector<uint8_t>(kDefaultPageSize, 0))
+          << "page " << id;
+    }
   }
 
   uint64_t FileSize() {
@@ -298,6 +320,81 @@ TEST_F(CheckpointEdgeTest, InspectReportsDurableStateWithoutMutating) {
   EXPECT_TRUE(store->Get(PseudoKey({1u, 1u})).status().IsKeyError());
   EXPECT_TRUE(store->Get(PseudoKey({4u, 4u})).ok());
   ASSERT_TRUE(store->tree().Validate().ok());
+}
+
+TEST_F(CheckpointEdgeTest, InspectAndScrubLeaveTheFileByteIdentical) {
+  {
+    auto store = MustOpen(Opts());
+    ASSERT_TRUE(store->InsertBatch(Records(3000)).ok());
+    ASSERT_TRUE(store->Checkpoint().ok());
+    ASSERT_TRUE(store->Checkpoint().ok());
+  }
+  const std::vector<uint8_t> before = FileBytes();
+  ASSERT_TRUE(BmehStore::Inspect(path_).ok());
+  EXPECT_TRUE(FileBytes() == before) << "storeinfo must not write the store";
+  ScrubReport report;
+  ASSERT_TRUE(ScrubStore(path_, &report).ok());
+  EXPECT_TRUE(report.clean());
+  EXPECT_TRUE(FileBytes() == before) << "scrub must not write the store";
+}
+
+TEST_F(CheckpointEdgeTest, ASingleRecordCommitWritesOnePage) {
+  // A durable commit that does not seal its WAL page rewrites the tail
+  // page and fsyncs; nothing else reaches the file.
+  StoreOptions options = Opts();
+  options.wal_sync_every = 1;
+  auto store = MustOpen(options);
+  dynamic_cast<FilePageStore*>(store->mutable_page_store())
+      ->DisableFsyncForTesting();
+  ASSERT_TRUE(store->Put(PseudoKey({1u, 1u}), 1).ok());  // starts the WAL
+  const int64_t before = testing::WrittenBytes();
+  if (before < 0) GTEST_SKIP() << "/proc/self/io is unreadable";
+  ASSERT_TRUE(store->Put(PseudoKey({2u, 2u}), 2).ok());
+  EXPECT_EQ(testing::WrittenBytes() - before,
+            kDefaultPageSize + FilePageStore::kPageTrailerSize);
+}
+
+TEST_F(CheckpointEdgeTest, ReleasedAndAdoptedPagesAreErased) {
+  // A checkpoint's release erases the image it replaces, and an open
+  // erases every page it finds unreachable (here, an image whose
+  // checkpoint crashed before its publish).
+  std::vector<PageId> first, second;
+  {
+    auto store = MustOpen(Opts());
+    ASSERT_TRUE(store->InsertBatch(Records(2000)).ok());
+    ASSERT_TRUE(store->Checkpoint().ok());
+    first = ImagePages(store.get());
+    ASSERT_TRUE(store->Put(PseudoKey({1u, 1u << 30}), 1).ok());
+    ASSERT_TRUE(store->Checkpoint().ok());
+    second = ImagePages(store.get());
+    store->SimulateCrashForTesting();
+  }
+  ExpectErased(first);
+  {
+    auto store = MustOpen(Opts());
+    ASSERT_TRUE(store->Put(PseudoKey({2u, 1u << 30}), 2).ok());
+    store->SimulateCrashBeforePublishForTesting();
+    ASSERT_TRUE(store->Checkpoint().ok());  // image written, never published
+    store->SimulateCrashForTesting();
+  }
+  {
+    auto store = MustOpen(Opts());
+    ASSERT_EQ(ImagePages(store.get()), second);
+    store->SimulateCrashForTesting();
+  }
+  auto info = BmehStore::Inspect(path_);
+  ASSERT_TRUE(info.ok()) << info.status();
+  ASSERT_EQ(info->wal_pages, 1u);
+  std::unordered_set<PageId> live(second.begin(), second.end());
+  live.insert(info->wal_head);
+  std::vector<PageId> unreachable;
+  const uint64_t pages = FileSize() / (kDefaultPageSize +
+                                       FilePageStore::kPageTrailerSize);
+  for (PageId id = 2; id < pages; ++id) {
+    if (live.count(id) == 0) unreachable.push_back(id);
+  }
+  ASSERT_FALSE(unreachable.empty());
+  ExpectErased(unreachable);
 }
 
 TEST_F(CheckpointEdgeTest, OnlyALoadReadsTheImage) {

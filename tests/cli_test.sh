@@ -12,7 +12,7 @@ DB="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.db)"
 STORE="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.store)"
 BATCHED="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.batched)"
 REPAIRED="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.repaired)"
-trap 'rm -f "$DB" "$STORE" "$BATCHED" "$REPAIRED"' EXIT
+trap 'rm -f "$DB" "$STORE" "$STORE.before" "$BATCHED" "$REPAIRED"' EXIT
 
 fail() {
   echo "FAIL: $1" >&2
@@ -64,14 +64,17 @@ BATCH_BUILT=$(echo "$OUT" | sed -n 's/.*: \([0-9]*\) records.*/\1/p')
   || fail "batched build population ($BATCH_BUILT) != single-record ($BUILT)"
 
 # storeinfo recovers the crashed store's state without mutating it
+cp "$STORE" "$STORE.before"
 OUT=$("$CLI" storeinfo --db "$STORE") || fail "storeinfo on a crashed store"
 echo "$OUT" | grep -q "format v2" || fail "storeinfo format version"
 echo "$OUT" | grep -q "write-ahead log:  40 records" || fail "storeinfo WAL count"
 echo "$OUT" | grep -q "records:          $BUILT " || fail "storeinfo record count"
+cmp -s "$STORE" "$STORE.before" || fail "storeinfo wrote the store it read"
 
 # a freshly built store scrubs clean
 OUT=$("$CLI" scrub --db "$STORE") || fail "scrub of a clean store exited non-zero"
 echo "$OUT" | grep -q ": clean" || fail "scrub did not report clean"
+cmp -s "$STORE" "$STORE.before" || fail "scrub wrote the store it read"
 
 # fsck --repair of a CLEAN store is an exact copy
 OUT=$("$CLI" fsck --db "$STORE" --repair "$REPAIRED" --b 8 --page-size 512) \

@@ -247,7 +247,7 @@ class CorruptionMatrixTest : public ::testing::Test {
 TEST_F(CorruptionMatrixTest, EveryPageFlipIsDetectedAndNeverSilent) {
   uint64_t page_count = 0;
   {
-    auto f = FilePageStore::OpenForRecovery(base_);
+    auto f = FilePageStore::Open(base_);
     ASSERT_TRUE(f.ok()) << f.status();
     page_count = (*f)->page_count();
   }
@@ -290,7 +290,7 @@ TEST_F(CorruptionMatrixTest, SuperblockLossDegradesToReadOnlyShell) {
   // The superblock lives in the first data page, right after the header.
   PageId super_page;
   {
-    auto f = FilePageStore::OpenForRecovery(base_);
+    auto f = FilePageStore::Open(base_);
     ASSERT_TRUE(f.ok());
     super_page = (*f)->first_data_page();
   }
@@ -375,7 +375,7 @@ TEST_F(CorruptionMatrixTest, ImageTailCorruptionQuarantinesOnlyLostBuckets) {
   {
     auto info = BmehStore::Inspect(base_);
     ASSERT_TRUE(info.ok()) << info.status();
-    auto f = FilePageStore::OpenForRecovery(base_);
+    auto f = FilePageStore::Open(base_);
     ASSERT_TRUE(f.ok()) << f.status();
     std::vector<uint8_t> buf(kPageSize);
     PageId id = info->image_head;
@@ -443,7 +443,7 @@ TEST_F(CorruptionMatrixTest, ScrubReportsWhereTheImageChainIsCut) {
   ASSERT_GT(image_pages, 2u);
   PageId second = kInvalidPageId;
   {
-    auto f = FilePageStore::OpenForRecovery(base_);
+    auto f = FilePageStore::Open(base_);
     ASSERT_TRUE(f.ok()) << f.status();
     std::vector<uint8_t> buf(kPageSize);
     ASSERT_TRUE((*f)->Read(info->image_head, buf).ok());

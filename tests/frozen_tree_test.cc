@@ -190,6 +190,7 @@ TEST(FrozenTreeTest, TooSmallPagesFailCleanly) {
   InMemoryPageStore store(64);  // far too small for b=64 data pages
   auto meta = FrozenBmehTree::Freeze(*built.tree, &store);
   EXPECT_TRUE(meta.status().IsCapacityError()) << meta.status();
+  EXPECT_EQ(store.live_page_count(), 0u);
 }
 
 }  // namespace

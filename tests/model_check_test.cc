@@ -72,7 +72,7 @@ class SingleStoreDriver {
   }
 
   void Reopen() {
-    auto recovered = FilePageStore::OpenForRecovery(path_);
+    auto recovered = FilePageStore::Open(path_);
     ASSERT_TRUE(recovered.ok()) << recovered.status();
     auto file = std::move(recovered).ValueOrDie();
     file->DisableFsyncForTesting();

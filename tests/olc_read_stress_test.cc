@@ -391,7 +391,7 @@ void BuildDegradedStoreFile(const std::string& path,
   *image_head = info->image_head;
   PageId victim = kInvalidPageId;
   {
-    auto file = FilePageStore::OpenForRecovery(path);
+    auto file = FilePageStore::Open(path);
     ASSERT_TRUE(file.ok()) << file.status();
     std::vector<uint8_t> buf(kDegradedPageSize);
     for (PageId id = info->image_head; id != kInvalidPageId;) {
@@ -526,7 +526,7 @@ TEST(OlcReadStressTest, DegradedIndexReadsLockFree) {
   ASSERT_NO_FATAL_FAILURE(BuildDegradedStoreFile(path, &keys, &head));
   std::unique_ptr<BmehTree> loaded;
   {
-    auto file = FilePageStore::OpenForRecovery(path);
+    auto file = FilePageStore::Open(path);
     ASSERT_TRUE(file.ok()) << file.status();
     TreeLoadReport report;
     auto tree = BmehTree::LoadFromTolerant(file->get(), head, &report);

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "tests/test_util.h"
+
 namespace bmeh {
 namespace {
 
@@ -239,9 +241,14 @@ TEST(FilePageStoreTest, FreeListPersistsAcrossReopen) {
     auto r = FilePageStore::Open(path);
     ASSERT_TRUE(r.ok());
     auto store = std::move(r).ValueOrDie();
+    // The free list lives in memory; every store open hands it back.
+    ASSERT_TRUE(store->AdoptFreeList({freed}).ok());
     auto c = store->Allocate();
     ASSERT_TRUE(c.ok());
-    EXPECT_EQ(*c, freed) << "free list should survive reopen";
+    EXPECT_EQ(*c, freed) << "the adopted free list hands back the page";
+    std::vector<uint8_t> back(128, 0xff);
+    ASSERT_TRUE(store->Read(*c, back).ok());
+    EXPECT_EQ(back, std::vector<uint8_t>(128, 0));
   }
   std::remove(path.c_str());
 }
@@ -302,6 +309,72 @@ TEST(FilePageStoreTest, V2PagesCarryVerifiableTrailers) {
   // Physical layout: payload plus trailer per page, nothing more.
   EXPECT_EQ(std::filesystem::file_size(path),
             store->page_count() * static_cast<uint64_t>(kPhysical128));
+  std::remove(path.c_str());
+}
+
+TEST(FilePageStoreTest, FreedPageHoldsZerosUnderAValidTrailer) {
+  // No chain links the free pages: Free erases the page, so nothing that
+  // reaches it later finds the bytes it held.
+  const std::string path = ::testing::TempDir() + "/bmeh_erased.db";
+  auto r = FilePageStore::Create(path, 128);
+  ASSERT_TRUE(r.ok());
+  auto store = std::move(r).ValueOrDie();
+  auto a = store->Allocate();
+  auto b = store->Allocate();
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(store->Write(*a, Pattern(128, 1)).ok());
+  ASSERT_TRUE(store->Write(*b, Pattern(128, 2)).ok());
+  ASSERT_TRUE(store->Free(*a).ok());
+  std::vector<uint8_t> file;
+  ASSERT_TRUE(ReadWholeFile(path, &file).ok());
+  const auto page = file.begin() + *a * kPhysical128;
+  EXPECT_EQ(std::vector<uint8_t>(page, page + 128),
+            std::vector<uint8_t>(128, 0));
+  EXPECT_TRUE(store->VerifyPage(*a).ok());
+  std::remove(path.c_str());
+}
+
+TEST(FilePageStoreTest, SyncOfAHealthyFileWritesNothing) {
+  const std::string path = ::testing::TempDir() + "/bmeh_sync_writes.db";
+  auto r = FilePageStore::Create(path, 128);
+  ASSERT_TRUE(r.ok());
+  auto store = std::move(r).ValueOrDie();
+  store->DisableFsyncForTesting();
+  auto a = store->Allocate();
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(store->Write(*a, Pattern(128, 3)).ok());
+  const int64_t before = testing::WrittenBytes();
+  if (before < 0) GTEST_SKIP() << "/proc/self/io is unreadable";
+  ASSERT_TRUE(store->Sync().ok());
+  EXPECT_EQ(testing::WrittenBytes() - before, 0)
+      << "the header is written by Create, not by Sync";
+  std::remove(path.c_str());
+}
+
+TEST(FilePageStoreTest, OnlyGrowingTheFileWritesAtAllocate) {
+  const std::string path = ::testing::TempDir() + "/bmeh_alloc_writes.db";
+  auto r = FilePageStore::Create(path, 128);
+  ASSERT_TRUE(r.ok());
+  auto store = std::move(r).ValueOrDie();
+  auto a = store->Allocate();
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(store->Write(*a, Pattern(128, 4)).ok());
+  ASSERT_TRUE(store->Free(*a).ok());
+  int64_t before = testing::WrittenBytes();
+  if (before < 0) GTEST_SKIP() << "/proc/self/io is unreadable";
+  auto recycled = store->Allocate();
+  ASSERT_TRUE(recycled.ok());
+  EXPECT_EQ(testing::WrittenBytes() - before, 0)
+      << "Free erased the page already";
+  EXPECT_EQ(*recycled, *a);
+  std::vector<uint8_t> back(128, 0xff);
+  ASSERT_TRUE(store->Read(*recycled, back).ok());
+  EXPECT_EQ(back, std::vector<uint8_t>(128, 0));
+
+  before = testing::WrittenBytes();
+  ASSERT_TRUE(store->Allocate().ok());
+  EXPECT_EQ(testing::WrittenBytes() - before, kPhysical128)
+      << "a page that grows the file is written once, as zeros";
   std::remove(path.c_str());
 }
 
@@ -497,8 +570,7 @@ TEST(FilePageStoreTest, CorruptHeaderFailsStrictOpenButNotRecovery) {
   // fields), so only the trailer check can notice.
   FlipByteAt(path, 60);
 
-  EXPECT_TRUE(FilePageStore::Open(path).status().IsDataLoss());
-  auto r = FilePageStore::OpenForRecovery(path);
+  auto r = FilePageStore::Open(path);
   ASSERT_TRUE(r.ok()) << r.status();
   auto store = std::move(r).ValueOrDie();
   EXPECT_TRUE(store->header_damaged());

@@ -2,7 +2,7 @@
 // driver that runs randomized insert/search/delete workloads against any
 // MultiKeyIndex, cross-checking every result and validating structural
 // invariants periodically.  Also a page store whose fsync can be held,
-// for the commit-path tests.
+// for the commit-path tests, and a counter of the bytes a call writes.
 
 #ifndef BMEH_TESTS_TEST_UTIL_H_
 #define BMEH_TESTS_TEST_UTIL_H_
@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <condition_variable>
+#include <cstdio>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -174,6 +176,27 @@ class LatchedSyncPageStore : public InMemoryPageStore {
   bool held_ = false;
   uint64_t syncs_ = 0;
 };
+
+/// \brief Bytes this process has handed to write-family syscalls so far
+/// (`wchar` in /proc/self/io, Linux), or -1 when that is unreadable.  The
+/// difference across a call counts the physical bytes the call wrote.
+/// Read with stdio: under UBSan the first iostream read of the file
+/// writes bytes of its own, which would land inside the window.
+inline int64_t WrittenBytes() {
+  FILE* io = std::fopen("/proc/self/io", "r");
+  if (io == nullptr) return -1;
+  char key[32];
+  long long value = 0;
+  int64_t written = -1;
+  while (std::fscanf(io, "%31s %lld", key, &value) == 2) {
+    if (std::strcmp(key, "wchar:") == 0) {
+      written = value;
+      break;
+    }
+  }
+  std::fclose(io);
+  return written;
+}
 
 }  // namespace testing
 }  // namespace bmeh

@@ -384,7 +384,7 @@ StoreOptions MakeStoreOptions(const Args& args) {
 /// True when `path` is a BmehStore file (superblock magic at the first
 /// data page).
 bool IsStoreFile(const std::string& path) {
-  auto file = FilePageStore::OpenForRecovery(path);
+  auto file = FilePageStore::Open(path);
   if (!file.ok()) return false;
   PageId image_head, wal_head;
   uint64_t generation;
@@ -922,7 +922,7 @@ int CmdFsckShard(const Args& args, const std::vector<std::string>& files,
   if (!st.ok()) {
     Die("repair failed on shard " + std::to_string(s) + ": " + st.ToString());
   }
-  store.reset();  // clean close: checkpoint + header flush per shard
+  store.reset();  // clean close: a checkpoint per shard
   if (repair.salvaged) {
     std::printf("shard %d: repaired (salvaged %llu records%s)\n", s,
                 static_cast<unsigned long long>(
@@ -1091,7 +1091,7 @@ int CmdCorrupt(const Args& args) {
   long physical = 0;
   uint64_t page_count = 0;
   {
-    auto file = FilePageStore::OpenForRecovery(db);
+    auto file = FilePageStore::Open(db);
     if (!file.ok()) Die(file.status().ToString());
     physical = (*file)->page_size() +
                ((*file)->format_version() >= FilePageStore::kPageFormatV2
