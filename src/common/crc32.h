@@ -1,10 +1,12 @@
-// CRC32 (IEEE 802.3 polynomial, reflected) for on-disk integrity checks.
+// CRC32 (CRC-32/ISO-HDLC: IEEE 802.3 polynomial, reflected) for on-disk
+// integrity checks; docs/FORMATS.md defines it and what "seeded" means.
 //
-// Used by the write-ahead log to detect torn or partially written records
-// after a crash: every WAL record carries the checksum of its body, and
-// replay stops at the first record whose checksum does not match.  The
-// implementation is a plain table-driven byte-at-a-time loop — WAL records
-// are tens of bytes, so there is nothing to win from slicing variants.
+// It seals every page trailer of the page device (each write, each erasure
+// and each verified read of a page), the superblock, WAL records, WAL
+// archive segments, backup payloads and sealed text manifests.  A whole
+// page is the common input, so the loop is slicing-by-8 (eight table
+// lookups fold eight bytes per step); its values are those of the
+// byte-at-a-time definition.
 
 #ifndef BMEH_COMMON_CRC32_H_
 #define BMEH_COMMON_CRC32_H_

@@ -343,6 +343,15 @@ int FsyncRetryEintr(int fd) {
   }
 }
 
+/// ftruncate(2) that survives EINTR.
+int FtruncateRetryEintr(int fd, off_t length) {
+  for (;;) {
+    if (SimulateEintr()) continue;
+    const int rc = ::ftruncate(fd, length);
+    if (rc == 0 || errno != EINTR) return rc;
+  }
+}
+
 /// pwrite counterpart of PreadFull.
 Status PwriteFull(int fd, const uint8_t* buf, size_t n, off_t off,
                   const std::string& what) {
@@ -570,7 +579,7 @@ Result<std::unique_ptr<FilePageStore>> FilePageStore::Create(
   BMEH_ASSIGN_OR_RETURN(auto store, OpenLocked(path, O_RDWR | O_CREAT));
   // Truncate only after the lock is held, so a concurrent Create cannot
   // wipe a store another handle is using.
-  if (::ftruncate(store->fd_, 0) != 0) {
+  if (FtruncateRetryEintr(store->fd_, 0) != 0) {
     return ErrnoStatus("ftruncate(" + path + ")", errno);
   }
   store->page_size_ = page_size;
@@ -813,8 +822,8 @@ Result<PageId> FilePageStore::Allocate() {
       // trim it so an open (which sizes the store by the file) never sees
       // a garbage page past the logical end.  Nothing else changed, so the
       // store is exactly as before the call.
-      if (::ftruncate(fd_, static_cast<off_t>(page_count_) *
-                               physical_page_size()) != 0) {
+      if (FtruncateRetryEintr(fd_, static_cast<off_t>(page_count_) *
+                                       physical_page_size()) != 0) {
         BMEH_LOG(Warning) << "could not trim partially allocated page "
                           << id << ": " << std::strerror(errno);
       }
@@ -893,7 +902,7 @@ Status FilePageStore::Sync() {
     return sticky_sync_error_;
   }
   if (header_damaged_) BMEH_RETURN_NOT_OK(WriteHeader());
-  if (fsync_enabled_ && ::fsync(fd_) != 0) {
+  if (fsync_enabled_ && FsyncRetryEintr(fd_) != 0) {
     sticky_sync_error_ =
         Status::IoError(std::string("fsync: ") + std::strerror(errno));
     return sticky_sync_error_;

@@ -457,9 +457,9 @@ void InjectDirSyncErrorsForTesting(int count);
 void ResetStickyDirSyncErrorsForTesting();
 
 /// \brief Testing seam for the EINTR-retry loops around the file page
-/// store's syscalls (pread / pwrite / open / fsync, and the same calls
-/// in the durable file helpers above).  Arms the injector so that,
-/// starting with the `nth` intercepted syscall (0-based), the next
+/// store's syscalls (pread / pwrite / open / fsync / ftruncate, and the
+/// same calls in the durable file helpers above).  Arms the injector so
+/// that, starting with the `nth` intercepted syscall (0-based), the next
 /// `count` syscalls fail with EINTR before reaching the kernel.  Every
 /// syscall site must absorb the interruption and retry — EINTR is a
 /// signal delivery, not an I/O failure.  Pass (UINT64_MAX, 0) to disarm

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
+#include "src/common/bytes.h"
 #include "tests/test_util.h"
 
 namespace bmeh {
@@ -331,6 +333,51 @@ TEST(FilePageStoreTest, FreedPageHoldsZerosUnderAValidTrailer) {
   EXPECT_EQ(std::vector<uint8_t>(page, page + 128),
             std::vector<uint8_t>(128, 0));
   EXPECT_TRUE(store->VerifyPage(*a).ok());
+  std::remove(path.c_str());
+}
+
+TEST(FilePageStoreTest, TrailerCrcMatchesTheFormat) {
+  // Recompute the header's, a written page's and an erased page's trailer
+  // from the file as docs/FORMATS.md section 1 defines it, with a bitwise
+  // CRC32 rather than the store's own: whatever computes the checksum, the
+  // bytes on disk must stay the format every other version reads.
+  const std::string path = ::testing::TempDir() + "/bmeh_trailer_format.db";
+  PageId written = 0;
+  PageId erased = 0;
+  {
+    auto r = FilePageStore::Create(path, 128);
+    ASSERT_TRUE(r.ok());
+    auto store = std::move(r).ValueOrDie();
+    auto a = store->Allocate();
+    auto b = store->Allocate();
+    ASSERT_TRUE(a.ok() && b.ok());
+    written = *a;
+    erased = *b;
+    ASSERT_TRUE(store->Write(written, Pattern(128, 5)).ok());
+    ASSERT_TRUE(store->Write(erased, Pattern(128, 6)).ok());
+    ASSERT_TRUE(store->Free(erased).ok());
+  }
+  std::vector<uint8_t> file;
+  ASSERT_TRUE(ReadWholeFile(path, &file).ok());
+  ASSERT_GE(file.size(), (std::max(written, erased) + 1) *
+                             static_cast<size_t>(kPhysical128));
+  ASSERT_EQ(GetU32(file.data()), 0x32484d42u);  // BMH2
+  const uint32_t epoch = GetU32(file.data() + 28);
+  for (PageId id : {PageId{0}, written, erased}) {
+    const uint8_t* page = file.data() + id * kPhysical128;
+    const uint8_t* t = page + 128;
+    EXPECT_EQ(t[0], 2) << "page " << id;
+    EXPECT_EQ(t[1] | t[2] | t[3], 0) << "page " << id;
+    EXPECT_EQ(GetU32(t + 4), id);
+    EXPECT_EQ(GetU32(t + 8), epoch) << "page " << id;
+    EXPECT_EQ(GetU32(t + 12),
+              testing::BitwiseCrc32(page, 128 + 12,
+                                    (id * 2654435761u) ^ epoch))
+        << "page " << id;
+  }
+  const uint8_t* erased_page = file.data() + erased * kPhysical128;
+  EXPECT_EQ(std::vector<uint8_t>(erased_page, erased_page + 128),
+            std::vector<uint8_t>(128, 0));
   std::remove(path.c_str());
 }
 
@@ -673,6 +720,28 @@ TEST(FilePageStoreTest, EintrIsAbsorbedAtEverySyscallSite) {
   internal::InjectEintrForTesting(UINT64_MAX, 0);  // disarm
   // The sweep must actually have exercised the retry paths.
   EXPECT_GT(internal::EintrRetriesForTesting(), absorbed_before);
+  std::remove(path.c_str());
+}
+
+TEST(FilePageStoreTest, SyncAbsorbsEintr) {
+  // The store's own fsync is a syscall site like any other: an interrupted
+  // fsync is a signal delivery, not lost durability, so it must neither
+  // fail the Sync nor leave a sticky error behind.
+  const std::string path = ::testing::TempDir() + "/bmeh_sync_eintr.db";
+  auto r = FilePageStore::Create(path, 128);
+  ASSERT_TRUE(r.ok()) << r.status();
+  auto store = std::move(r).ValueOrDie();
+  auto a = store->Allocate();
+  ASSERT_TRUE(a.ok()) << a.status();
+  ASSERT_TRUE(store->Write(*a, Pattern(128, 4)).ok());
+  const uint64_t absorbed_before = internal::EintrRetriesForTesting();
+  internal::InjectEintrForTesting(0, 2);
+  const Status st = store->Sync();
+  internal::InjectEintrForTesting(UINT64_MAX, 0);  // disarm
+  EXPECT_TRUE(st.ok()) << st;
+  EXPECT_EQ(internal::EintrRetriesForTesting() - absorbed_before, 2u);
+  EXPECT_TRUE(store->Sync().ok());
+  store.reset();
   std::remove(path.c_str());
 }
 

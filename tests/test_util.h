@@ -2,7 +2,8 @@
 // driver that runs randomized insert/search/delete workloads against any
 // MultiKeyIndex, cross-checking every result and validating structural
 // invariants periodically.  Also a page store whose fsync can be held,
-// for the commit-path tests, and a counter of the bytes a call writes.
+// for the commit-path tests, a counter of the bytes a call writes, and a
+// bitwise CRC32 reference for the checksum tests.
 
 #ifndef BMEH_TESTS_TEST_UTIL_H_
 #define BMEH_TESTS_TEST_UTIL_H_
@@ -196,6 +197,19 @@ inline int64_t WrittenBytes() {
   }
   std::fclose(io);
   return written;
+}
+
+/// \brief CRC32 as docs/FORMATS.md defines it, one bit at a time with no
+/// table: the reference `Crc32` and every on-disk checksum must equal.
+inline uint32_t BitwiseCrc32(const uint8_t* p, size_t n, uint32_t seed) {
+  uint32_t c = seed ^ 0xffffffffu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c >> 1) ^ ((c & 1u) != 0 ? 0xedb88320u : 0u);
+    }
+  }
+  return c ^ 0xffffffffu;
 }
 
 }  // namespace testing

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include "src/common/crc32.h"
+#include "src/common/random.h"
 #include "src/pagestore/fault_injecting_page_store.h"
 #include "src/pagestore/page_store.h"
+#include "tests/test_util.h"
 
 namespace bmeh {
 namespace {
@@ -49,6 +51,54 @@ TEST(Crc32Test, MatchesKnownVector) {
 TEST(Crc32Test, SeedChangesValue) {
   const char data[] = "same bytes";
   EXPECT_NE(Crc32(data, sizeof(data), 8), Crc32(data, sizeof(data), 32));
+}
+
+std::vector<uint8_t> RandomBytes(Rng* rng, size_t n) {
+  std::vector<uint8_t> out(n);
+  for (auto& b : out) b = static_cast<uint8_t>(rng->Next64());
+  return out;
+}
+
+// Two physical 4 KiB pages (payload plus trailer), so every length a page
+// trailer checksums is covered with room on both sides.
+constexpr size_t kMaxCrcLength = 2 * (4096 + 16);
+
+TEST(Crc32Test, EqualsBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Every length from 0 up, from each of 8 start offsets (so the 8-byte
+  // loads land at every alignment), under a random seed per offset.  The
+  // reference advances one byte per length instead of redoing the prefix.
+  Rng rng(23);
+  const auto buf = RandomBytes(&rng, kMaxCrcLength + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const uint8_t* data = buf.data() + offset;
+    const uint32_t seed = static_cast<uint32_t>(rng.Next64());
+    uint32_t want = seed;  // the reference CRC of the first `n` bytes
+    for (size_t n = 0; n <= kMaxCrcLength; ++n) {
+      ASSERT_EQ(Crc32(data, n, seed), want)
+          << "offset " << offset << " length " << n << " seed " << seed;
+      // Seeding with a CRC continues it (docs/FORMATS.md).
+      want = testing::BitwiseCrc32(data + n, 1, want);
+    }
+  }
+}
+
+TEST(Crc32Test, SeedingWithACrcContinuesIt) {
+  // Crc32(b, Crc32(a, s)) == Crc32(a ‖ b, s): a checksum may be computed
+  // in pieces, as the golden image test chains it across pages.
+  Rng rng(2301);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t total = rng.Uniform(kMaxCrcLength + 1);
+    const size_t split = rng.Uniform(total + 1);
+    const auto bytes = RandomBytes(&rng, total);
+    const uint32_t seed = static_cast<uint32_t>(rng.Next64());
+    const uint32_t whole = Crc32(bytes.data(), total, seed);
+    EXPECT_EQ(Crc32(bytes.data() + split, total - split,
+                    Crc32(bytes.data(), split, seed)),
+              whole)
+        << "total " << total << " split " << split;
+    EXPECT_EQ(testing::BitwiseCrc32(bytes.data(), total, seed), whole)
+        << "total " << total;
+  }
 }
 
 TEST(WalTest, AppendReplayRoundTrip) {
