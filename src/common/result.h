@@ -21,15 +21,24 @@ class Result {
 
   /// Implicit construction from a non-OK status (failure).
   Result(Status st) : v_(std::move(st)) {  // NOLINT(runtime/explicit)
-    BMEH_CHECK(!status().ok()) << "Result constructed from OK Status";
+    BMEH_CHECK(!std::get<Status>(v_).ok())
+        << "Result constructed from OK Status";
   }
 
   /// \brief True iff a value is present.
   bool ok() const { return std::holds_alternative<T>(v_); }
 
-  /// \brief The status: OK when a value is present.
-  Status status() const {
-    return ok() ? Status::OK() : std::get<Status>(v_);
+  /// \brief The status: OK when a value is present.  A reference, so
+  /// testing an error Result (a Get's KeyError, say) copies no message.
+  const Status& status() const& {
+    static const Status kOk;
+    return ok() ? kOk : std::get<Status>(v_);
+  }
+
+  /// \brief The status of a temporary, moved out, so that
+  /// `const Status& st = F().status();` holds no dangling reference.
+  Status status() && {
+    return ok() ? Status::OK() : std::move(std::get<Status>(v_));
   }
 
   /// \brief The value; dies if this Result holds an error.

@@ -1,5 +1,6 @@
 #include "src/encoding/pseudo_key.h"
 
+#include <charconv>
 #include <sstream>
 
 #include "src/common/bit_util.h"
@@ -21,14 +22,18 @@ size_t PseudoKey::Hash() const {
 }
 
 std::string PseudoKey::ToString() const {
-  std::ostringstream os;
-  os << "(";
+  // Every Get of an absent key formats its key into the KeyError, so this
+  // writes digits with std::to_chars: building an ostringstream (stream,
+  // locale and buffer set-up) cost several times the rest of the message.
+  std::string out = "(";
+  char digits[10];  // 4294967295
   for (int j = 0; j < dims_; ++j) {
-    if (j) os << ", ";
-    os << c_[j];
+    if (j) out += ", ";
+    const auto end = std::to_chars(digits, digits + sizeof(digits), c_[j]);
+    out.append(digits, end.ptr);
   }
-  os << ")";
-  return os.str();
+  out += ')';
+  return out;
 }
 
 std::string PseudoKey::ToBitString(int width) const {

@@ -47,6 +47,14 @@ TEST(PseudoKeyTest, ToStringDecimal) {
   EXPECT_EQ(PseudoKey({10u, 20u}).ToString(), "(10, 20)");
 }
 
+TEST(PseudoKeyTest, ToStringPrintsEveryComponentInFull) {
+  EXPECT_EQ(PseudoKey({0u}).ToString(), "(0)");
+  EXPECT_EQ(PseudoKey({4294967295u, 0u, 7u}).ToString(),
+            "(4294967295, 0, 7)");
+  EXPECT_EQ(PseudoKey({1u, 2u, 3u, 4u, 5u, 6u, 7u, 4000000000u}).ToString(),
+            "(1, 2, 3, 4, 5, 6, 7, 4000000000)");
+}
+
 TEST(PseudoKeyTest, ToBitStringMsbFirst) {
   // Component 0b101 stored as a 32-bit value, printing the first 3 bits of
   // the MSB side of the value 0b101 << 29.

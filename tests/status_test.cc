@@ -139,6 +139,18 @@ TEST(ResultTest, AssignOrReturnMacro) {
   EXPECT_TRUE(QuarterViaAssign(6).status().IsInvalid());  // 3 is odd
 }
 
+TEST(ResultTest, StatusIsTheHeldStatusNotACopy) {
+  const Result<int> bad = Status::KeyError("key (1, 2) not found");
+  EXPECT_EQ(&bad.status(), &bad.status());
+  EXPECT_EQ(bad.status().message(), "key (1, 2) not found");
+  const Result<int> good = 4;
+  EXPECT_TRUE(good.status().ok());
+  // A temporary's status is moved out, not referenced.
+  const Status& moved = Result<int>(Status::IoError("disk")).status();
+  EXPECT_EQ(moved.message(), "disk");
+  EXPECT_TRUE(Result<int>(5).status().ok());
+}
+
 TEST(ResultTest, MoveOnlyValue) {
   Result<std::unique_ptr<int>> r = std::make_unique<int>(7);
   ASSERT_TRUE(r.ok());
