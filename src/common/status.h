@@ -153,7 +153,7 @@ std::ostream& operator<<(std::ostream& os, const Status& st);
 
 #define BMEH_ASSIGN_OR_RETURN_IMPL(tmp, lhs, rexpr) \
   auto tmp = (rexpr);                               \
-  if (!tmp.ok()) return tmp.status();               \
+  if (!tmp.ok()) return std::move(tmp).status();    \
   lhs = std::move(tmp).ValueOrDie()
 
 #endif  // BMEH_COMMON_STATUS_H_

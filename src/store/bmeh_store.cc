@@ -966,26 +966,8 @@ Status BmehStore::ArchiveWalLocked() {
     ::mkdir(wal_archive_dir_.substr(0, slash).c_str(), 0755);
   }
   ::mkdir(wal_archive_dir_.c_str(), 0755);
-  // Every append rewrites the tail page before acknowledging, so the
-  // on-disk chain equals the in-memory log: a read-only replay collects
-  // exactly the records about to be truncated, LSNs included.
   std::vector<Wal::LogRecord> records;
-  records.reserve(wal_->record_count());
-  Wal reader(store_.get(), 0);
-  reader.SetBaseLsn(wal_->base_lsn());
-  BMEH_RETURN_NOT_OK(reader.Replay(
-      wal_->head(),
-      [&records](const Wal::LogRecord& rec) -> Status {
-        records.push_back(rec);
-        return Status::OK();
-      },
-      /*sanitize_tail=*/false));
-  if (records.size() != wal_->record_count()) {
-    return Status::Corruption(
-        "WAL archive collection saw " + std::to_string(records.size()) +
-        " records where the live log holds " +
-        std::to_string(wal_->record_count()));
-  }
+  BMEH_RETURN_NOT_OK(wal_->ReadRecords(&records));
   return Wal::WriteSegmentFile(wal_archive_dir_, records,
                                wal_->base_lsn());
 }
@@ -1003,21 +985,7 @@ Result<BmehStore::BackupSnapshot> BmehStore::BeginBackup() {
   snap.base_lsn = wal_->base_lsn();
   snap.watermark = wal_->next_lsn() - 1;
   snap.image_pages = image_pages_;
-  if (wal_->record_count() > 0) {
-    snap.wal_records.reserve(wal_->record_count());
-    Wal reader(store_.get(), 0);
-    reader.SetBaseLsn(wal_->base_lsn());
-    BMEH_RETURN_NOT_OK(reader.Replay(
-        wal_->head(),
-        [&snap](const Wal::LogRecord& rec) -> Status {
-          snap.wal_records.push_back(rec);
-          return Status::OK();
-        },
-        /*sanitize_tail=*/false));
-    if (snap.wal_records.size() != wal_->record_count()) {
-      return Status::Corruption("backup WAL collection came up short");
-    }
-  }
+  BMEH_RETURN_NOT_OK(wal_->ReadRecords(&snap.wal_records));
   ++backup_pins_;
   return snap;
 }

@@ -475,7 +475,7 @@ Result<uint64_t> ShardedStore::Get(const PseudoKey& key) {
   uint64_t value = 0;
   BMEH_RETURN_NOT_OK(RunWithRetry(ShardOf(key), [&](BmehStore* store) {
     auto r = store->Get(key);
-    if (!r.ok()) return r.status();
+    if (!r.ok()) return std::move(r).status();
     value = r.ValueOrDie();
     return Status::OK();
   }));

@@ -97,77 +97,6 @@ void Wal::InitTailBuffer(PageId id) {
   tail_used_ = kPageHeaderSize;
 }
 
-Status Wal::Append(const LogRecord& rec) {
-  if (rec.op != kOpInsert && rec.op != kOpDelete) {
-    return Status::Invalid("bad WAL op " + std::to_string(rec.op));
-  }
-  const size_t need = WireSize(rec);
-  const size_t page_size = static_cast<size_t>(store_->page_size());
-  if (need > page_size - kPageHeaderSize) {
-    // Would not fit even an empty page — sealing the tail cannot help,
-    // and Encode would overrun tail_buf_.
-    return Status::Invalid("WAL record of " + std::to_string(need) +
-                           " bytes exceeds page capacity of " +
-                           std::to_string(page_size - kPageHeaderSize));
-  }
-  // Snapshot the append cursor: the mutation below is atomic — it either
-  // completes, or every in-memory and on-disk effect is restored so the
-  // caller can retry the same append once the failure (typically page
-  // exhaustion) clears.
-  const PageId old_head = head_;
-  const PageId old_tail = tail_;
-  const size_t old_tail_used = tail_used_;
-  const size_t old_page_count = pages_.size();
-  const std::vector<uint8_t> old_tail_buf = tail_buf_;
-
-  PageOpJournal journal(store_);
-  if (empty()) {
-    // Reserve before allocating so a full device refuses the append here,
-    // with nothing to undo.
-    BMEH_RETURN_NOT_OK(journal.Reserve(1));
-    BMEH_ASSIGN_OR_RETURN(const PageId id, journal.Allocate());
-    head_ = id;
-    InitTailBuffer(id);
-    pages_.push_back(id);
-  } else if (tail_used_ + need > page_size) {
-    // Seal the tail: link it to a fresh page and write it out one last
-    // time, then continue in the new page.  The pre-seal image is
-    // journaled so a later failure can unseal the page on disk.
-    BMEH_RETURN_NOT_OK(journal.Reserve(1));
-    auto alloc = journal.Allocate();
-    if (!alloc.ok()) return alloc.status();
-    const PageId id = alloc.ValueOrDie();
-    PutU32(tail_buf_.data() + 4, id);
-    Status seal = journal.GuardedWrite(tail_, tail_buf_, old_tail_buf);
-    if (!seal.ok()) {
-      PutU32(tail_buf_.data() + 4, kInvalidPageId);
-      return seal;  // the journal frees the fresh page
-    }
-    InitTailBuffer(id);
-    pages_.push_back(id);
-  }
-  Encode(rec, tail_buf_.data(), tail_used_);
-  Status wst = store_->Write(tail_, tail_buf_);
-  if (!wst.ok()) {
-    // Unwind: unseal the old tail / free the fresh page on disk, then
-    // restore the in-memory cursor.
-    Status rb = journal.RollbackNow();
-    head_ = old_head;
-    tail_ = old_tail;
-    tail_used_ = old_tail_used;
-    tail_buf_ = old_tail_buf;
-    pages_.resize(old_page_count);
-    // A failed rollback left disk and memory diverged — report that
-    // (non-transient) instead of the original error so the owner poisons.
-    return rb.ok() ? wst : rb;
-  }
-  tail_used_ += need;
-  journal.Commit();
-  ++record_count_;
-  ++unsynced_;
-  return Status::OK();
-}
-
 uint64_t Wal::PagesNeededFor(std::span<const LogRecord> recs) const {
   const size_t page_size = static_cast<size_t>(store_->page_size());
   uint64_t fresh = 0;
@@ -189,13 +118,14 @@ uint64_t Wal::PagesNeededFor(std::span<const LogRecord> recs) const {
 
 Status Wal::AppendBatch(std::span<const LogRecord> recs) {
   if (recs.empty()) return Status::OK();
-  if (recs.size() == 1) return Append(recs[0]);
   const size_t page_size = static_cast<size_t>(store_->page_size());
   for (const LogRecord& rec : recs) {
     if (!IsMutationOp(rec.op)) {
       return Status::Invalid("bad WAL op " + std::to_string(rec.op));
     }
     if (WireSize(rec) > page_size - kPageHeaderSize) {
+      // Would not fit even an empty page: sealing the tail cannot help,
+      // and Encode would overrun tail_buf_.
       return Status::Invalid("WAL record of " +
                              std::to_string(WireSize(rec)) +
                              " bytes exceeds page capacity of " +
@@ -203,98 +133,72 @@ Status Wal::AppendBatch(std::span<const LogRecord> recs) {
     }
   }
 
-  // Snapshot the cursor so a mid-flight failure can restore it; the
-  // on-disk effects are unwound by the journal.
+  // Snapshot the append cursor: the append either completes, or every
+  // in-memory and on-disk effect is undone so the caller can retry it
+  // once the failure (typically page exhaustion) clears.
   const PageId old_head = head_;
   const PageId old_tail = tail_;
   const size_t old_tail_used = tail_used_;
   const size_t old_page_count = pages_.size();
-  const std::vector<uint8_t> old_tail_buf = tail_buf_;
+  std::vector<uint8_t> old_tail_buf = tail_buf_;
 
   PageOpJournal journal(store_);
   // Reserve every fresh page up front so a full device refuses the whole
-  // batch here, before anything is touched.
+  // append here, before anything is touched.
   const uint64_t fresh_pages = PagesNeededFor(recs);
   if (fresh_pages > 0) {
     BMEH_RETURN_NOT_OK(journal.Reserve(fresh_pages));
   }
 
-  auto restore = [&] {
+  // Places the next `need` bytes: starts the chain, or seals a full tail
+  // (links it to a fresh page and writes it out for the last time) and
+  // continues in the fresh page, so every page is written once, in chain
+  // order.  Only the old tail holds committed records, so only its seal
+  // is guarded; a fresh page rolls back by being freed.  A link names a
+  // page only once it is allocated, and an allocated page reads as zeros,
+  // so a crash between writes leaves either no commit marker or a link
+  // that cannot verify as a WAL page.
+  auto place = [&](size_t need) -> Status {
+    if (!empty() && tail_used_ + need <= page_size) return Status::OK();
+    BMEH_ASSIGN_OR_RETURN(const PageId id, journal.Allocate());
+    if (empty()) {
+      head_ = id;
+    } else {
+      PutU32(tail_buf_.data() + 4, id);
+      BMEH_RETURN_NOT_OK(
+          tail_ == old_tail
+              ? journal.GuardedWrite(tail_, tail_buf_, old_tail_buf)
+              : store_->Write(tail_, tail_buf_));
+    }
+    InitTailBuffer(id);
+    pages_.push_back(id);
+    return Status::OK();
+  };
+  // A batch is framed by begin/commit markers; a lone record is bare.
+  const bool framed = recs.size() > 1;
+  const uint32_t count = static_cast<uint32_t>(recs.size());
+  auto marker = [&](uint8_t op) -> Status {
+    BMEH_RETURN_NOT_OK(place(MarkerWireSize()));
+    EncodeMarker(op, count, tail_buf_.data(), tail_used_);
+    tail_used_ += MarkerWireSize();
+    return Status::OK();
+  };
+  Status st = framed ? marker(kOpBatchBegin) : Status::OK();
+  for (size_t i = 0; st.ok() && i < recs.size(); ++i) {
+    st = place(WireSize(recs[i]));
+    if (!st.ok()) break;
+    Encode(recs[i], tail_buf_.data(), tail_used_);
+    tail_used_ += WireSize(recs[i]);
+  }
+  if (st.ok() && framed) st = marker(kOpBatchCommit);
+  if (st.ok()) st = store_->Write(tail_, tail_buf_);
+  if (!st.ok()) {
+    Status rb = journal.RollbackNow();
     head_ = old_head;
     tail_ = old_tail;
     tail_used_ = old_tail_used;
-    tail_buf_ = old_tail_buf;
+    tail_buf_ = std::move(old_tail_buf);
     pages_.resize(old_page_count);
-  };
-
-  // Pack the framed record stream into page images, writing nothing yet.
-  // The first staged page is the sealed old tail (if any) — its on-disk
-  // bytes hold committed records, so it gets the guarded write; fresh
-  // pages roll back by being freed.
-  struct StagedPage {
-    PageId id;
-    std::vector<uint8_t> bytes;
-  };
-  std::vector<StagedPage> staged;
-  auto make_room = [&](size_t need) -> Status {
-    if (empty()) {
-      BMEH_ASSIGN_OR_RETURN(const PageId id, journal.Allocate());
-      head_ = id;
-      InitTailBuffer(id);
-      pages_.push_back(id);
-    } else if (tail_used_ + need > page_size) {
-      BMEH_ASSIGN_OR_RETURN(const PageId id, journal.Allocate());
-      PutU32(tail_buf_.data() + 4, id);
-      staged.push_back({tail_, tail_buf_});
-      InitTailBuffer(id);
-      pages_.push_back(id);
-    }
-    return Status::OK();
-  };
-  auto emit = [&](auto&& encode, size_t need) -> Status {
-    BMEH_RETURN_NOT_OK(make_room(need));
-    encode(tail_buf_.data(), tail_used_);
-    tail_used_ += need;
-    return Status::OK();
-  };
-
-  const uint32_t count = static_cast<uint32_t>(recs.size());
-  Status st = emit(
-      [&](uint8_t* buf, size_t off) {
-        EncodeMarker(kOpBatchBegin, count, buf, off);
-      },
-      MarkerWireSize());
-  for (size_t i = 0; st.ok() && i < recs.size(); ++i) {
-    st = emit(
-        [&](uint8_t* buf, size_t off) { Encode(recs[i], buf, off); },
-        WireSize(recs[i]));
-  }
-  if (st.ok()) {
-    st = emit(
-        [&](uint8_t* buf, size_t off) {
-          EncodeMarker(kOpBatchCommit, count, buf, off);
-        },
-        MarkerWireSize());
-  }
-  if (st.ok()) {
-    staged.push_back({tail_, tail_buf_});
-    // Write every touched page exactly once, old tail first (the same
-    // seal-then-extend discipline as Append): a crash between writes
-    // leaves either a chain without the commit marker — discarded whole
-    // by Replay — or links into not-yet-written pages, which cannot
-    // verify as WAL pages.
-    for (size_t i = 0; st.ok() && i < staged.size(); ++i) {
-      if (staged[i].id == old_tail) {
-        st = journal.GuardedWrite(staged[i].id, staged[i].bytes,
-                                  old_tail_buf);
-      } else {
-        st = store_->Write(staged[i].id, staged[i].bytes);
-      }
-    }
-  }
-  if (!st.ok()) {
-    Status rb = journal.RollbackNow();
-    restore();
     // A failed rollback left disk and memory diverged — report that
     // (non-transient) instead of the original error so the owner poisons.
     return rb.ok() ? st : rb;
@@ -479,6 +383,30 @@ Status Wal::Replay(PageId head, const ReplayFn& fn, bool sanitize_tail) {
   if (sanitize_tail && !replay_hit_data_loss_ &&
       (truncated || stale_next != kInvalidPageId)) {
     BMEH_RETURN_NOT_OK(store_->Write(tail_, tail_buf_));
+  }
+  return Status::OK();
+}
+
+Status Wal::ReadRecords(std::vector<LogRecord>* out) const {
+  // Every append writes its pages before it returns, so the chain on disk
+  // holds exactly the live log: a read-only replay on a second cursor
+  // collects it, LSNs included, and anything else is damage.
+  Wal reader(store_, 0);
+  reader.SetBaseLsn(base_lsn_);
+  const size_t before = out->size();
+  out->reserve(before + record_count_);
+  BMEH_RETURN_NOT_OK(reader.Replay(
+      head_,
+      [out](const LogRecord& rec) -> Status {
+        out->push_back(rec);
+        return Status::OK();
+      },
+      /*sanitize_tail=*/false));
+  if (out->size() - before != record_count_) {
+    return Status::Corruption(
+        "WAL read back " + std::to_string(out->size() - before) +
+        " records where the live log holds " +
+        std::to_string(record_count_));
   }
   return Status::OK();
 }

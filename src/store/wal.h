@@ -18,16 +18,17 @@
 // the whole tail page — one page-sized write per mutation, the same cost
 // discipline as the superblock flip.
 //
-// Batches.  AppendBatch() encodes many mutations as one record chain
-// framed by a pair of marker records:
+// Batches.  There is one append path, AppendBatch().  A lone record is
+// appended bare; a batch of several is framed by a pair of marker records:
 //
 //     [kOpBatchBegin count] rec... [kOpBatchCommit count]
 //     marker body = [op u8 | 0 u8 | count u32]
 //
-// packed so every touched page is written exactly once (the old tail is
-// rewritten with appended records, full fresh pages follow in chain
-// order).  Replay buffers the members of an open batch and only delivers
-// them when the commit marker verifies; a batch cut by a crash — at any
+// Either way every touched page is written exactly once, in chain order:
+// the old tail with the appended records (guarded by the undo journal
+// when it is sealed), then each fresh page as it fills, then the last.
+// Replay buffers the members of an open batch and only delivers them
+// when the commit marker verifies; a batch cut by a crash — at any
 // page-write boundary — is discarded whole and the log truncated back to
 // the last committed record, so a batch is all-or-nothing on recovery.
 //
@@ -108,31 +109,27 @@ class Wal {
   /// \brief Pages currently owned by the log, in chain order.
   const std::vector<PageId>& pages() const { return pages_; }
 
-  /// \brief Appends one record (page writes only; see MaybeSync).
-  /// Records too large to fit an empty page are rejected with Invalid
-  /// before any allocation or write.
-  ///
-  /// Atomic under failure: when a page cannot be allocated (quota /
-  /// ENOSPC — the page is pre-reserved, so this is detected up front) or
-  /// a write fails cleanly, every effect is rolled back and the log —
-  /// in memory and on disk — is exactly as before the call; the same
-  /// append can be retried once the condition clears.  Only when the
-  /// rollback itself fails does the error escalate to a non-transient
-  /// IoError (the owner should stop mutating).
-  Status Append(const LogRecord& rec);
+  /// \brief Appends one record: AppendBatch() of one.
+  Status Append(const LogRecord& rec) { return AppendBatch({&rec, 1}); }
 
-  /// \brief Appends `recs` as one all-or-nothing batch: the records are
-  /// framed by begin/commit markers and packed so every touched page is
-  /// written exactly once — the amortized-I/O path group commit rides on.
-  /// After a crash anywhere inside the append, Replay discards the whole
-  /// batch; once the commit marker is on disk (and synced), the whole
-  /// batch survives.  A size-1 batch degenerates to Append(); an empty
-  /// batch is a no-op.
+  /// \brief Appends `recs` as one all-or-nothing commit (page writes
+  /// only; see MaybeSync).  A lone record is written bare; several are
+  /// framed by begin/commit markers, so after a crash anywhere inside the
+  /// append Replay discards the whole batch, and once the commit marker
+  /// is on disk (and synced) the whole batch survives.  Every touched
+  /// page is written exactly once, in chain order — the amortized-I/O
+  /// path group commit rides on.  An empty span is a no-op.  Records too
+  /// large to fit an empty page, and ops other than insert and delete,
+  /// are rejected with Invalid before any allocation or write.
   ///
-  /// Atomic under failure with the same contract as Append(): the pages
-  /// the batch needs are reserved up front (one ResourceExhausted before
-  /// anything is touched), and a mid-flight write failure rolls every
-  /// in-memory and on-disk effect back so the batch can be retried.
+  /// Atomic under failure: the pages the append needs are reserved up
+  /// front (one ResourceExhausted before anything is touched), and when
+  /// an allocation or a write still fails, every effect is rolled back —
+  /// a sealed old tail is rewritten from its journaled image, fresh pages
+  /// are freed — so the log, in memory and on disk, is exactly as before
+  /// the call and the same append can be retried once the condition
+  /// clears.  Only when the rollback itself fails does the error escalate
+  /// to a non-transient IoError (the owner should stop mutating).
   Status AppendBatch(std::span<const LogRecord> recs);
 
   /// \brief Pages a batch of `recs` would have to allocate if appended
@@ -163,6 +160,13 @@ class Wal {
   /// chain links cannot resurface on later appends; pass false for
   /// read-only inspection.
   Status Replay(PageId head, const ReplayFn& fn, bool sanitize_tail = true);
+
+  /// \brief Reads the live log back from its pages, appending its
+  /// record_count() records to `out` in append order, LSNs assigned —
+  /// what a WAL archive segment or an online backup copies.  Writes
+  /// nothing and leaves this log's cursor alone; a chain that reads back
+  /// a different count is Corruption.
+  Status ReadRecords(std::vector<LogRecord>* out) const;
 
   /// \brief Whether the last Replay() stopped before the chain's natural
   /// end (torn tail, bad magic/CRC, unreadable page).  Expected after a

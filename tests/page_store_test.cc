@@ -1,6 +1,7 @@
 #include "src/pagestore/page_store.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -24,7 +25,10 @@ class PageStoreTest : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
     if (GetParam()) {
+      // The process id keeps concurrent test processes apart: a heap
+      // address alone can repeat from one process to the next.
       path_ = ::testing::TempDir() + "/bmeh_store_" +
+              std::to_string(::getpid()) + "_" +
               std::to_string(reinterpret_cast<uintptr_t>(this)) + ".db";
       auto r = FilePageStore::Create(path_, 256);
       ASSERT_TRUE(r.ok()) << r.status();

@@ -151,6 +151,29 @@ TEST(ResultTest, StatusIsTheHeldStatusNotACopy) {
   EXPECT_TRUE(Result<int>(5).status().ok());
 }
 
+// The message object the callee's KeyError holds, recorded by MissingKey.
+const std::string* missing_key_message = nullptr;
+
+Result<int> MissingKey() {
+  Result<int> r = Status::KeyError("key (1, 2) not found");
+  missing_key_message = &r.status().message();
+  return r;
+}
+
+Result<int> PassOnMissingKey() {
+  BMEH_ASSIGN_OR_RETURN(const int value, MissingKey());
+  return value;
+}
+
+TEST(ResultTest, AssignOrReturnMovesTheStatus) {
+  // An error passed on through BMEH_ASSIGN_OR_RETURN is moved, not
+  // copied: the caller receives the very message the callee built.
+  const Result<int> r = PassOnMissingKey();
+  ASSERT_TRUE(r.status().IsKeyError()) << r.status();
+  EXPECT_EQ(&r.status().message(), missing_key_message);
+  EXPECT_EQ(r.status().message(), "key (1, 2) not found");
+}
+
 TEST(ResultTest, MoveOnlyValue) {
   Result<std::unique_ptr<int>> r = std::make_unique<int>(7);
   ASSERT_TRUE(r.ok());

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+
 #include "src/common/crc32.h"
 #include "src/common/random.h"
 #include "src/pagestore/fault_injecting_page_store.h"
@@ -40,6 +43,12 @@ std::vector<Wal::LogRecord> ReplayAll(Wal* wal, PageId head,
       sanitize_tail);
   EXPECT_TRUE(st.ok()) << st;
   return out;
+}
+
+std::vector<uint8_t> PageBytes(PageStore* store, PageId id) {
+  std::vector<uint8_t> buf(store->page_size());
+  EXPECT_TRUE(store->Read(id, buf).ok()) << "page " << id;
+  return buf;
 }
 
 TEST(Crc32Test, MatchesKnownVector) {
@@ -240,6 +249,73 @@ TEST(WalTest, TruncateReturnsPagesToTheStore) {
   EXPECT_EQ(ReplayAll(&reader, wal.head()).size(), 1u);
 }
 
+TEST(WalTest, LogBytesDoNotChange) {
+  // Every store file with a live log holds these bytes, so they must not
+  // move.  kCrc chains the CRC of every chain page, in chain order, taken
+  // just before a truncation and again at the end of the script; it was
+  // recorded from the writer that kept a lone record and a batch on two
+  // separate paths.
+  constexpr uint32_t kCrc = 0xac77734d;
+  constexpr size_t kPages = 18;
+  InMemoryPageStore store(64);
+  Wal wal(&store, /*sync_every=*/0);
+  // Record i: 1 to 4 dimensions in turn, every third one a delete.
+  auto rec = [](uint32_t i) -> Wal::LogRecord {
+    std::array<uint32_t, 4> comps{};
+    for (uint32_t d = 0; d < comps.size(); ++d) comps[d] = i * 31 + d;
+    return {i % 3 == 2 ? Wal::kOpDelete : Wal::kOpInsert,
+            PseudoKey(std::span<const uint32_t>(comps.data(), 1 + i % 4)),
+            1000 + i};
+  };
+  auto batch = [&](uint32_t first, uint32_t count) {
+    std::vector<Wal::LogRecord> recs;
+    for (uint32_t i = first; i < first + count; ++i) recs.push_back(rec(i));
+    return wal.AppendBatch(recs);
+  };
+  uint32_t crc = 0;
+  size_t pages = 0;
+  auto chain_crc = [&] {
+    for (PageId id : wal.pages()) {
+      const std::vector<uint8_t> buf = PageBytes(&store, id);
+      crc = Crc32(buf.data(), buf.size(), crc);
+      ++pages;
+    }
+  };
+
+  ASSERT_TRUE(batch(0, 5).ok());  // starts the empty log
+  for (uint32_t i = 5; i < 10; ++i) ASSERT_TRUE(wal.Append(rec(i)).ok());
+  ASSERT_TRUE(batch(10, 1).ok());  // a batch of one is a lone record
+  ASSERT_TRUE(batch(11, 8).ok());
+  ASSERT_TRUE(batch(19, 2).ok());
+  ASSERT_EQ(wal.record_count(), 21u);
+  chain_crc();
+  for (PageId id : wal.TruncateDeferred()) ASSERT_TRUE(store.Free(id).ok());
+  ASSERT_TRUE(wal.Append(rec(21)).ok());
+  ASSERT_TRUE(batch(22, 6).ok());
+  for (uint32_t i = 28; i < 31; ++i) ASSERT_TRUE(wal.Append(rec(i)).ok());
+  ASSERT_EQ(wal.record_count(), 10u);
+  chain_crc();
+  EXPECT_EQ(pages, kPages);
+  EXPECT_EQ(crc, kCrc);
+}
+
+TEST(WalTest, OversizedRecordIsRefusedBeforeAnyAllocation) {
+  // 32-byte pages hold 24 bytes of records; a 3-D insert takes 28.
+  FaultInjectingPageStore store(std::make_unique<InMemoryPageStore>(32));
+  const uint64_t live_before = store.live_page_count();
+  Wal wal(&store, 1);
+  const Wal::LogRecord big = {Wal::kOpInsert, PseudoKey({1, 2, 3}), 4};
+  EXPECT_TRUE(wal.Append(big).IsInvalid());
+  const std::vector<Wal::LogRecord> batch = {Delete(1, 2), big};
+  EXPECT_TRUE(wal.AppendBatch(batch).IsInvalid())
+      << "one oversized member refuses the whole batch";
+  EXPECT_TRUE(wal.empty());
+  EXPECT_EQ(wal.record_count(), 0u);
+  EXPECT_EQ(store.allocs_issued(), 0u);
+  EXPECT_EQ(store.writes_issued(), 0u);
+  EXPECT_EQ(store.live_page_count(), live_before);
+}
+
 TEST(WalBatchTest, AppendBatchReplayRoundTrip) {
   // 64-byte pages force the framed batch across several pages.
   InMemoryPageStore store(64);
@@ -368,6 +444,44 @@ TEST(WalBatchTest, ExhaustionRefusesTheWholeBatchRetryably) {
   ASSERT_TRUE(wal.AppendBatch(batch).ok());
   Wal reader(&store, 1);
   EXPECT_EQ(ReplayAll(&reader, wal.head()).size(), 11u);
+}
+
+TEST(WalBatchTest, AllocationFailureMidBatchRestoresTheTail) {
+  // The batch's pages are reserved, yet its second fresh allocation fails
+  // (a quota blip).  The append must undo every effect, a seal of the old
+  // tail already on disk included, and a retry must write the same bytes
+  // as a twin log that never failed.
+  FaultInjectingPageStore store(std::make_unique<InMemoryPageStore>(64));
+  InMemoryPageStore twin_store(64);
+  Wal wal(&store, 1);
+  Wal twin(&twin_store, 1);
+  ASSERT_TRUE(wal.Append(Insert(100, 100, 100)).ok());
+  ASSERT_TRUE(twin.Append(Insert(100, 100, 100)).ok());
+  std::vector<Wal::LogRecord> batch;
+  for (uint32_t i = 0; i < 6; ++i) batch.push_back(Insert(i, i, i));
+  ASSERT_GE(wal.PagesNeededFor(batch), 2u);
+
+  const std::vector<PageId> pages_before = wal.pages();
+  const std::vector<uint8_t> tail_before =
+      PageBytes(&store, pages_before.back());
+  const uint64_t live_before = store.live_page_count();
+  store.FailNthAllocation(store.allocs_issued() + 1);
+  const Status st = wal.AppendBatch(batch);
+  ASSERT_TRUE(st.IsResourceExhausted()) << st;
+  EXPECT_EQ(PageBytes(&store, pages_before.back()), tail_before);
+  EXPECT_EQ(wal.pages(), pages_before);
+  EXPECT_EQ(wal.record_count(), 1u);
+  EXPECT_EQ(store.live_page_count(), live_before);
+  EXPECT_EQ(store.reserved_pages(), 0u);
+
+  ASSERT_TRUE(wal.AppendBatch(batch).ok());
+  ASSERT_TRUE(twin.AppendBatch(batch).ok());
+  EXPECT_EQ(wal.record_count(), twin.record_count());
+  ASSERT_EQ(wal.pages(), twin.pages());
+  for (PageId id : wal.pages()) {
+    EXPECT_EQ(PageBytes(&store, id), PageBytes(&twin_store, id))
+        << "page " << id;
+  }
 }
 
 TEST(WalBatchTest, BatchRejectsBadOpsAndOversizedRecords) {
