@@ -171,17 +171,17 @@ Result<std::unique_ptr<BmehTree>> BmehTree::LoadImpl(PageStore* store,
     return Status::Corruption("bad BMEH tree magic");
   }
   BMEH_ASSIGN_OR_RETURN(uint32_t d32, r.U32());
-  const int d = static_cast<int>(d32);
-  if (d < 1 || d > kMaxDims) {
-    return Status::Corruption("bad dimension count " + std::to_string(d));
-  }
-  std::array<int, kMaxDims> widths{};
-  for (int j = 0; j < d; ++j) {
+  // A corrupt count reads no further than the image's end; FromWidths
+  // refuses it.
+  std::vector<int> widths;
+  for (uint32_t j = 0; j < d32; ++j) {
     BMEH_ASSIGN_OR_RETURN(uint32_t wj, r.U32());
-    if (wj < 1 || wj > 32) return Status::Corruption("bad key width");
-    widths[j] = static_cast<int>(wj);
+    widths.push_back(static_cast<int>(wj));
   }
-  KeySchema schema(std::span<const int>(widths.data(), d));
+  auto decoded = KeySchema::FromWidths(widths);
+  if (!decoded.ok()) return Status::Corruption(decoded.status().message());
+  const KeySchema schema = *decoded;
+  const int d = schema.dims();
 
   TreeOptions options;
   BMEH_ASSIGN_OR_RETURN(uint32_t b, r.U32());

@@ -1,26 +1,34 @@
 #include "src/encoding/key_schema.h"
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 namespace bmeh {
 
-KeySchema::KeySchema(int dims, int width) : dims_(dims) {
-  BMEH_CHECK(dims >= 1 && dims <= kMaxDims)
-      << "dims must be in [1, " << kMaxDims << "], got " << dims;
-  BMEH_CHECK(width >= 1 && width <= 32)
-      << "width must be in [1, 32], got " << width;
-  for (int j = 0; j < dims_; ++j) width_[j] = width;
-}
+// Clamped so a wild `dims` allocates nothing large; FromWidths refuses it
+// all the same.
+KeySchema::KeySchema(int dims, int width)
+    : KeySchema(std::vector<int>(std::clamp(dims, 0, kMaxDims + 1), width)) {}
 
 KeySchema::KeySchema(std::span<const int> widths)
-    : dims_(static_cast<int>(widths.size())) {
-  BMEH_CHECK(dims_ >= 1 && dims_ <= kMaxDims)
-      << "dims must be in [1, " << kMaxDims << "], got " << dims_;
-  for (int j = 0; j < dims_; ++j) {
-    BMEH_CHECK(widths[j] >= 1 && widths[j] <= 32)
-        << "width must be in [1, 32], got " << widths[j];
-    width_[j] = widths[j];
+    : KeySchema(FromWidths(widths).ValueOrDie()) {}
+
+Result<KeySchema> KeySchema::FromWidths(std::span<const int> widths) {
+  if (widths.empty() || widths.size() > static_cast<size_t>(kMaxDims)) {
+    return Status::Invalid("dims must be in [1, " + std::to_string(kMaxDims) +
+                           "], got " + std::to_string(widths.size()));
   }
+  KeySchema schema;
+  schema.dims_ = static_cast<int>(widths.size());
+  for (int j = 0; j < schema.dims_; ++j) {
+    if (widths[j] < 1 || widths[j] > 32) {
+      return Status::Invalid("width must be in [1, 32], got " +
+                             std::to_string(widths[j]));
+    }
+    schema.width_[j] = widths[j];
+  }
+  return schema;
 }
 
 int KeySchema::total_bits() const {

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string>
 
+#include "src/common/result.h"
 #include "src/common/status.h"
 #include "src/encoding/pseudo_key.h"
 
@@ -25,10 +26,17 @@ class KeySchema {
   KeySchema() = default;
 
   /// \brief Schema with `dims` dimensions, all of width `width` bits.
+  /// Dies where FromWidths would fail.
   KeySchema(int dims, int width);
 
-  /// \brief Schema with explicit per-dimension widths.
+  /// \brief Schema with explicit per-dimension widths.  Dies where
+  /// FromWidths would fail.
   explicit KeySchema(std::span<const int> widths);
+
+  /// \brief Schema with explicit per-dimension widths, or Invalid unless
+  /// there are 1 to kMaxDims widths, each in [1, 32].  The one check of
+  /// a schema, so a decoder can refuse widths it read instead of dying.
+  static Result<KeySchema> FromWidths(std::span<const int> widths);
 
   int dims() const { return dims_; }
   int width(int j) const {

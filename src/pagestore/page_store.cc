@@ -249,6 +249,10 @@ namespace {
 constexpr uint32_t kMagicV1 = 0x424d4548;  // "BMEH": legacy, no trailers
 constexpr uint32_t kMagicV2 = 0x32484d42;  // "BMH2": self-checksumming pages
 constexpr size_t kHeaderSize = 64;
+/// Read()'s re-reads after a failed first attempt, and the sleep before
+/// the first; each later sleep doubles it.
+constexpr int kReadRetries = 3;
+constexpr uint64_t kReadRetryBackoffUs = 200;
 
 /// Seed binding a page's checksum to its identity and its file: the same
 /// bytes at another id (misdirected write / read) or in another store
@@ -746,12 +750,10 @@ Status FilePageStore::ReadRaw(PageId id, std::span<uint8_t> out) {
   }
   std::vector<uint8_t> physical(physical_page_size());
   Status st;
-  for (int attempt = 0; attempt <= max_read_retries_; ++attempt) {
+  for (int attempt = 0; attempt <= kReadRetries; ++attempt) {
     if (attempt > 0) {
       ++stats_.read_retries;
-      if (retry_backoff_us_ > 0) {
-        SleepUs(static_cast<uint64_t>(retry_backoff_us_) << (attempt - 1));
-      }
+      SleepUs(kReadRetryBackoffUs << (attempt - 1));
     }
     st = ReadPhysicalOnce(id, physical);
     if (st.ok()) {
@@ -765,12 +767,12 @@ Status FilePageStore::ReadRaw(PageId id, std::span<uint8_t> out) {
   }
   if (st.IsIoError()) {
     return Status::IoError("page " + std::to_string(id) + " unreadable after " +
-                           std::to_string(max_read_retries_ + 1) +
+                           std::to_string(kReadRetries + 1) +
                            " attempts: " + st.message());
   }
   return Status::DataLoss("page " + std::to_string(id) +
                           " failed verification after " +
-                          std::to_string(max_read_retries_ + 1) +
+                          std::to_string(kReadRetries + 1) +
                           " attempts: " + st.message());
 }
 

@@ -228,9 +228,10 @@ class InMemoryPageStore : public PageStore {
 /// store's epoch (a random per-file value drawn at Create), which makes a
 /// misdirected read or write detectable: a page's bytes only verify at
 /// the id and in the file they were written for.  Read() verifies the
-/// trailer and retries transient I/O errors and checksum mismatches with
-/// exponential backoff (a re-read catches an in-flight torn read); only
-/// after the retry budget is exhausted does it surface Status::DataLoss.
+/// trailer and retries transient I/O errors and checksum mismatches up to
+/// 3 times, sleeping 200, 400 and 800 us first (a re-read catches an
+/// in-flight torn read); only after the last retry does it surface
+/// Status::DataLoss (IoError when the reads themselves failed).
 /// stats() exposes read_retries / checksum_failures / pages_quarantined.
 ///
 /// Files written by the pre-checksum v1 format are still opened: they are
@@ -324,15 +325,6 @@ class FilePageStore : public PageStore {
   /// On a v1 store, reads the page and returns OK (nothing to verify).
   Status VerifyPage(PageId id);
 
-  /// \brief Bounds for Read()'s verified-read retry loop: up to
-  /// `max_retries` re-reads after the initial attempt, sleeping
-  /// `backoff_us << attempt` microseconds before each.  Defaults: 3
-  /// retries, 200 us base.
-  void SetReadRetryPolicy(int max_retries, int backoff_us) {
-    max_read_retries_ = max_retries < 0 ? 0 : max_retries;
-    retry_backoff_us_ = backoff_us < 0 ? 0 : backoff_us;
-  }
-
   /// \brief Testing hook: the next `n` physical page reads fail with a
   /// transient IoError before reaching the kernel (exercises the retry
   /// loop without a faulty disk).
@@ -387,8 +379,6 @@ class FilePageStore : public PageStore {
   uint64_t page_count_ = 1;  // includes the header page
   bool fsync_enabled_ = true;
   bool header_damaged_ = false;
-  int max_read_retries_ = 3;
-  int retry_backoff_us_ = 200;
   int inject_read_errors_ = 0;
   int inject_read_corruptions_ = 0;
   // First fsync failure, remembered forever (see Sync()).

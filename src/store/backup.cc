@@ -6,11 +6,11 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 
 #include "src/common/bytes.h"
 #include "src/common/crc32.h"
 #include "src/common/result.h"
+#include "src/store/sealed_manifest.h"
 
 namespace bmeh {
 
@@ -145,14 +145,6 @@ Status ListSegments(const std::string& dir, std::vector<SegmentRef>* out) {
   return Status::OK();
 }
 
-uint64_t ParseU64(const std::string& s, bool* ok) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  *ok = errno == 0 && end != nullptr && *end == '\0' && !s.empty();
-  return v;
-}
-
 std::string ManifestPath(const std::string& set_dir) {
   return set_dir + "/" + BackupStore::kManifestName;
 }
@@ -223,99 +215,31 @@ Status AccumulateSegments(const std::string& set_dir,
 }  // namespace
 
 Result<BackupSetInfo> BackupStore::ReadManifest(const std::string& set_dir) {
-  const std::string path = ManifestPath(set_dir);
-  BMEH_ASSIGN_OR_RETURN(const std::string text,
-                        ReadSealedText(path, "backup manifest"));
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != kBackupMagic) {
-    return Status::Corruption("not a backup set manifest: " + path);
-  }
+  BMEH_ASSIGN_OR_RETURN(
+      const ManifestReader r,
+      ManifestReader::Open(ManifestPath(set_dir), "backup manifest",
+                           kBackupMagic));
   BackupSetInfo info;
-  bool have_kind = false, have_page_size = false, have_watermark = false,
-       have_base = false;
-  int dims = 0;
-  std::vector<int> widths;
-  while (std::getline(in, line)) {
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key;
-    bool ok = true;
-    if (key == "kind") {
-      std::string kind;
-      ls >> kind;
-      if (kind == "full") {
-        info.incremental = false;
-      } else if (kind == "incremental") {
-        info.incremental = true;
-      } else {
-        ok = false;
-      }
-      have_kind = ok;
-    } else if (key == "page_size") {
-      std::string v;
-      ls >> v;
-      info.page_size = static_cast<int>(ParseU64(v, &ok));
-      have_page_size = ok;
-    } else if (key == "dims") {
-      std::string v;
-      ls >> v;
-      dims = static_cast<int>(ParseU64(v, &ok));
-    } else if (key == "widths") {
-      int w;
-      while (ls >> w) widths.push_back(w);
-    } else if (key == "generation") {
-      std::string v;
-      ls >> v;
-      info.generation = ParseU64(v, &ok);
-    } else if (key == "image_head") {
-      std::string v;
-      ls >> v;
-      info.image_head = static_cast<PageId>(ParseU64(v, &ok));
-    } else if (key == "base_lsn") {
-      std::string v;
-      ls >> v;
-      info.base_lsn = ParseU64(v, &ok);
-      have_base = ok;
-    } else if (key == "watermark") {
-      std::string v;
-      ls >> v;
-      info.watermark = ParseU64(v, &ok);
-      have_watermark = ok;
-    } else if (key == "prev") {
-      ls >> info.prev;
-      ok = !info.prev.empty();
-    } else if (key == "file") {
-      BackupFileEntry entry;
-      std::string size_s, crc_s;
-      ls >> entry.name >> size_s >> crc_s;
-      entry.size = ParseU64(size_s, &ok);
-      unsigned crc = 0;
-      if (ok && std::sscanf(crc_s.c_str(), "%x", &crc) == 1) {
-        entry.crc = crc;
-      } else {
-        ok = false;
-      }
-      if (ok && entry.name.find('/') != std::string::npos) ok = false;
-      if (ok) info.files.push_back(std::move(entry));
-    }
-    // Unknown keys are ignored so newer writers stay readable.
-    if (!ok) {
-      return Status::Corruption("backup manifest field unreadable: " + line +
-                                " (" + path + ")");
-    }
+  BMEH_ASSIGN_OR_RETURN(const std::string kind, r.Text("kind"));
+  if (kind != "full" && kind != "incremental") return r.Bad("kind", kind);
+  info.incremental = kind == "incremental";
+  BMEH_ASSIGN_OR_RETURN(info.page_size, r.Number<int>("page_size", 1));
+  BMEH_ASSIGN_OR_RETURN(info.schema, r.Schema());
+  BMEH_ASSIGN_OR_RETURN(info.generation, r.Number("generation"));
+  BMEH_ASSIGN_OR_RETURN(info.image_head, r.Number<PageId>("image_head"));
+  BMEH_ASSIGN_OR_RETURN(info.base_lsn, r.Number("base_lsn"));
+  BMEH_ASSIGN_OR_RETURN(info.watermark, r.Number("watermark"));
+  if (info.incremental) {
+    BMEH_ASSIGN_OR_RETURN(info.prev, r.Text("prev"));
   }
-  if (!have_kind || !have_page_size || !have_watermark || !have_base) {
-    return Status::Corruption("backup manifest incomplete: " + path);
-  }
-  if (dims <= 0 || dims > kMaxDims ||
-      static_cast<int>(widths.size()) != dims) {
-    return Status::Corruption("backup manifest schema unreadable: " + path);
-  }
-  info.schema = KeySchema(std::span<const int>(widths.data(), widths.size()));
-  if (info.incremental && info.prev.empty()) {
-    return Status::Corruption("incremental backup manifest names no prev: " +
-                              path);
+  // One line per payload file: "<name> <size> <crc %08x>".
+  for (ManifestLine& line : r.All("file")) {
+    BackupFileEntry entry;
+    BMEH_ASSIGN_OR_RETURN(entry.name, line.Name());
+    BMEH_ASSIGN_OR_RETURN(entry.size, line.Number());
+    BMEH_ASSIGN_OR_RETURN(entry.crc, line.Number(0, UINT32_MAX, 16));
+    BMEH_RETURN_NOT_OK(line.End());
+    info.files.push_back(std::move(entry));
   }
   return info;
 }
@@ -363,26 +287,18 @@ Result<BackupRunInfo> BackupStore::Run(BmehStore* store,
     }
   }
 
-  std::string body = std::string(kBackupMagic) + "\n";
-  body += std::string("kind ") + (incremental ? "incremental" : "full") + "\n";
-  body += "page_size " + std::to_string(page_size) + "\n";
-  const KeySchema& schema = store->schema();
-  body += "dims " + std::to_string(schema.dims()) + "\n";
-  body += "widths";
-  for (int j = 0; j < schema.dims(); ++j) {
-    body += " " + std::to_string(schema.width(j));
-  }
-  body += "\n";
-  body += "generation " + std::to_string(snap.generation) + "\n";
-  body += "image_head " + std::to_string(snap.image_head) + "\n";
+  ManifestWriter manifest(kBackupMagic);
+  manifest.Add("kind", incremental ? "incremental" : "full");
+  manifest.Add("page_size", std::to_string(page_size));
+  manifest.AddSchema(store->schema());
+  manifest.Add("generation", std::to_string(snap.generation));
+  manifest.Add("image_head", std::to_string(snap.image_head));
   uint64_t bytes_written = 0;
   auto add_file = [&](const std::string& name,
                       std::span<const uint8_t> bytes) {
-    char entry[64];
-    std::snprintf(entry, sizeof(entry), " %llu %08x\n",
-                  static_cast<unsigned long long>(bytes.size()),
-                  Crc32(bytes.data(), bytes.size()));
-    body += "file " + name + entry;
+    char crc[16];
+    std::snprintf(crc, sizeof(crc), "%08x", Crc32(bytes.data(), bytes.size()));
+    manifest.Add("file", name + " " + std::to_string(bytes.size()) + " " + crc);
     bytes_written += bytes.size();
   };
 
@@ -452,13 +368,13 @@ Result<BackupRunInfo> BackupStore::Run(BmehStore* store,
     add_file(name, seg);
   }
 
-  body += "base_lsn " + std::to_string(set_base) + "\n";
-  body += "watermark " + std::to_string(snap.watermark) + "\n";
-  if (incremental) body += "prev " + options.base_set + "\n";
+  manifest.Add("base_lsn", std::to_string(set_base));
+  manifest.Add("watermark", std::to_string(snap.watermark));
+  if (incremental) manifest.Add("prev", options.base_set);
 
   // Seal last: until this rename lands, the set directory holds no valid
   // manifest and a restore refuses it — the crash-anywhere guarantee.
-  BMEH_RETURN_NOT_OK(WriteSealedText(out_dir, kManifestName, std::move(body)));
+  BMEH_RETURN_NOT_OK(manifest.Seal(out_dir, kManifestName));
 
   if (options.metrics != nullptr) {
     options.metrics->GetCounter("store_backups_total")->Inc();

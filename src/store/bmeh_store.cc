@@ -34,9 +34,12 @@ constexpr uint32_t kSuperMagic = 0x424d5333;    // "BMS3"
 constexpr size_t kSuperPayloadV2 = 20;
 constexpr size_t kSuperPayload = 28;
 
-Status ReadSuperblockFrom(PageStore* store, PageId page, PageId* head,
-                          uint64_t* generation, PageId* wal_head,
-                          uint64_t* wal_base_lsn) {
+}  // namespace
+
+Status internal::ReadStoreSuperblock(PageStore* store, PageId page,
+                                     PageId* head, uint64_t* generation,
+                                     PageId* wal_head,
+                                     uint64_t* wal_base_lsn) {
   std::vector<uint8_t> buf(store->page_size());
   BMEH_RETURN_NOT_OK(store->Read(page, buf));
   const uint32_t magic = GetU32(buf.data());
@@ -57,9 +60,10 @@ Status ReadSuperblockFrom(PageStore* store, PageId page, PageId* head,
   return Status::OK();
 }
 
-Status WriteSuperblockTo(PageStore* store, PageId page, PageId head,
-                         uint64_t generation, PageId wal_head,
-                         uint64_t wal_base_lsn) {
+Status internal::WriteStoreSuperblock(PageStore* store, PageId page,
+                                      PageId head, uint64_t generation,
+                                      PageId wal_head,
+                                      uint64_t wal_base_lsn) {
   std::vector<uint8_t> buf(store->page_size(), 0);
   PutU32(buf.data(), kSuperMagic);
   PutU32(buf.data() + 4, head);
@@ -70,6 +74,8 @@ Status WriteSuperblockTo(PageStore* store, PageId page, PageId head,
   BMEH_RETURN_NOT_OK(store->Write(page, buf));
   return store->Sync();
 }
+
+namespace {
 
 /// Deterministic logical outcomes of applying a mutation to the tree:
 /// duplicate insert, delete of an absent key, a key outside the schema
@@ -309,18 +315,6 @@ BmehStore::~BmehStore() {
   }
 }
 
-Status BmehStore::ReadSuperblock(PageId* head, uint64_t* generation,
-                                 PageId* wal_head, uint64_t* wal_base_lsn) {
-  return ReadSuperblockFrom(store_.get(), super_page_, head, generation,
-                            wal_head, wal_base_lsn);
-}
-
-Status BmehStore::WriteSuperblock(PageId head, uint64_t generation,
-                                  PageId wal_head, uint64_t wal_base_lsn) {
-  return WriteSuperblockTo(store_.get(), super_page_, head, generation,
-                           wal_head, wal_base_lsn);
-}
-
 Result<std::unique_ptr<BmehStore>> BmehStore::InitFresh(
     std::unique_ptr<PageStore> store, const StoreOptions& options) {
   BMEH_ASSIGN_OR_RETURN(PageId super, store->Allocate());
@@ -332,9 +326,9 @@ Result<std::unique_ptr<BmehStore>> BmehStore::InitFresh(
   auto out = std::unique_ptr<BmehStore>(
       new BmehStore(std::move(store), std::move(tree), kInvalidPageId, 0,
                     options));
-  BMEH_RETURN_NOT_OK(out->WriteSuperblock(kInvalidPageId, /*generation=*/0,
-                                          kInvalidPageId,
-                                          /*wal_base_lsn=*/1));
+  BMEH_RETURN_NOT_OK(internal::WriteStoreSuperblock(
+      out->store_.get(), out->super_page_, kInvalidPageId, /*generation=*/0,
+      kInvalidPageId, /*wal_base_lsn=*/1));
   // Last step before the store escapes: no other thread can hold a
   // reference yet, so flipping the read path on is unobservable.
   out->plane_.EnableOptimistic(out->tree_.get());
@@ -349,7 +343,9 @@ Result<std::unique_ptr<BmehStore>> BmehStore::OpenExisting(
   PageId head = kInvalidPageId, wal_head = kInvalidPageId;
   uint64_t generation = 0, wal_base_lsn = 1;
   const Status super_st =
-      out->ReadSuperblock(&head, &generation, &wal_head, &wal_base_lsn);
+      internal::ReadStoreSuperblock(out->store_.get(), out->super_page_,
+                                    &head, &generation, &wal_head,
+                                    &wal_base_lsn);
   if (!super_st.ok()) {
     // A verified-corrupt superblock (DataLoss) on a tolerant open still
     // yields a store object — with both chain heads gone there is nothing
@@ -449,10 +445,9 @@ Result<std::unique_ptr<BmehStore>> BmehStore::OpenExisting(
     // the disk).  Point the superblock away from it so the pages can be
     // safely reused.  (Skipped on a degraded store: the corrupt chain is
     // evidence fsck still wants to walk.)
-    BMEH_RETURN_NOT_OK(out->WriteSuperblock(out->image_head_,
-                                            out->generation_,
-                                            out->wal_->head(),
-                                            out->wal_->base_lsn()));
+    BMEH_RETURN_NOT_OK(internal::WriteStoreSuperblock(
+        out->store_.get(), out->super_page_, out->image_head_,
+        out->generation_, out->wal_->head(), out->wal_->base_lsn()));
     out->published_wal_head_ = out->wal_->head();
     out->wal_->NoteSynced();
   }
@@ -529,9 +524,9 @@ Result<StoreInfo> BmehStore::Inspect(const std::string& path) {
   info.format_version = file->format_version();
   PageId head, wal_head;
   uint64_t generation, wal_base_lsn = 1;
-  BMEH_RETURN_NOT_OK(ReadSuperblockFrom(file.get(), file->first_data_page(),
-                                        &head, &generation, &wal_head,
-                                        &wal_base_lsn));
+  BMEH_RETURN_NOT_OK(internal::ReadStoreSuperblock(
+      file.get(), file->first_data_page(), &head, &generation, &wal_head,
+      &wal_base_lsn));
   info.generation = generation;
   info.image_head = head;
   info.wal_head = wal_head;
@@ -587,8 +582,9 @@ Status BmehStore::PublishAppended() {
   if (wal_->head() != published_wal_head_) {
     // First record(s) of a fresh log: make the chain reachable from the
     // superblock (the publish syncs, covering the record pages as well).
-    st = WriteSuperblock(image_head_, generation_, wal_->head(),
-                         wal_->base_lsn());
+    st = internal::WriteStoreSuperblock(store_.get(), super_page_,
+                                        image_head_, generation_,
+                                        wal_->head(), wal_->base_lsn());
     if (st.ok()) {
       published_wal_head_ = wal_->head();
       wal_->NoteSynced();
@@ -920,8 +916,9 @@ Status BmehStore::CheckpointArmedLocked() {
   }
   // The new image folds in every logged record, so the next WAL
   // incarnation starts right after the highest LSN assigned so far.
-  Status publish = WriteSuperblock(new_head, generation_ + 1, kInvalidPageId,
-                                   wal_->next_lsn());
+  Status publish = internal::WriteStoreSuperblock(
+      store_.get(), super_page_, new_head, generation_ + 1, kInvalidPageId,
+      wal_->next_lsn());
   if (!publish.ok()) {
     // The flip (or its fsync) failed: the durable state is unknown, so
     // refuse further mutations rather than let memory and disk diverge.
@@ -1010,22 +1007,6 @@ void BmehStore::EndBackup() {
     }
   }
   deferred_page_frees_.clear();
-}
-
-Status internal::ReadStoreSuperblock(PageStore* store, PageId page,
-                                     PageId* image_head, uint64_t* generation,
-                                     PageId* wal_head,
-                                     uint64_t* wal_base_lsn) {
-  return ReadSuperblockFrom(store, page, image_head, generation, wal_head,
-                            wal_base_lsn);
-}
-
-Status internal::WriteStoreSuperblock(PageStore* store, PageId page,
-                                      PageId image_head, uint64_t generation,
-                                      PageId wal_head,
-                                      uint64_t wal_base_lsn) {
-  return WriteSuperblockTo(store, page, image_head, generation, wal_head,
-                           wal_base_lsn);
 }
 
 }  // namespace bmeh

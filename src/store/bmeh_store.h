@@ -432,10 +432,6 @@ class BmehStore {
   static Result<std::unique_ptr<BmehStore>> InitFresh(
       std::unique_ptr<PageStore> store, const StoreOptions& options);
 
-  Status ReadSuperblock(PageId* head, uint64_t* generation, PageId* wal_head,
-                        uint64_t* wal_base_lsn);
-  Status WriteSuperblock(PageId head, uint64_t generation, PageId wal_head,
-                         uint64_t wal_base_lsn);
   /// Seals the WAL records a checkpoint is about to truncate into an
   /// archive segment file (no-op when archiving is off or the log is
   /// empty).  Failure fails the checkpoint before anything is truncated.
@@ -552,9 +548,9 @@ class BmehStore {
 
 namespace internal {
 
-/// \brief Reads and CRC-verifies a BmehStore superblock page — shared
-/// with the offline tooling (scrub/fsck) so the layout stays in one
-/// place.  Statuses: OK, Corruption (not a superblock), or whatever the
+/// \brief Reads and CRC-verifies a BmehStore superblock page: the one
+/// reader, for the store and the offline tooling (scrub/fsck) alike.
+/// Statuses: OK, Corruption (not a superblock), or whatever the
 /// page read returned (e.g. DataLoss on a corrupt v2 page).  Both the
 /// v2 ("BMS2") and the LSN-aware v3 ("BMS3") layouts are accepted;
 /// `wal_base_lsn` (optional) reports 1 for a v2 superblock.
@@ -562,7 +558,8 @@ Status ReadStoreSuperblock(PageStore* store, PageId page, PageId* image_head,
                            uint64_t* generation, PageId* wal_head,
                            uint64_t* wal_base_lsn = nullptr);
 
-/// \brief Writes a v3 superblock — used by RestoreStore to stitch a
+/// \brief Writes a v3 superblock and syncs the device: the one writer,
+/// for the store's publishes and for RestoreStore, which stitches a
 /// rebuilt store file together before its first open.
 Status WriteStoreSuperblock(PageStore* store, PageId page, PageId image_head,
                             uint64_t generation, PageId wal_head,

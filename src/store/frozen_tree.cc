@@ -138,14 +138,13 @@ Result<std::unique_ptr<FrozenBmehTree>> FrozenBmehTree::Open(
     return Status::Corruption("bad frozen-tree magic");
   }
   BMEH_ASSIGN_OR_RETURN(uint8_t d, r.U8());
-  if (d < 1 || d > kMaxDims) return Status::Corruption("bad dims");
-  std::array<int, kMaxDims> widths{};
+  std::vector<int> widths;
   for (int j = 0; j < d; ++j) {
     BMEH_ASSIGN_OR_RETURN(uint8_t wj, r.U8());
-    if (wj < 1 || wj > 32) return Status::Corruption("bad width");
-    widths[j] = wj;
+    widths.push_back(wj);
   }
-  KeySchema schema(std::span<const int>(widths.data(), d));
+  auto schema = KeySchema::FromWidths(widths);
+  if (!schema.ok()) return Status::Corruption(schema.status().message());
   BMEH_ASSIGN_OR_RETURN(uint32_t b, r.U32());
   BMEH_ASSIGN_OR_RETURN(uint32_t levels, r.U32());
   BMEH_ASSIGN_OR_RETURN(uint64_t records, r.U64());
@@ -153,7 +152,7 @@ Result<std::unique_ptr<FrozenBmehTree>> FrozenBmehTree::Open(
   if (b < 1 || levels < 1) return Status::Corruption("bad frozen header");
 
   auto tree = std::unique_ptr<FrozenBmehTree>(new FrozenBmehTree(
-      store, schema, static_cast<int>(b), static_cast<int>(levels), records,
+      store, *schema, static_cast<int>(b), static_cast<int>(levels), records,
       root_page, pool_pages));
   // Decode and pin the root once; later probes do not pay for it.
   BMEH_ASSIGN_OR_RETURN(DirNode root, tree->FetchNode(root_page));

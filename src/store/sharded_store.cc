@@ -4,11 +4,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 #include <thread>
 
 #include "src/common/bit_util.h"
 #include "src/obs/trace.h"
+#include "src/store/sealed_manifest.h"
 
 namespace bmeh {
 
@@ -50,27 +50,41 @@ Status ValidateShardCount(int shards, const KeySchema& schema) {
   return Status::OK();
 }
 
-/// The shape fields both manifest formats carry, checked as creating a
-/// store checks them; returns the schema.  A sealed manifest (`what`)
-/// that fails is corrupt: accepting it would route past the schema's ψ
-/// digits, or start an open thread per shard for any count it claims.
-Result<KeySchema> CheckManifestShape(const std::string& what, int shards,
-                                     int shard_bits, int page_size, int dims,
-                                     const std::vector<int>& widths) {
-  if (page_size <= 0 || dims <= 0 || dims > kMaxDims ||
-      static_cast<int>(widths.size()) != dims ||
-      std::any_of(widths.begin(), widths.end(),
-                  [](int w) { return w < 1 || w > 32; })) {
-    return Status::Corruption(what + " fields inconsistent");
+/// The routing shape both sharded manifests begin with: MANIFEST's whole
+/// body, and SHARDBACKUP's before its shard lines.
+ManifestWriter ShapeWriter(std::string_view magic, const ShardManifest& shape) {
+  ManifestWriter w(magic);
+  w.Add("shards", std::to_string(shape.shards));
+  w.Add("shard_bits", std::to_string(shape.shard_bits));
+  w.Add("page_size", std::to_string(shape.page_size));
+  w.AddSchema(shape.schema);
+  return w;
+}
+
+/// A sealed manifest's shard count and routing width, checked as creating
+/// a store checks them.  One that fails is corrupt: accepting it would
+/// route past the schema's ψ digits, or start an open thread per shard
+/// for any count it claims.
+Status CheckManifestShape(const ManifestReader& r, int shards, int shard_bits,
+                          const KeySchema& schema) {
+  const Status st = ValidateShardCount(shards, schema);
+  if (!st.ok()) return r.Bad("shards", st.message());
+  if (shard_bits != bit_util::FloorLog2(shards)) {
+    return r.Bad("shard_bits", std::to_string(shard_bits) +
+                                   " does not match the shard count");
   }
-  KeySchema schema(std::span<const int>(widths.data(), widths.size()));
-  Status st = ValidateShardCount(shards, schema);
-  if (st.ok() && shard_bits != bit_util::FloorLog2(shards)) {
-    st = Status::Invalid("shard_bits " + std::to_string(shard_bits) +
-                         " does not match the shard count");
-  }
-  if (!st.ok()) return Status::Corruption(what + ": " + st.message());
-  return schema;
+  return Status::OK();
+}
+
+/// Reads the shape ShapeWriter wrote into `out`, a ShardManifest or a
+/// ShardBackupSetInfo.
+template <typename Shape>
+Status ReadShape(const ManifestReader& r, Shape* out) {
+  BMEH_ASSIGN_OR_RETURN(out->shards, r.Number<int>("shards"));
+  BMEH_ASSIGN_OR_RETURN(out->shard_bits, r.Number<int>("shard_bits"));
+  BMEH_ASSIGN_OR_RETURN(out->page_size, r.Number<int>("page_size", 1));
+  BMEH_ASSIGN_OR_RETURN(out->schema, r.Schema());
+  return CheckManifestShape(r, out->shards, out->shard_bits, out->schema);
 }
 
 uint64_t SplitMix64(uint64_t z) {
@@ -91,56 +105,18 @@ std::string ShardedStore::ShardPath(const std::string& dir, int shard_index) {
 Status ShardedStore::WriteManifest(const std::string& dir,
                                    const ShardManifest& manifest) {
   BMEH_RETURN_NOT_OK(EnsureDir(dir));
-  std::string body = std::string(kManifestMagic) + "\n";
-  body += "shards " + std::to_string(manifest.shards) + "\n";
-  body += "shard_bits " + std::to_string(manifest.shard_bits) + "\n";
-  body += "page_size " + std::to_string(manifest.page_size) + "\n";
-  body += "dims " + std::to_string(manifest.schema.dims()) + "\n";
-  body += "widths";
-  for (int j = 0; j < manifest.schema.dims(); ++j) {
-    body += " " + std::to_string(manifest.schema.width(j));
-  }
-  body += "\n";
   // Published atomically, so a crash never leaves a half-written manifest
   // where Open() would read it.
-  return WriteSealedText(dir, kManifestName, std::move(body));
+  return ShapeWriter(kManifestMagic, manifest).Seal(dir, kManifestName);
 }
 
 Result<ShardManifest> ShardedStore::ReadManifest(const std::string& dir) {
-  const std::string path = dir + "/" + kManifestName;
-  BMEH_ASSIGN_OR_RETURN(const std::string text,
-                        ReadSealedText(path, "manifest"));
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != kManifestMagic) {
-    return Status::Corruption("not a sharded store manifest: " + path);
-  }
+  BMEH_ASSIGN_OR_RETURN(
+      const ManifestReader r,
+      ManifestReader::Open(dir + "/" + kManifestName, "manifest",
+                           kManifestMagic));
   ShardManifest m;
-  int dims = 0;
-  std::vector<int> widths;
-  while (std::getline(in, line)) {
-    std::istringstream fields(line);
-    std::string name;
-    fields >> name;
-    if (name == "shards") {
-      fields >> m.shards;
-    } else if (name == "shard_bits") {
-      fields >> m.shard_bits;
-    } else if (name == "page_size") {
-      fields >> m.page_size;
-    } else if (name == "dims") {
-      fields >> dims;
-    } else if (name == "widths") {
-      int w;
-      while (fields >> w) widths.push_back(w);
-    }
-    // Unknown fields are ignored: the crc seals them, and a newer writer
-    // may add informational lines an older reader can skip.
-  }
-  BMEH_ASSIGN_OR_RETURN(m.schema,
-                        CheckManifestShape("manifest " + path, m.shards,
-                                           m.shard_bits, m.page_size, dims,
-                                           widths));
+  BMEH_RETURN_NOT_OK(ReadShape(r, &m));
   return m;
 }
 
@@ -734,102 +710,51 @@ Result<ShardBackupInfo> ShardedStore::Backup(const std::string& out_dir,
   // Nothing was captured: refuse rather than seal an empty set.
   if (info.failed == n) return first;
 
-  std::string body = std::string(kShardBackupMagic) + "\n";
-  body += "shards " + std::to_string(n) + "\n";
-  body += "shard_bits " + std::to_string(shard_bits_) + "\n";
-  body += "page_size " + std::to_string(page_size) + "\n";
-  body += "dims " + std::to_string(schema_.dims()) + "\n";
-  body += "widths";
-  for (int j = 0; j < schema_.dims(); ++j) {
-    body += " " + std::to_string(schema_.width(j));
-  }
-  body += "\n";
+  ManifestWriter w =
+      ShapeWriter(kShardBackupMagic, {n, shard_bits_, page_size, schema_});
   for (int s = 0; s < n; ++s) {
+    const std::string index = std::to_string(s);
     if (info.shard_status[s].ok()) {
-      body += "shard " + std::to_string(s) + " ok " +
-              std::to_string(info.watermark[s]) + " " + ShardSetSubdir(s) +
-              "\n";
+      w.Add("shard", index + " ok " + std::to_string(info.watermark[s]) + " " +
+                         ShardSetSubdir(s));
     } else {
-      std::string why = info.shard_status[s].message();
-      std::replace(why.begin(), why.end(), '\n', ' ');
-      body += "shard " + std::to_string(s) + " err " + why + "\n";
+      w.Add("shard", index + " err " + info.shard_status[s].message());
     }
   }
-  BMEH_RETURN_NOT_OK(
-      WriteSealedText(out_dir, kShardBackupManifestName, std::move(body)));
+  BMEH_RETURN_NOT_OK(w.Seal(out_dir, kShardBackupManifestName));
   return info;
 }
 
 Result<ShardBackupSetInfo> ShardedStore::ReadBackupManifest(
     const std::string& set_dir) {
-  const std::string path = set_dir + "/" + kShardBackupManifestName;
-  BMEH_ASSIGN_OR_RETURN(const std::string text,
-                        ReadSealedText(path, "backup super-manifest"));
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != kShardBackupMagic) {
-    return Status::Corruption("not a sharded backup set: " + path);
-  }
-  ShardBackupSetInfo set;
-  int dims = 0;
-  std::vector<int> widths;
-  while (std::getline(in, line)) {
-    std::istringstream fields(line);
-    std::string name;
-    fields >> name;
-    if (name == "shards") {
-      fields >> set.shards;
-    } else if (name == "shard_bits") {
-      fields >> set.shard_bits;
-    } else if (name == "page_size") {
-      fields >> set.page_size;
-    } else if (name == "dims") {
-      fields >> dims;
-    } else if (name == "widths") {
-      int w;
-      while (fields >> w) widths.push_back(w);
-    } else if (name == "shard") {
-      int idx = -1;
-      std::string state;
-      fields >> idx >> state;
-      if (idx < 0 || idx >= 4096) {
-        return Status::Corruption("backup super-manifest shard index bad: " +
-                                  path);
-      }
-      if (static_cast<size_t>(idx) >= set.shard.size()) {
-        set.shard.resize(idx + 1);
-      }
-      ShardBackupSetInfo::ShardEntry& entry = set.shard[idx];
-      if (state == "ok") {
-        entry.ok = true;
-        fields >> entry.watermark >> entry.subdir;
-        if (entry.subdir.empty() ||
-            entry.subdir.find('/') != std::string::npos ||
-            entry.subdir.find("..") != std::string::npos) {
-          return Status::Corruption(
-              "backup super-manifest shard subdir bad: " + path);
-        }
-      } else if (state == "err") {
-        entry.ok = false;
-        std::getline(fields, entry.error);
-        while (!entry.error.empty() && entry.error.front() == ' ') {
-          entry.error.erase(entry.error.begin());
-        }
-      } else {
-        return Status::Corruption("backup super-manifest shard state bad: " +
-                                  path);
-      }
-    }
-    // Unknown fields are ignored: the crc seals them, and a newer
-    // writer may add lines an older reader can skip.
-  }
   BMEH_ASSIGN_OR_RETURN(
-      set.schema, CheckManifestShape("backup super-manifest " + path,
-                                     set.shards, set.shard_bits,
-                                     set.page_size, dims, widths));
-  if (static_cast<int>(set.shard.size()) != set.shards) {
-    return Status::Corruption("backup super-manifest fields inconsistent: " +
-                              path);
+      const ManifestReader r,
+      ManifestReader::Open(set_dir + "/" + kShardBackupManifestName,
+                           "backup super-manifest", kShardBackupMagic));
+  ShardBackupSetInfo set;
+  BMEH_RETURN_NOT_OK(ReadShape(r, &set));
+  // One line per shard, in shard order: "<s> ok <watermark> <subdir>" or
+  // "<s> err <why>".
+  std::vector<ManifestLine> lines = r.All("shard");
+  if (static_cast<int>(lines.size()) != set.shards) {
+    return r.Bad("shard", std::to_string(lines.size()) + " lines for " +
+                              std::to_string(set.shards) + " shards");
+  }
+  set.shard.resize(set.shards);
+  for (int s = 0; s < set.shards; ++s) {
+    ManifestLine& line = lines[s];
+    ShardBackupSetInfo::ShardEntry& entry = set.shard[s];
+    BMEH_RETURN_NOT_OK(line.Number(s, s).status());  // shard order
+    BMEH_ASSIGN_OR_RETURN(const std::string_view state, line.Word());
+    if (state == "err") {
+      entry.error = line.Rest();
+      continue;
+    }
+    if (state != "ok") return line.Bad("state " + std::string(state));
+    entry.ok = true;
+    BMEH_ASSIGN_OR_RETURN(entry.watermark, line.Number());
+    BMEH_ASSIGN_OR_RETURN(entry.subdir, line.Name());
+    BMEH_RETURN_NOT_OK(line.End());
   }
   return set;
 }
@@ -924,12 +849,8 @@ Result<ShardRestoreInfo> ShardedStore::Restore(const std::string& set_dir,
   // than a valid-looking store whose missing shards would come up as
   // fresh empty trees, silently answering KeyError for records that
   // existed at backup time.
-  ShardManifest m;
-  m.shards = set.shards;
-  m.shard_bits = set.shard_bits;
-  m.page_size = set.page_size;
-  m.schema = set.schema;
-  BMEH_RETURN_NOT_OK(WriteManifest(dest_dir, m));
+  BMEH_RETURN_NOT_OK(WriteManifest(
+      dest_dir, {set.shards, set.shard_bits, set.page_size, set.schema}));
   return info;
 }
 

@@ -608,5 +608,108 @@ TEST_F(ShardedBackupTest, CorruptShardSubSetFailsOnlyThatShard) {
   EXPECT_EQ(restored->down_shards(), 1);
 }
 
+// Re-seals `dir/name` with its widths line replaced by `widths`: a
+// manifest whose seal is valid and whose schema is not.
+void ResealWidths(const std::string& dir, const std::string& name,
+                  const std::string& widths) {
+  auto body = ReadSealedText(dir + "/" + name, name);
+  ASSERT_TRUE(body.ok()) << body.status();
+  std::string text = *body;
+  const size_t at = text.find("\nwidths ");
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at + 1, text.find('\n', at + 1) - at - 1, widths);
+  ASSERT_TRUE(WriteSealedText(dir, name, text).ok());
+}
+
+// A sealed BACKUPSET whose widths form no key schema is corruption
+// wherever it is read, as a set or as an incremental's base, and a
+// restore of it writes nothing.
+void ExpectBadWidthsRefused(BmehStore* store, const std::string& set,
+                            const std::string& dest,
+                            const std::string& widths) {
+  ResealWidths(set, BackupStore::kManifestName, widths);
+  const Status read = BackupStore::ReadManifest(set).status();
+  EXPECT_TRUE(read.IsCorruption()) << read;
+  const Status verify = BackupStore::Verify(set);
+  EXPECT_TRUE(verify.IsCorruption()) << verify;
+  BackupOptions incremental;
+  incremental.base_set = set;
+  const Status extend =
+      BackupStore::Run(store, set + "-next", incremental).status();
+  EXPECT_TRUE(extend.IsCorruption()) << extend;
+  const Status restore = RestoreStore::Run(set, dest).status();
+  EXPECT_TRUE(restore.IsCorruption()) << restore;
+  EXPECT_FALSE(PathPresent(dest));
+  EXPECT_FALSE(PathPresent(dest + ".restore-tmp"));
+}
+
+TEST_F(BackupRestoreTest, BackupSetWithTooWideAKeyIsCorruption) {
+  auto store = MustOpen(db_);
+  PutRange(store.get(), 0, 40);
+  ASSERT_TRUE(BackupStore::Run(store.get(), set_).ok());
+  ExpectBadWidthsRefused(store.get(), set_, dest_, "widths 40 3");
+  store->SimulateCrashForTesting();
+}
+
+TEST_F(BackupRestoreTest, BackupSetWithAZeroWidthKeyIsCorruption) {
+  auto store = MustOpen(db_);
+  PutRange(store.get(), 0, 40);
+  ASSERT_TRUE(BackupStore::Run(store.get(), set_).ok());
+  ExpectBadWidthsRefused(store.get(), set_, dest_, "widths 0 31");
+  store->SimulateCrashForTesting();
+}
+
+// One shard's sub-set with a schema that cannot be built fails that
+// shard alone, as a corrupt payload does: the other shard restores.
+class ShardedBadSchemaTest : public ShardedBackupTest {
+ protected:
+  void ExpectSubSetRefused(const std::string& widths) {
+    const std::string sdir = root_ + "/sharded";
+    const std::string sdest = root_ + "/sharded_restored";
+    ShardedStoreOptions o = ShardOpts();
+    o.shards = 2;
+    {
+      auto opened = ShardedStore::Open(sdir, o);
+      ASSERT_TRUE(opened.ok()) << opened.status();
+      auto store = std::move(opened).ValueOrDie();
+      PutRangeSharded(store.get(), 0, 80);
+      ASSERT_TRUE(store->Backup(set_).ok());
+      store->SimulateCrashForTesting();
+    }
+    auto info = ShardedStore::ReadBackupManifest(set_);
+    ASSERT_TRUE(info.ok()) << info.status();
+    ASSERT_TRUE(info->shard[1].ok);
+    ResealWidths(set_ + "/" + info->shard[1].subdir,
+                 BackupStore::kManifestName, widths);
+    auto run = ShardedStore::Restore(set_, sdest);
+    ASSERT_TRUE(run.ok()) << run.status();
+    EXPECT_EQ(run->failed, 1);
+    EXPECT_TRUE(run->shard_status[0].ok()) << run->shard_status[0];
+    EXPECT_TRUE(run->shard_status[1].IsCorruption()) << run->shard_status[1];
+    auto reopened = ShardedStore::Open(sdest, o);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    auto restored = std::move(reopened).ValueOrDie();
+    EXPECT_EQ(restored->down_shards(), 1);
+    uint32_t served = 0;
+    for (uint32_t i = 0; i < 80; ++i) {
+      const PseudoKey key = KeyFor(i);
+      if (restored->ShardOf(key) != 0) continue;
+      auto r = restored->Get(key);
+      ASSERT_TRUE(r.ok()) << "serial " << i << ": " << r.status();
+      EXPECT_EQ(*r, PayloadFor(key));
+      ++served;
+    }
+    EXPECT_GT(served, 0u);
+  }
+};
+
+TEST_F(ShardedBadSchemaTest, SubSetWithTooWideAKeyFailsOnlyThatShard) {
+  ExpectSubSetRefused("widths 40 3");
+}
+
+TEST_F(ShardedBadSchemaTest, SubSetWithAZeroWidthKeyFailsOnlyThatShard) {
+  ExpectSubSetRefused("widths 0 31");
+}
+
 }  // namespace
 }  // namespace bmeh

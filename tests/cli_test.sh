@@ -389,6 +389,33 @@ if "$CLI" restore --set "$BSET" --db "$BREST.torn" > /dev/null 2>&1; then
 fi
 [ ! -e "$BREST.torn" ] || fail "refused torn restore left a destination file"
 
+# a set whose BACKUPSET names a key width past 32 under a valid seal is
+# refused as corrupt (exit 1), with nothing written.  The seal line is
+# "crc %08x" over the CRC-32 of the body, the CRC gzip's trailer carries.
+BWIDE="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.bwide)"
+trap 'rm -f "$DB" "$STORE" "$REPAIRED" "$QUOTA" "$TRACE" "$BDB" "$BREST" "$BPITR" "$BREST.wide"; rm -rf "$SHARDDIR" "$SHARDFIX" "$DEGDIR" "$BSET" "$SHSET" "$SHREST" "$BWIDE"' EXIT
+"$CLI" backup --db "$BDB" --out "$BWIDE" > /dev/null \
+  || fail "backup for the key-width check"
+seal() {
+  echo "crc $(gzip -c | tail -c 8 | od -An -tx4 -N4 | tr -d ' ')"
+}
+[ "$(sed '$d' "$BWIDE/BACKUPSET" | seal)" = "$(tail -n 1 "$BWIDE/BACKUPSET")" ] \
+  || fail "the gzip trailer did not reproduce the manifest seal"
+sed '$d' "$BWIDE/BACKUPSET" | sed 's/^widths .*/widths 40 3/' > "$BWIDE/body"
+SEAL=$(seal < "$BWIDE/body")
+{ cat "$BWIDE/body"; echo "$SEAL"; } > "$BWIDE/BACKUPSET"
+rm -f "$BWIDE/body"
+grep -q "^widths 40 3$" "$BWIDE/BACKUPSET" || fail "widths line not replaced"
+set +e
+OUT=$("$CLI" restore --set "$BWIDE" --db "$BREST.wide" 2>&1)
+RC=$?
+set -e
+[ "$RC" -eq 1 ] || fail "restore of a set with widths 40 3 should exit 1, got $RC"
+echo "$OUT" | grep -q "Corruption" || fail "bad-width restore did not say Corruption"
+echo "$OUT" | grep -q "widths" || fail "bad-width restore did not name the field"
+[ ! -e "$BREST.wide" ] || fail "refused bad-width restore left a destination file"
+rm -rf "$BWIDE"
+
 # ---- sharded backup / restore: round trip, partial sets, degraded exit ----
 
 # round trip of the repaired 4-shard store from the fsck section above

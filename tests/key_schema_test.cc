@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace bmeh {
 namespace {
 
@@ -60,6 +62,27 @@ TEST(KeySchemaDeathTest, RejectsBadShapes) {
   EXPECT_DEATH({ KeySchema bad(9, 31); }, "dims");
   EXPECT_DEATH({ KeySchema bad(2, 0); }, "width");
   EXPECT_DEATH({ KeySchema bad(2, 33); }, "width");
+}
+
+// The factory refuses, without dying, what the constructors die on: a
+// decoder hands it widths read from a file.
+TEST(KeySchemaTest, FromWidthsRefusesBadShapes) {
+  const std::vector<int> ok = {1, 32, 7, 31, 3, 3, 3, 3};
+  for (size_t d = 1; d <= ok.size(); ++d) {
+    auto s = KeySchema::FromWidths(std::span<const int>(ok.data(), d));
+    ASSERT_TRUE(s.ok()) << d << ": " << s.status();
+    EXPECT_EQ(s->dims(), static_cast<int>(d));
+    EXPECT_EQ(s->width(d - 1), ok[d - 1]);
+  }
+  const std::vector<std::vector<int>> bad = {
+      {}, {31, 31, 31, 31, 31, 31, 31, 31, 31}, {0, 31}, {40, 3}, {3, 33},
+      {-1}};
+  for (const std::vector<int>& widths : bad) {
+    const Status st = KeySchema::FromWidths(widths).status();
+    EXPECT_TRUE(st.IsInvalid()) << widths.size() << ": " << st;
+  }
+  EXPECT_EQ(KeySchema::FromWidths(std::vector<int>{40, 3}).status().message(),
+            "width must be in [1, 32], got 40");
 }
 
 }  // namespace

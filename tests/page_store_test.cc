@@ -447,13 +447,12 @@ TEST(FilePageStoreTest, BitRotSurfacesDataLossAfterRetries) {
   auto r = FilePageStore::Open(path);
   ASSERT_TRUE(r.ok()) << r.status();
   auto store = std::move(r).ValueOrDie();
-  store->SetReadRetryPolicy(/*max_retries=*/2, /*backoff_us=*/0);
   store->ResetStats();
   std::vector<uint8_t> buf(128);
   Status st = store->Read(id, buf);
   EXPECT_TRUE(st.IsDataLoss()) << st;
-  EXPECT_EQ(store->stats().read_retries, 2u);
-  EXPECT_EQ(store->stats().checksum_failures, 3u)
+  EXPECT_EQ(store->stats().read_retries, 3u);
+  EXPECT_EQ(store->stats().checksum_failures, 4u)
       << "every attempt saw the same rotten bytes";
   EXPECT_TRUE(store->VerifyPage(id).IsDataLoss());
   EXPECT_TRUE(store->VerifyPage(0).ok()) << "damage is confined to one page";
@@ -470,7 +469,6 @@ TEST(FilePageStoreTest, TransientReadErrorsAreAbsorbedByRetry) {
   const auto data = Pattern(128, 4);
   ASSERT_TRUE(store->Write(*a, data).ok());
 
-  store->SetReadRetryPolicy(/*max_retries=*/3, /*backoff_us=*/0);
   store->InjectTransientReadErrorsForTesting(2);
   store->ResetStats();
   std::vector<uint8_t> buf(128);
@@ -491,7 +489,6 @@ TEST(FilePageStoreTest, RetryBudgetExhaustionIsIoError) {
   const auto data = Pattern(128, 6);
   ASSERT_TRUE(store->Write(*a, data).ok());
 
-  store->SetReadRetryPolicy(/*max_retries=*/2, /*backoff_us=*/0);
   store->InjectTransientReadErrorsForTesting(100);
   std::vector<uint8_t> buf(128);
   Status st = store->Read(*a, buf);
@@ -513,7 +510,6 @@ TEST(FilePageStoreTest, InFlightCorruptReadIsHealedByReRead) {
   const auto data = Pattern(128, 8);
   ASSERT_TRUE(store->Write(*a, data).ok());
 
-  store->SetReadRetryPolicy(/*max_retries=*/3, /*backoff_us=*/0);
   store->CorruptNextReadsForTesting(1);
   store->ResetStats();
   std::vector<uint8_t> buf(128);
@@ -556,7 +552,6 @@ TEST(FilePageStoreTest, MisdirectedWriteIsDetectedByIdBinding) {
   auto r = FilePageStore::Open(path);
   ASSERT_TRUE(r.ok()) << r.status();
   auto store = std::move(r).ValueOrDie();
-  store->SetReadRetryPolicy(0, 0);
   std::vector<uint8_t> buf(128);
   Status st = store->Read(b, buf);
   EXPECT_TRUE(st.IsDataLoss()) << st;
@@ -597,7 +592,6 @@ TEST(FilePageStoreTest, ForeignStorePageIsRejectedByEpoch) {
   auto r = FilePageStore::Open(path2);
   ASSERT_TRUE(r.ok()) << r.status();
   auto store = std::move(r).ValueOrDie();
-  store->SetReadRetryPolicy(0, 0);
   std::vector<uint8_t> buf(128);
   EXPECT_TRUE(store->Read(id, buf).IsDataLoss());
   std::remove(path1.c_str());
