@@ -38,7 +38,6 @@
 #include "src/pagestore/buffer_pool.h"
 #include "src/pagestore/page_store.h"
 #include "src/store/bmeh_store.h"
-#include "src/store/concurrent_index.h"
 #include "src/store/frozen_tree.h"
 #include "src/store/scrub.h"
 #include "src/store/sharded_store.h"

@@ -193,7 +193,7 @@ void BmehTree::CollapseRoot() {
       if (e.h[j] != 0) return;
     }
     nodes_.Destroy(root_id_);
-    root_id_ = e.ref.id;
+    SetRoot(e.ref.id);
     --levels_;
     ++mutations_.root_collapses;
     io_.CountDirWrite();

@@ -1,4 +1,8 @@
-// Optimistic (lock-free) read path for the BMEH-tree.
+// The BMEH-tree's read walks: the exact-match descent (EXM_Search) and
+// partial-range retrieval (PRG_Search, paper §4.4).  Each has one body,
+// which serves lock-free readers, the locked fallback and the
+// single-threaded experiment harness alike, so λ, λ′ and Theorem 4's
+// counts are charged the same way on every path.
 //
 // Readers descend the published structure without any lock, validating
 // slot versions hand-over-hand (see arena.h): trust an entry read from a
@@ -8,7 +12,9 @@
 // reported as a conflict for the caller to retry with backoff; stale
 // objects stay dereferenceable because every reader runs under an
 // epoch::Guard and writers retire replaced objects instead of freeing
-// them in place.
+// them in place.  On a quiescent tree (concurrent reads off, or writers
+// excluded) nothing moves under a walk, so a conflict there can only be a
+// broken structure, and the status that comes with it says Corruption.
 
 #include "src/common/bit_util.h"
 #include "src/core/bmeh_tree.h"
@@ -23,10 +29,28 @@ using hashdir::IndexTuple;
 namespace {
 
 Status ConflictStatus() {
-  return Status::Unavailable("optimistic read conflict");
+  return Status::Corruption("read walk met an unstable or dangling slot");
 }
 
 }  // namespace
+
+Result<uint64_t> BmehTree::Search(const PseudoKey& key) {
+  bool conflict = false;
+  return SearchOptimistic(key, &conflict);
+}
+
+Status BmehTree::RangeSearch(const RangePredicate& pred,
+                             std::vector<Record>* out) {
+  bool conflict = false;
+  return RangeSearchOptimistic(pred, out, &conflict);
+}
+
+Status BmehTree::RangeSearchWithStats(const RangePredicate& pred,
+                                      std::vector<Record>* out,
+                                      hashdir::RangeWalkStats* stats) {
+  bool conflict = false;
+  return RangeSearchOptimistic(pred, out, &conflict, stats);
+}
 
 Result<uint64_t> BmehTree::SearchOptimistic(const PseudoKey& key,
                                             bool* conflict) {
@@ -69,6 +93,8 @@ Result<uint64_t> BmehTree::SearchOptimistic(const PseudoKey& key,
         return Status::KeyError("key " + key.ToString() + " not found");
       }
       if (quarantined_.count(e.ref.id) != 0) {
+        // "Not found" would be a silent wrong answer: the key may well
+        // have been in the lost bucket.
         if (nodes_.VersionOf(node_id) != cur.version) break;
         return Status::DataLoss("bucket for " + key.ToString() +
                                 " was lost to corruption");
@@ -105,7 +131,8 @@ Result<uint64_t> BmehTree::SearchOptimistic(const PseudoKey& key,
 
 Status BmehTree::RangeSearchOptimistic(const RangePredicate& pred,
                                        std::vector<Record>* out,
-                                       bool* conflict) {
+                                       bool* conflict,
+                                       hashdir::RangeWalkStats* stats) {
   *conflict = false;
   const size_t base = out->size();
   // Range walks touch many slots, so instead of per-slot hand-over-hand
@@ -139,6 +166,8 @@ Status BmehTree::RangeSearchOptimistic(const RangePredicate& pred,
                                                 const RangePredicate& p,
                                                 std::vector<Record>* o) {
     if (quarantined_.count(page_id) != 0) {
+      // The bucket overlaps the query but its records are gone; keep
+      // walking so the caller still gets every surviving match.
       ++lost_buckets;
       return;
     }
@@ -152,10 +181,10 @@ Status BmehTree::RangeSearchOptimistic(const RangePredicate& pred,
       if (p.Matches(rec.key)) o->push_back(rec);
     }
   };
-  hashdir::RangeWalkStats stats;
-  const Status st = hashdir::RangeWalk(schema_, pred,
-                                       hashdir::Ref::Node(root), cbs, out,
-                                       &stats);
+  hashdir::RangeWalkStats unused;
+  const Status st = hashdir::RangeWalk(
+      schema_, pred, hashdir::Ref::Node(root), cbs, out,
+      stats != nullptr ? stats : &unused);
   if (torn || pub_seq_.load(std::memory_order_acquire) != s1) {
     out->resize(base);  // Discard the partial walk.
     *conflict = true;
@@ -163,30 +192,13 @@ Status BmehTree::RangeSearchOptimistic(const RangePredicate& pred,
   }
   BMEH_RETURN_NOT_OK(st);
   if (lost_buckets > 0) {
+    // The surviving matches are in `out`; the status says they may not be
+    // all of them.
     return Status::DataLoss("range result is partial: " +
                             std::to_string(lost_buckets) +
                             " overlapping bucket(s) lost to corruption");
   }
   return Status::OK();
-}
-
-bool BmehTree::SampleStatsOptimistic(IndexStructureStats* out) const {
-  const uint64_t s1 = pub_seq_.load(std::memory_order_acquire);
-  if ((s1 & 1) != 0) return false;
-  IndexStructureStats s;
-  s.directory_nodes = nodes_.live_count_published();
-  s.directory_entries =
-      s.directory_nodes * options_.node_block_entries(schema_.dims());
-  uint64_t used = 0;
-  nodes_.ForEachPublished(
-      [&used](uint32_t, const DirNode& n) { used += n.entry_count(); });
-  s.directory_entries_used = used;
-  s.directory_levels = published_levels_.load(std::memory_order_relaxed);
-  s.data_pages = pages_.live_count_published();
-  s.records = published_records_.load(std::memory_order_relaxed);
-  if (pub_seq_.load(std::memory_order_acquire) != s1) return false;
-  *out = s;
-  return true;
 }
 
 }  // namespace bmeh

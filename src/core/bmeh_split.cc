@@ -80,7 +80,7 @@ Status BmehTree::SplitNodeAt(const std::vector<PathStep>& path, size_t level,
     const uint32_t new_root = nodes_.Create();
     nodes_.Mutate(new_root)->at_address(0) =
         hashdir::MakeEntry(Ref::Node(node_id), schema_.dims());
-    root_id_ = new_root;
+    SetRoot(new_root);
     ++levels_;
     ++mutations_.new_roots;
     io_.CountDirWrite();

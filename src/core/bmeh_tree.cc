@@ -29,29 +29,22 @@ BmehTree::BmehTree(const KeySchema& schema, const TreeOptions& options)
     BMEH_CHECK(options_.xi[j] >= 1 && options_.xi[j] <= schema_.width(j))
         << "xi out of range for dim " << j;
   }
-  root_id_ = nodes_.Create();
-  published_root_.store(root_id_, std::memory_order_relaxed);
+  SetRoot(nodes_.Create());
 }
 
 void BmehTree::EnableConcurrentReads(epoch::EpochManager* mgr) {
   BMEH_CHECK(mgr != nullptr);
   BMEH_CHECK(epoch_ == nullptr) << "concurrent reads already enabled";
-  // Snapshot the current (quiescent) structure into the read plane.
-  published_root_.store(root_id_, std::memory_order_relaxed);
-  published_levels_.store(static_cast<uint64_t>(levels_),
-                          std::memory_order_relaxed);
-  published_records_.store(records_, std::memory_order_relaxed);
   epoch_ = mgr;
 }
 
+void BmehTree::SetRoot(uint32_t id) {
+  root_id_ = id;
+  if (epoch_ == nullptr) published_root_.store(id, std::memory_order_relaxed);
+}
+
 void BmehTree::CommitMutation() {
-  const bool dirty =
-      nodes_.ScopeDirty() || pages_.ScopeDirty() ||
-      root_id_ != published_root_.load(std::memory_order_relaxed) ||
-      static_cast<uint64_t>(levels_) !=
-          published_levels_.load(std::memory_order_relaxed) ||
-      records_ != published_records_.load(std::memory_order_relaxed);
-  if (!dirty) {
+  if (!nodes_.ScopeDirty() && !pages_.ScopeDirty()) {
     // Read-only outcome (duplicate insert, missing delete, ...): nothing
     // to publish, and no sequence bump to disturb in-flight readers.
     nodes_.CancelScope();
@@ -66,9 +59,6 @@ void BmehTree::CommitMutation() {
   if (mid_publish_hook_) mid_publish_hook_();
   nodes_.PublishScope(&retired);
   published_root_.store(root_id_, std::memory_order_release);
-  published_levels_.store(static_cast<uint64_t>(levels_),
-                          std::memory_order_relaxed);
-  published_records_.store(records_, std::memory_order_relaxed);
   pub_seq_.fetch_add(1, std::memory_order_release);  // Even: commit closed.
   // Retire only after the slots no longer reach the originals.
   for (const hashdir::RetiredObject& r : retired) {
@@ -135,30 +125,6 @@ Status BmehTree::InsertUnscoped(const PseudoKey& key, uint64_t payload) {
   }
   return Status::CapacityError("insertion did not converge for " +
                                key.ToString());
-}
-
-Result<uint64_t> BmehTree::Search(const PseudoKey& key) {
-  BMEH_RETURN_NOT_OK(schema_.Validate(key));
-  BMEH_ASSIGN_OR_RETURN(std::vector<PathStep> path,
-                        hashdir::DescendToLeaf(schema_, nodes_, root_id_, key,
-                                               &io_));
-  const PathStep& leaf = path.back();
-  const Entry& e = nodes_.Get(leaf.node_id)->at(leaf.tuple);
-  if (e.ref.is_nil()) {
-    return Status::KeyError("key " + key.ToString() + " not found");
-  }
-  if (quarantined_.count(e.ref.id) != 0) {
-    // "Not found" would be a silent wrong answer: the key may well have
-    // been in the lost bucket.
-    return Status::DataLoss("bucket for " + key.ToString() +
-                            " was lost to corruption");
-  }
-  io_.CountDataRead();
-  auto payload = pages_.Get(e.ref.id)->Lookup(key);
-  if (!payload) {
-    return Status::KeyError("key " + key.ToString() + " not found");
-  }
-  return *payload;
 }
 
 std::vector<BmehLevelStats> BmehTree::DescribeLevels() const {

@@ -107,8 +107,12 @@ class BmehTree : public MultiKeyIndex {
   Status Validate() const override;
   std::string name() const override { return "BMEH-tree"; }
 
-  /// \brief Range search that also reports traversal statistics
-  /// (n_R, pages visited, ... — the quantities of Theorem 4).
+  /// \brief Range search that also adds the walk's traversal statistics
+  /// (n_R, pages visited, ... — the quantities of Theorem 4) to `stats`.
+  ///
+  /// Search, RangeSearch and RangeSearchWithStats run the lock-free walks
+  /// below once.  On a quiescent tree those cannot conflict, except on a
+  /// broken structure, which they report as Corruption.
   Status RangeSearchWithStats(const RangePredicate& pred,
                               std::vector<Record>* out,
                               hashdir::RangeWalkStats* stats);
@@ -205,19 +209,18 @@ class BmehTree : public MultiKeyIndex {
   void EnableConcurrentReads(epoch::EpochManager* mgr);
   bool concurrent_reads_enabled() const { return epoch_ != nullptr; }
 
-  /// \brief Lock-free Search.  On a version conflict sets *conflict and
-  /// returns an error to be discarded; the caller retries with backoff.
-  /// Must run under an epoch::Guard.
+  /// \brief The exact-match walk.  On a version conflict sets *conflict
+  /// and returns Corruption, which a reader beside a live mutator discards
+  /// and retries with backoff.  Beside a mutator it must run under an
+  /// epoch::Guard; with mutators excluded it needs none.
   Result<uint64_t> SearchOptimistic(const PseudoKey& key, bool* conflict);
 
-  /// \brief Lock-free RangeSearch; same conflict contract.  On conflict,
-  /// `out` is restored to its input size.  Must run under an epoch::Guard.
+  /// \brief The range walk; same conflict and guard contract.  On
+  /// conflict, `out` is restored to its input size.  `stats` (optional)
+  /// receives the walk's Theorem 4 counts as in RangeSearchWithStats.
   Status RangeSearchOptimistic(const RangePredicate& pred,
-                               std::vector<Record>* out, bool* conflict);
-
-  /// \brief Lock-free structure sample for metrics sources; returns false
-  /// on a version conflict.  Must run under an epoch::Guard.
-  bool SampleStatsOptimistic(IndexStructureStats* out) const;
+                               std::vector<Record>* out, bool* conflict,
+                               hashdir::RangeWalkStats* stats = nullptr);
 
   /// \brief Publication sequence: odd while a commit is publishing.
   uint64_t publication_seq() const {
@@ -265,6 +268,10 @@ class BmehTree : public MultiKeyIndex {
   /// Publishes the open arena scopes under the tree's sequence lock and
   /// retires replaced objects to the epoch manager.
   void CommitMutation();
+
+  /// Points the tree at root `id`.  Without concurrent reads the read
+  /// walks see it at once; with them, CommitMutation publishes it.
+  void SetRoot(uint32_t id);
 
   /// Insert body; the caller owns the MutationScope bracket (Insert opens
   /// one per record, BulkLoad one for the whole batch).
@@ -339,13 +346,11 @@ class BmehTree : public MultiKeyIndex {
   BmehMutationStats mutations_;
   obs::Histogram* split_latency_ = nullptr;
 
-  // Optimistic read plane.  Readers start from these atomics, never from
-  // root_id_/levels_/records_ (which a mutation updates mid-flight).
+  // Optimistic read plane.  The read walks start from published_root_,
+  // never from root_id_ (which a mutation updates mid-flight).
   epoch::EpochManager* epoch_ = nullptr;
   std::atomic<uint64_t> pub_seq_{0};
   std::atomic<uint32_t> published_root_{0};
-  std::atomic<uint64_t> published_levels_{1};
-  std::atomic<uint64_t> published_records_{0};
   std::function<void()> commit_hook_;
   std::function<void()> mid_publish_hook_;
   /// Buckets that exist in the directory but whose records were lost to

@@ -203,7 +203,7 @@ Result<std::unique_ptr<BmehTree>> BmehTree::LoadImpl(PageStore* store,
   BMEH_ASSIGN_OR_RETURN(uint32_t root, r.U32());
   BMEH_ASSIGN_OR_RETURN(uint32_t levels, r.U32());
   BMEH_ASSIGN_OR_RETURN(uint64_t records, r.U64());
-  tree->root_id_ = root;
+  tree->SetRoot(root);
   tree->levels_ = static_cast<int>(levels);
   tree->records_ = records;
   report->records_declared = records;

@@ -298,26 +298,6 @@ class Arena {
     return c->ver.load(std::memory_order_acquire);
   }
 
-  /// \brief Published live count (reader side; validate via the caller's
-  /// sequence lock).
-  uint64_t live_count_published() const {
-    return live_.load(std::memory_order_relaxed);
-  }
-
-  /// \brief Reader-side iteration over published objects.  Skips empty
-  /// slots; objects seen mid-publish are valid (immutable, epoch-pinned)
-  /// but possibly stale — the caller discards via its sequence lock.
-  void ForEachPublished(
-      const std::function<void(uint32_t, const T&)>& fn) const {
-    const uint32_t cap = cap_.load(std::memory_order_acquire);
-    for (uint32_t id = 0; id < cap; ++id) {
-      const Cell* c = CellOrNull(id);
-      if (c == nullptr) continue;
-      const T* p = c->ptr.load(std::memory_order_acquire);
-      if (p != nullptr) fn(id, *p);
-    }
-  }
-
  private:
   struct Cell {
     std::atomic<T*> ptr{nullptr};
@@ -432,13 +412,6 @@ class PageArena {
     return arena_.Acquire(id);
   }
   uint64_t VersionOf(uint32_t id) const { return arena_.VersionOf(id); }
-  uint64_t live_count_published() const {
-    return arena_.live_count_published();
-  }
-  void ForEachPublished(
-      const std::function<void(uint32_t, const DataPage&)>& fn) const {
-    arena_.ForEachPublished(fn);
-  }
 
  private:
   int capacity_;
@@ -481,13 +454,6 @@ class NodeArena {
     return arena_.Acquire(id);
   }
   uint64_t VersionOf(uint32_t id) const { return arena_.VersionOf(id); }
-  uint64_t live_count_published() const {
-    return arena_.live_count_published();
-  }
-  void ForEachPublished(
-      const std::function<void(uint32_t, const DirNode&)>& fn) const {
-    arena_.ForEachPublished(fn);
-  }
 
  private:
   int dims_;

@@ -84,9 +84,8 @@ class BufferPool {
 
   int capacity() const { return capacity_; }
   // The hit/miss/eviction counters are relaxed atomics: the pool itself
-  // is single-writer, but it is reachable from concurrent readers through
-  // ConcurrentIndex-style wrappers whose shared lock permits overlapping
-  // Fetch calls, and observers snapshot the counters from other threads.
+  // is single-writer, but observers snapshot the counters from other
+  // threads.
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   uint64_t evictions() const {

@@ -46,9 +46,9 @@ struct IoStats {
 
 /// \brief Mutable counter the index structures charge logical accesses to.
 ///
-/// Counters are atomic so that concurrent readers (which charge their own
-/// probes) can share a structure under a reader-writer lock without data
-/// races; see src/store/concurrent_index.h.
+/// Counters are atomic so that concurrent readers, which charge their own
+/// probes, share a structure without data races: BmehStore's lock-free
+/// reads charge the tree's counter beside its writer (read_plane.h).
 class IoCounter {
  public:
   void CountDirRead(uint64_t n = 1) {

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 
 #include "src/common/bytes.h"
 #include "src/common/crc32.h"
@@ -150,10 +151,27 @@ std::string ManifestPath(const std::string& set_dir) {
 }
 
 /// Resolves a manifest's `prev` reference: absolute paths as-is,
-/// otherwise a sibling of the referring set.
+/// otherwise relative to the referring set's parent directory.
 std::string ResolvePrev(const std::string& set_dir, const std::string& prev) {
   if (!prev.empty() && prev[0] == '/') return prev;
   return ParentDir(set_dir) + "/" + prev;
+}
+
+/// The `prev` reference a new set at `set_dir` records for `base`, the
+/// inverse of ResolvePrev: an absolute base as given, a relative one
+/// re-expressed against the new set's parent directory (a bare sibling
+/// name stays itself).
+Result<std::string> PrevReference(const std::string& set_dir,
+                                  const std::string& base) {
+  if (base[0] == '/') return base;
+  std::error_code ec;
+  const std::filesystem::path rel =
+      std::filesystem::relative(base, ParentDir(set_dir), ec);
+  if (ec || rel.empty()) {
+    return Status::IoError("cannot name " + base + " relative to " +
+                           ParentDir(set_dir));
+  }
+  return rel.string();
 }
 
 Status VerifyPayloadFile(const std::string& set_dir,
@@ -261,8 +279,10 @@ Result<BackupRunInfo> BackupStore::Run(BmehStore* store,
   // An incremental run needs the previous set's watermark before touching
   // the store; a corrupt base refuses the whole run.
   BackupSetInfo prev;
+  std::string prev_ref;
   if (incremental) {
     BMEH_ASSIGN_OR_RETURN(prev, ReadManifest(options.base_set));
+    BMEH_ASSIGN_OR_RETURN(prev_ref, PrevReference(out_dir, options.base_set));
   }
 
   BMEH_RETURN_NOT_OK(EnsureDir(out_dir));
@@ -370,7 +390,7 @@ Result<BackupRunInfo> BackupStore::Run(BmehStore* store,
 
   manifest.Add("base_lsn", std::to_string(set_base));
   manifest.Add("watermark", std::to_string(snap.watermark));
-  if (incremental) manifest.Add("prev", options.base_set);
+  if (incremental) manifest.Add("prev", prev_ref);
 
   // Seal last: until this rename lands, the set directory holds no valid
   // manifest and a restore refuses it — the crash-anywhere guarantee.

@@ -225,20 +225,12 @@ void BmehStore::AttachObservability(const StoreOptions& options) {
   // other at Snapshot() time.
   metrics_source_ =
       metrics_->AddSource([this, label](obs::RegistrySnapshot* s) {
+        // Every tree mutation runs under LockExclusive, so the shared hold
+        // keeps copy-on-write scopes closed while the writer-view walk
+        // below counts the tree's shape.
         std::shared_lock<std::shared_mutex> lock(plane_.mutex());
-        // With optimistic reads on, tree-shape gauges are sampled from
-        // the published (immutable) structure under the epoch guard with
-        // version validation — never through the writer-view walk, which
-        // a concurrent mutation's copy-on-write scope would race.
-        IndexStructureStats ts;
-        bool sampled = false;
+        const IndexStructureStats ts = tree_->Stats();
         if (plane_.optimistic()) {
-          epoch::Guard guard(plane_.epoch());
-          for (int i = 0; guard.pinned() &&
-                          i < ReadPlane::kOptimisticAttempts && !sampled;
-               ++i) {
-            sampled = tree_->SampleStatsOptimistic(&ts);
-          }
           const epoch::EpochStats es = plane_.epoch()->Stats();
           s->gauges[label + "epoch_deferred_frees"] =
               static_cast<int64_t>(es.deferred);
@@ -246,7 +238,6 @@ void BmehStore::AttachObservability(const StoreOptions& options) {
           s->counters[label + "epoch_reclaimed_total"] = es.reclaimed_total;
           s->counters[label + "epoch_advances_total"] = es.advances_total;
         }
-        if (!sampled) ts = tree_->Stats();
         s->gauges[label + "tree_records"] = static_cast<int64_t>(ts.records);
         s->gauges[label + "tree_height"] = tree_->height();
         s->gauges[label + "tree_directory_nodes"] =
@@ -801,8 +792,7 @@ Result<uint64_t> BmehStore::Get(const PseudoKey& key) {
     // concurrent writer's WAL fsync.
     Result<uint64_t> found = plane_.Read(
         [&](bool* conflict) { return tree_->SearchOptimistic(key, conflict); },
-        [&] { return tree_->Search(key); }, read_retries_total_,
-        read_fallbacks_total_, search_retried_latency_);
+        read_retries_total_, read_fallbacks_total_, search_retried_latency_);
     if (!found.ok() && found.status().IsKeyError() &&
         (report_.image_lost || report_.wal_data_loss)) {
       // When a whole image or a WAL suffix is gone, *any* absent key may
@@ -842,8 +832,7 @@ Status BmehStore::Range(const RangePredicate& pred,
         [&](bool* conflict) {
           return tree_->RangeSearchOptimistic(pred, out, conflict);
         },
-        [&] { return tree_->RangeSearch(pred, out); }, read_retries_total_,
-        read_fallbacks_total_, range_retried_latency_);
+        read_retries_total_, read_fallbacks_total_, range_retried_latency_);
     if (walked.ok() && (report_.image_lost || report_.wal_data_loss)) {
       // The surviving matches are in `out`, but records destroyed with
       // the image / WAL suffix can no longer be enumerated.

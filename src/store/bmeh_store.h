@@ -508,10 +508,9 @@ class BmehStore {
   Status poisoned_;
   /// Observability: cached metric handles (null when no registry was
   /// attached, making every charge site a single branch) plus the sampled
-  /// source registered for tree / WAL / logical-I/O state.  The sampled
-  /// state is owner-synchronized: snapshotting concurrently with
-  /// mutations requires external locking (ConcurrentIndex-style), same as
-  /// every other BmehStore call.
+  /// source registered for tree / WAL / logical-I/O state.  The source
+  /// takes the operation lock shared itself, so a snapshot is safe
+  /// beside writers and lock-free readers.
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   obs::OpLog* oplog_ = nullptr;

@@ -1,34 +1,32 @@
-// ReadPlane: the read-side concurrency policy of BmehStore and
-// ConcurrentIndex — one operation lock with a write-preferring gate, and
-// one optimistic read loop in front of it.
+// ReadPlane: BmehStore's read-side concurrency policy — one operation
+// lock with a write-preferring gate, and one optimistic read loop in
+// front of it.
 //
 // Optimistic reads.  Once EnableOptimistic() has flipped the tree into
-// concurrent-read mode, Read() runs the owner's lock-free attempt under
-// an epoch guard.  A conflict means a writer published mid-read, which
-// lasts microseconds, so the loop retries fast and shallow before
-// surrendering to the owner's locked read under the gated shared lock.
-// An unpinned guard (every epoch slot leased) skips straight to that
-// fallback: without reclamation cover the descent is unsafe.  The
-// conflict-free pass reads no clock, writes no shared cache line and
-// allocates nothing; retry state materializes on the first conflict.
-// See DESIGN.md §13.
+// concurrent-read mode, Read() runs the owner's walk lock-free under an
+// epoch guard.  A conflict means a writer published mid-read, which lasts
+// microseconds, so the loop retries fast and shallow before running the
+// same walk once more under the gated shared lock.  That fallback needs
+// no guard: writers are excluded, and only unreachable objects are ever
+// retired.  An unpinned guard (every epoch slot leased) skips straight to
+// the fallback: without reclamation cover the lock-free walk is unsafe.
+// The conflict-free pass reads no clock, writes no shared cache line and
+// allocates nothing; retry state materializes on the first conflict.  See
+// DESIGN.md §13.
 //
 // Write preference.  glibc's rwlock prefers readers, so a stream of
 // shared-lock readers can starve a mutator indefinitely.  The gated
-// shared lock (LockShared) is taken by fallback reads, by every read of
-// a ConcurrentIndex over MDEH or the MEH-tree, which have no optimistic
-// path, and by ConcurrentIndex's Stats() and Validate().  Metrics
-// sampling and backup page copies hold the lock shared through mutex(),
-// outside the gate.  Mutators hold the lock through LockExclusive(),
-// which keeps `writers_pending_` raised for the whole exclusive tenure —
-// acquisition wait *and* hold — and gated readers back off on capped
-// timed sleeps while it is up.  The writer's wait is then bounded by
-// in-flight readers rather than by reader arrival rate, and readers never
-// pile up parked on the rwlock itself, so its release is not a futex wake
-// that hands the core to a crowd of sleeper-boosted readers before the
-// writer can continue (a real mode: it capped a streaming writer at ~13
-// commits/s on one core).  Optimistic readers never touch the lock or the
-// gate.
+// shared lock (LockShared) is taken by fallback reads.  Metrics sampling
+// and backup page copies hold the lock shared through mutex(), outside
+// the gate.  Mutators hold the lock through LockExclusive(), which keeps
+// `writers_pending_` raised for the whole exclusive tenure — acquisition
+// wait *and* hold — and gated readers back off on capped timed sleeps
+// while it is up.  The writer's wait is then bounded by in-flight readers
+// rather than by reader arrival rate, and readers never pile up parked on
+// the rwlock itself, so its release is not a futex wake that hands the
+// core to a crowd of sleeper-boosted readers before the writer can
+// continue (a real mode: it capped a streaming writer at ~13 commits/s on
+// one core).  Optimistic readers never touch the lock or the gate.
 
 #ifndef BMEH_STORE_READ_PLANE_H_
 #define BMEH_STORE_READ_PLANE_H_
@@ -49,7 +47,7 @@
 namespace bmeh {
 
 /// \brief Operation lock, write-preferring gate and optimistic read loop
-/// shared by every owner of a concurrently read tree (see file comment).
+/// of a concurrently read tree (see file comment).
 class ReadPlane {
  public:
   /// Optimistic attempts per read before the locked fallback.
@@ -111,27 +109,27 @@ class ReadPlane {
     return std::shared_lock<std::shared_mutex>(mutex_);
   }
 
-  /// \brief One read.  With the optimistic path on, runs
-  /// `optimistic(bool* conflict)` under an epoch guard and retries it on
-  /// conflict; otherwise, or once retries are exhausted or the guard is
-  /// unpinned, returns `locked()` run under the gated shared lock.  Both
-  /// callables return the same type.  Metric handles may be null:
-  /// `retries` counts conflicted attempts, `fallbacks` optimistic reads
-  /// that ended in `locked()`, and `retried_latency` times reads that
-  /// conflicted and then succeeded optimistically.
-  template <typename Optimistic, typename Locked>
-  auto Read(Optimistic&& optimistic, Locked&& locked, obs::Counter* retries,
-            obs::Counter* fallbacks, obs::Histogram* retried_latency)
-      -> decltype(locked()) {
+  /// \brief One read: `read(bool* conflict)` is the owner's walk.  With
+  /// the optimistic path on, it runs under an epoch guard and is retried
+  /// on conflict; otherwise, or once retries are exhausted or the guard is
+  /// unpinned, it runs once more under the gated shared lock, where only a
+  /// broken structure can make it conflict (the walk then answers
+  /// Corruption).  Metric handles may be null: `retries` counts
+  /// conflicted attempts, `fallbacks` optimistic reads that ended under
+  /// the lock, and `retried_latency` times reads that conflicted and then
+  /// succeeded optimistically.
+  template <typename Walk>
+  auto Read(Walk&& read, obs::Counter* retries, obs::Counter* fallbacks,
+            obs::Histogram* retried_latency) -> decltype(read(nullptr)) {
+    bool conflict = false;
     if (epoch_ != nullptr) {
       std::optional<Backoff> backoff;
       uint64_t t0 = 0;
       for (int attempt = 0;;) {
-        bool conflict = false;
         {
           epoch::Guard guard(epoch_);
           if (!guard.pinned()) break;
-          auto result = optimistic(&conflict);
+          auto result = read(&conflict);
           if (!conflict) {
             if (attempt > 0 && retried_latency != nullptr) {
               retried_latency->Record(obs::MonotonicNanos() - t0);
@@ -151,7 +149,7 @@ class ReadPlane {
       if (fallbacks != nullptr) fallbacks->Inc();
     }
     auto lock = LockShared();
-    return locked();
+    return read(&conflict);
   }
 
  private:

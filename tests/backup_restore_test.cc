@@ -434,6 +434,60 @@ TEST_F(BackupRestoreTest, MetricsAreCharged) {
       run->replay_lsn);
 }
 
+// Runs the enclosing scope with `dir` as the working directory, so a test
+// can name sets by relative paths as a shell user would.
+class ScopedChdir {
+ public:
+  explicit ScopedChdir(const std::string& dir) {
+    char buf[4096];
+    BMEH_CHECK(::getcwd(buf, sizeof(buf)) != nullptr);
+    old_ = buf;
+    BMEH_CHECK(::chdir(dir.c_str()) == 0) << dir;
+  }
+  ~ScopedChdir() { BMEH_CHECK(::chdir(old_.c_str()) == 0) << old_; }
+
+ private:
+  std::string old_;
+};
+
+// An incremental set whose base is a relative path other than a bare
+// sibling name records the base relative to its own parent directory,
+// where a restore looks for it; a bare sibling name is recorded as given.
+TEST_F(BackupRestoreTest, RelativeBaseOutsideTheSiblingsRestores) {
+  ScopedChdir cwd(root_);
+  ASSERT_EQ(::mkdir("sets", 0755), 0);
+  BackupOptions bopts;
+  bopts.wal_archive_dir = archive_;
+  {
+    auto store = MustOpen(db_);
+    PutRange(store.get(), 0, 60);
+    ASSERT_TRUE(BackupStore::Run(store.get(), "full", bopts).ok());
+    PutRange(store.get(), 60, 80);
+    BackupOptions inc = bopts;
+    inc.base_set = "full";
+    ASSERT_TRUE(BackupStore::Run(store.get(), "inc", inc).ok());
+    PutRange(store.get(), 80, 90);
+    inc.base_set = "inc";
+    auto run = BackupStore::Run(store.get(), "sets/inc2", inc);
+    ASSERT_TRUE(run.ok()) << run.status();
+    EXPECT_TRUE(run->incremental);
+    PutRange(store.get(), 90, 100);
+    store->SimulateCrashForTesting();
+  }
+  auto sibling = BackupStore::ReadManifest("inc");
+  ASSERT_TRUE(sibling.ok()) << sibling.status();
+  EXPECT_EQ(sibling->prev, "full") << "a bare sibling name keeps its bytes";
+  auto info = BackupStore::ReadManifest("sets/inc2");
+  ASSERT_TRUE(info.ok()) << info.status();
+  EXPECT_EQ(info->prev, "../inc");
+
+  auto run = RestoreStore::Run("sets/inc2", dest_);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(run->replay_lsn, 90u);
+  auto restored = MustOpen(dest_);
+  CheckContents(restored.get(), 90, 100);
+}
+
 // ---------------------------------------------------------------------------
 // Sharded stores: one sealed super-manifest, per-shard LSN watermarks,
 // partial semantics end to end.
@@ -493,6 +547,42 @@ TEST_F(ShardedBackupTest, ShardedRoundTripRestoresEveryShard) {
   EXPECT_EQ(restored->down_shards(), 0);
   for (uint32_t i = 0; i < 200; ++i) {
     auto r = restored->Get(KeyFor(i));
+    ASSERT_TRUE(r.ok()) << "serial " << i << ": " << r.status();
+    EXPECT_EQ(*r, PayloadFor(KeyFor(i)));
+  }
+}
+
+// Every shard's set of a sharded incremental names its base relative to
+// itself, so sibling sets given by relative paths restore whole.
+TEST_F(ShardedBackupTest, RelativeBaseRestoresEveryShard) {
+  ScopedChdir cwd(root_);
+  ShardedStoreOptions o = ShardOpts();
+  o.shards = 2;
+  {
+    auto opened = ShardedStore::Open("shdb", o);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    auto store = std::move(opened).ValueOrDie();
+    PutRangeSharded(store.get(), 0, 80);
+    ASSERT_TRUE(store->Backup("sfull").ok());
+    PutRangeSharded(store.get(), 80, 120);
+    BackupOptions inc;
+    inc.base_set = "sfull";
+    auto run = store->Backup("sinc", inc);
+    ASSERT_TRUE(run.ok()) << run.status();
+    EXPECT_EQ(run->failed, 0);
+    store->SimulateCrashForTesting();
+  }
+  auto shard0 = BackupStore::ReadManifest("sinc/shard-0000");
+  ASSERT_TRUE(shard0.ok()) << shard0.status();
+  EXPECT_EQ(shard0->prev, "../sfull/shard-0000");
+
+  auto run = ShardedStore::Restore("sinc", "restored");
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(run->failed, 0);
+  auto restored = ShardedStore::Open("restored", o);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  for (uint32_t i = 0; i < 120; ++i) {
+    auto r = (*restored)->Get(KeyFor(i));
     ASSERT_TRUE(r.ok()) << "serial " << i << ": " << r.status();
     EXPECT_EQ(*r, PayloadFor(KeyFor(i)));
   }

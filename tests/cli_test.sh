@@ -8,11 +8,20 @@ if [ -z "$CLI" ] || [ ! -x "$CLI" ]; then
   exit 1
 fi
 
-DB="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.db)"
-STORE="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.store)"
-BATCHED="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.batched)"
-REPAIRED="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.repaired)"
-trap 'rm -f "$DB" "$STORE" "$STORE.before" "$BATCHED" "$REPAIRED"' EXIT
+# Every path the script makes lives in one temporary directory, which the
+# one EXIT trap removes, after stopping a serve process still running.
+WORK="$(mktemp -d /tmp/bmeh_cli_test.XXXXXX)"
+SERVE_PID=""
+cleanup() {
+  if [ -n "$SERVE_PID" ]; then kill "$SERVE_PID" 2> /dev/null || true; fi
+  rm -rf "$WORK"
+}
+trap cleanup EXIT
+
+DB="$WORK/db"
+STORE="$WORK/store"
+BATCHED="$WORK/batched"
+REPAIRED="$WORK/repaired"
 
 fail() {
   echo "FAIL: $1" >&2
@@ -105,8 +114,7 @@ echo "$OUT" | grep -q "write-ahead log:  empty" || fail "salvaged store keeps no
 
 # ---- observability: stats and trace verbs on a BmehStore file ----
 
-TRACE="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.trace.json)"
-trap 'rm -f "$DB" "$STORE" "$REPAIRED" "$TRACE"' EXIT
+TRACE="$WORK/trace.json"
 
 # store-mode stats: Prometheus-shaped text from the metrics registry,
 # probe workload charging the op counters and latency histograms
@@ -152,8 +160,7 @@ echo "$OUT" | grep -q "digraph" || fail "dot output"
 
 # ---- resource exhaustion: --max-pages quota ----
 
-QUOTA="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.quota)"
-trap 'rm -f "$DB" "$STORE" "$REPAIRED" "$QUOTA"' EXIT
+QUOTA="$WORK/quota"
 
 # a build into a tiny quota stops gracefully with exit code 3
 set +e
@@ -185,9 +192,8 @@ DONE=$(echo "$OUT" | sed -n 's/^records: *\([0-9]*\).*/\1/p')
 
 # ---- sharded store: storebuild --shards / storeinfo / stats / scrub / fsck ----
 
-SHARDDIR="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.shards)"
-SHARDFIX="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.shardfix)"
-trap 'rm -f "$DB" "$STORE" "$REPAIRED" "$QUOTA" "$TRACE"; rm -rf "$SHARDDIR" "$SHARDFIX"' EXIT
+SHARDDIR="$WORK/shards"
+SHARDFIX="$WORK/shardfix"
 
 # storebuild into a 4-shard directory
 OUT=$("$CLI" storebuild --db "$SHARDDIR" --shards 4 --n 400 --b 8 \
@@ -228,7 +234,8 @@ OUT=$("$CLI" dot --db "$SHARDDIR") || fail "sharded dot exited non-zero"
 
 # stats, trace and dot refuse a directory that holds no manifest, and
 # create nothing in it
-NOSTORE="$(mktemp -d /tmp/bmeh_cli_test.XXXXXX.nostore)"
+NOSTORE="$WORK/nostore"
+mkdir "$NOSTORE"
 for VERB in stats trace dot; do
   if "$CLI" $VERB --db "$NOSTORE" --out "$TRACE" > /dev/null 2>&1; then
     fail "$VERB on a directory without a manifest should fail"
@@ -264,8 +271,7 @@ FIXED=$(echo "$OUT" | sed -n 's/^records: *\([0-9]*\).*/\1/p')
 
 # ---- per-shard failure domains: degraded storeinfo + in-place fsck --shard ----
 
-DEGDIR="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.degraded)"
-trap 'rm -f "$DB" "$STORE" "$REPAIRED" "$QUOTA" "$TRACE"; rm -rf "$SHARDDIR" "$SHARDFIX" "$DEGDIR"' EXIT
+DEGDIR="$WORK/degraded"
 
 "$CLI" storebuild --db "$DEGDIR" --shards 4 --n 400 --b 8 \
       --page-size 512 --seed 11 > /dev/null \
@@ -318,13 +324,12 @@ HEALED=$(echo "$OUT" | sed -n 's/^records: *\([0-9]*\).*/\1/p')
 
 # ---- backup / restore: full sets, point-in-time, refusal paths ----
 
-BDB="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.bdb)"
-BSET="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.bset)"
-BREST="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.brest)"
-BPITR="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.bpitr)"
-SHSET="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.shset)"
-SHREST="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.shrest)"
-trap 'rm -f "$DB" "$STORE" "$REPAIRED" "$QUOTA" "$TRACE" "$BDB" "$BREST" "$BPITR"; rm -rf "$SHARDDIR" "$SHARDFIX" "$DEGDIR" "$BSET" "$SHSET" "$SHREST"' EXIT
+BDB="$WORK/bdb"
+BSET="$WORK/bset"
+BREST="$WORK/brest"
+BPITR="$WORK/bpitr"
+SHSET="$WORK/shset"
+SHREST="$WORK/shrest"
 
 # a crash fixture: checkpointed records plus a 40-record WAL tail
 "$CLI" storebuild --db "$BDB" --n 500 --b 8 --page-size 512 \
@@ -392,8 +397,7 @@ fi
 # a set whose BACKUPSET names a key width past 32 under a valid seal is
 # refused as corrupt (exit 1), with nothing written.  The seal line is
 # "crc %08x" over the CRC-32 of the body, the CRC gzip's trailer carries.
-BWIDE="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.bwide)"
-trap 'rm -f "$DB" "$STORE" "$REPAIRED" "$QUOTA" "$TRACE" "$BDB" "$BREST" "$BPITR" "$BREST.wide"; rm -rf "$SHARDDIR" "$SHARDFIX" "$DEGDIR" "$BSET" "$SHSET" "$SHREST" "$BWIDE"' EXIT
+BWIDE="$WORK/bwide"
 "$CLI" backup --db "$BDB" --out "$BWIDE" > /dev/null \
   || fail "backup for the key-width check"
 seal() {
@@ -463,14 +467,47 @@ set -e
 echo "$OUT" | grep -q '"healthy":false' || fail "restored degraded json flag"
 echo "$OUT" | grep -q '"ok":false' || fail "restored down shard not in json"
 
+# ---- incremental backups whose --base is a relative path ----
+
+# a relative base that is not a bare sibling name restores, single file
+# and sharded alike: run from inside $WORK, as a shell user would
+case "$CLI" in
+  /*) CLI_ABS="$CLI" ;;
+  *) CLI_ABS="$PWD/$CLI" ;;
+esac
+mkdir "$WORK/rel"
+"$CLI" storebuild --db "$WORK/rel/shdb" --shards 2 --n 200 --b 8 \
+      --page-size 512 --seed 9 > /dev/null || fail "relative-base storebuild"
+cp "$BDB" "$WORK/rel/one.bmeh"
+(
+  cd "$WORK/rel"
+  mkdir sets
+  "$CLI_ABS" backup --db one.bmeh --out sets/full > /dev/null \
+    || fail "relative-base full backup"
+  "$CLI_ABS" backup --db one.bmeh --out sets/inc --base sets/full > /dev/null \
+    || fail "relative-base incremental backup"
+  OUT=$("$CLI_ABS" restore --set sets/inc --db restored.bmeh) \
+    || fail "restore of an incremental with base sets/full"
+  RGOT=$("$CLI_ABS" storeinfo --db restored.bmeh | sed -n 's/^records: *\([0-9]*\).*/\1/p')
+  [ "$RGOT" = "$BSRC" ] || fail "relative-base restore records ($RGOT) != source ($BSRC)"
+  SRC=$("$CLI_ABS" storeinfo --db shdb | sed -n 's/^records: *\([0-9]*\).*/\1/p')
+  "$CLI_ABS" backup --db shdb --out sfull > /dev/null \
+    || fail "relative-base sharded full backup"
+  "$CLI_ABS" backup --db shdb --out sinc --base sfull > /dev/null \
+    || fail "relative-base sharded incremental backup"
+  OUT=$("$CLI_ABS" restore --set sinc --db shrest) \
+    || fail "restore of a sharded incremental with base sfull"
+  echo "$OUT" | grep -q "2 shards (0 failed)" || fail "relative-base sharded restore"
+  RGOT=$("$CLI_ABS" storeinfo --db shrest | sed -n 's/^records: *\([0-9]*\).*/\1/p')
+  [ "$RGOT" = "$SRC" ] || fail "relative-base sharded restore records ($RGOT) != source ($SRC)"
+)
+
 # ---- serve: the live telemetry plane over HTTP ----
 
-SERVEDIR="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.servedir)"
-SERVELOG="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.servelog)"
-SERVEBODY="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.servebody)"
-OPLOG="$(mktemp -u /tmp/bmeh_cli_test.XXXXXX.oplog)"
-SERVE_PID=""
-trap 'rm -f "$DB" "$STORE" "$REPAIRED" "$QUOTA" "$TRACE" "$BDB" "$BREST" "$BPITR" "$SERVELOG" "$SERVEBODY" "$OPLOG"; rm -rf "$SHARDDIR" "$SHARDFIX" "$DEGDIR" "$BSET" "$SHSET" "$SHREST" "$SERVEDIR"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2> /dev/null; true' EXIT
+SERVEDIR="$WORK/servedir"
+SERVELOG="$WORK/servelog"
+SERVEBODY="$WORK/servebody"
+OPLOG="$WORK/oplog"
 
 # Fetches http://127.0.0.1:$1$2 into $3 and echoes the status code.
 http_get() {

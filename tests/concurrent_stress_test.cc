@@ -1,11 +1,10 @@
-// Multi-threaded stress test for ConcurrentIndex, designed to run under
-// ThreadSanitizer: several writers churn disjoint key regions while
-// readers hammer a stable preloaded region and a scanner runs full-domain
-// range queries, all racing on the same index.  Every record carries the
+// Multi-threaded stress test for BmehStore over an in-memory page device,
+// designed to run under ThreadSanitizer: several writers churn disjoint
+// key regions while readers hammer a stable preloaded region, a scanner
+// runs full-domain range queries and a sampler snapshots the store's
+// metrics, all racing on the same store.  Every record carries the
 // invariant payload == component(0), so any torn read or lost update shows
 // up as a concrete value mismatch, not just a sanitizer report.
-
-#include "src/store/concurrent_index.h"
 
 #include <gtest/gtest.h>
 
@@ -13,8 +12,8 @@
 #include <cstdlib>
 #include <thread>
 
-#include "src/metrics/experiment.h"
 #include "src/obs/metrics.h"
+#include "src/store/bmeh_store.h"
 #include "tests/test_util.h"
 
 namespace bmeh {
@@ -51,19 +50,21 @@ TEST(ConcurrentStressTest, MixedChurnReadersAndScansStayCoherent) {
   // BMEH_STRESS_SEED=<value> to replay the same operation streams.
   ::testing::Test::RecordProperty("bmeh_stress_seed",
                                   std::to_string(base_seed));
-  KeySchema schema(2, 31);
   // Metrics attached so the stress doubles as a TSan check of the charge
   // paths (counters/histograms from op threads, source sampling from the
   // snapshot thread below).
   obs::MetricsRegistry registry;
-  ConcurrentIndex index(
-      metrics::MakeIndex(metrics::Method::kBmehTree, schema,
-                         /*page_capacity=*/8),
-      &registry);
+  StoreOptions opts;
+  opts.tree = TreeOptions::Make(2, /*b=*/8);
+  opts.metrics = &registry;
+  auto opened = BmehStore::Open(std::make_unique<InMemoryPageStore>(), opts);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  BmehStore& store = **opened;
+  const KeySchema& schema = store.schema();
 
   // Stable region: keys [0, kStableKeys) never mutated after preload.
   for (uint32_t i = 0; i < kStableKeys; ++i) {
-    ASSERT_TRUE(index.Insert(PseudoKey({i, i}), i).ok());
+    ASSERT_TRUE(store.Put(PseudoKey({i, i}), i).ok());
   }
 
   std::atomic<bool> failed{false};
@@ -78,7 +79,7 @@ TEST(ConcurrentStressTest, MixedChurnReadersAndScansStayCoherent) {
       const double roll = rng.NextDouble();
       if (roll < 0.25 && !live.empty()) {
         const size_t pos = rng.Uniform(live.size());
-        if (!index.Delete(live[pos]).ok()) {
+        if (!store.Delete(live[pos]).ok()) {
           failed = true;
           return;
         }
@@ -87,14 +88,14 @@ TEST(ConcurrentStressTest, MixedChurnReadersAndScansStayCoherent) {
       } else if (roll < 0.85 || live.empty()) {
         const PseudoKey key({base + serial, serial});
         ++serial;
-        if (!index.Insert(key, key.component(0)).ok()) {
+        if (!store.Put(key, key.component(0)).ok()) {
           failed = true;
           return;
         }
         live.push_back(key);
       } else {
         const PseudoKey& probe = live[rng.Uniform(live.size())];
-        auto r = index.Search(probe);
+        auto r = store.Get(probe);
         if (!r.ok() || *r != probe.component(0)) {
           failed = true;
           return;
@@ -113,7 +114,7 @@ TEST(ConcurrentStressTest, MixedChurnReadersAndScansStayCoherent) {
     Rng rng(MixSeed(base_seed, kWriters + static_cast<uint64_t>(t)));
     for (int i = 0; i < 20000 && !failed; ++i) {
       const uint32_t k = static_cast<uint32_t>(rng.Uniform(kStableKeys));
-      auto r = index.Search(PseudoKey({k, k}));
+      auto r = store.Get(PseudoKey({k, k}));
       if (!r.ok() || *r != k) {
         failed = true;
         return;
@@ -125,7 +126,7 @@ TEST(ConcurrentStressTest, MixedChurnReadersAndScansStayCoherent) {
     for (int i = 0; i < 60 && !failed; ++i) {
       RangePredicate pred(schema);
       std::vector<Record> out;
-      if (!index.RangeSearch(pred, &out).ok() || out.size() < kStableKeys) {
+      if (!store.Range(pred, &out).ok() || out.size() < kStableKeys) {
         failed = true;
         return;
       }
@@ -138,12 +139,12 @@ TEST(ConcurrentStressTest, MixedChurnReadersAndScansStayCoherent) {
     }
   };
 
-  // Metrics reader: snapshots (which sample the index source under its
+  // Metrics reader: snapshots (which sample the store's source under its
   // shared lock) and expositions racing against the operation threads.
   auto sampler = [&] {
     for (int i = 0; i < 100 && !failed; ++i) {
       const obs::RegistrySnapshot s = registry.Snapshot();
-      if (s.gauge("index_records") < 0) {
+      if (s.gauge("tree_records") < 0) {
         failed = true;
         return;
       }
@@ -161,36 +162,34 @@ TEST(ConcurrentStressTest, MixedChurnReadersAndScansStayCoherent) {
 
   // Quiescent cross-check: structure valid, population exactly the stable
   // region plus every writer's surviving keys.
-  ASSERT_TRUE(index.Validate().ok());
+  ASSERT_TRUE(store.tree().Validate().ok());
   size_t expected = kStableKeys;
   for (const auto& keys : survivors) expected += keys.size();
-  EXPECT_EQ(index.Stats().records, expected);
+  EXPECT_EQ(store.tree().Stats().records, expected);
   for (const auto& keys : survivors) {
     for (const PseudoKey& key : keys) {
-      auto r = index.Search(key);
+      auto r = store.Get(key);
       ASSERT_TRUE(r.ok()) << "missing " << key.ToString();
       ASSERT_EQ(*r, key.component(0));
     }
   }
   for (uint32_t i = 0; i < kStableKeys; ++i) {
-    auto r = index.Search(PseudoKey({i, i}));
+    auto r = store.Get(PseudoKey({i, i}));
     ASSERT_TRUE(r.ok());
     ASSERT_EQ(*r, i);
   }
 
-  // Quiescent metrics cross-check: the registry's view of the index
-  // agrees with the index itself.
+  // Quiescent metrics cross-check: the registry's view of the store
+  // agrees with the store itself.
   const obs::RegistrySnapshot final_snap = registry.Snapshot();
-  EXPECT_EQ(final_snap.gauge("index_records"),
-            static_cast<int64_t>(expected));
-  EXPECT_GE(final_snap.counter("index_inserts_total"),
-            uint64_t{kStableKeys});
-  EXPECT_GT(final_snap.counter("index_searches_total"), 0u);
-  EXPECT_GT(final_snap.counter("index_ranges_total"), 0u);
+  EXPECT_EQ(final_snap.gauge("tree_records"), static_cast<int64_t>(expected));
+  EXPECT_GE(final_snap.counter("store_puts_total"), uint64_t{kStableKeys});
+  EXPECT_GT(final_snap.counter("store_gets_total"), 0u);
+  EXPECT_GT(final_snap.counter("store_ranges_total"), 0u);
   const obs::HistogramSnapshot* h =
       final_snap.histogram("search_latency_ns");
   ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, final_snap.counter("index_searches_total"));
+  EXPECT_EQ(h->count, final_snap.counter("store_gets_total"));
 }
 
 }  // namespace

@@ -113,6 +113,63 @@ TEST(ExperimentTest, ThreeDimensionalRun) {
   EXPECT_GT(r.sigma, 0u);
 }
 
+
+// The §5 protocol's exact access totals and directory sizes, for every
+// scheme on the three table workloads (2-D uniform, 2-D normal, 3-D
+// uniform) of Tables 2-4's b = 8 column.  λ, λ′, ρ and σ are
+// ratios of these integers, so a change in how any walk charges an access
+// fails here instead of only in a hand-diffed bench table.
+TEST(ExperimentTest, PaperCountsDoNotChange) {
+  struct Pinned {
+    uint64_t dir_reads, dir_writes, data_reads, data_writes, sigma;
+  };
+  struct Case {
+    workload::Distribution dist;
+    int dims;
+    Pinned pinned[3];  // MDEH, MEH-tree, BMEH-tree
+  };
+  const Case cases[] = {
+      {workload::Distribution::kUniform,
+       2,
+       {{87979, 108993, 55162, 54424, 32768},
+        {81882, 16123, 61348, 54424, 171584},
+        {101995, 8987, 56431, 54805, 18496}}},
+      {workload::Distribution::kNormal,
+       2,
+       {{1103772, 2374618, 55096, 54394, 1048576},
+        {111338, 10455, 57613, 54394, 41088},
+        {151241, 9867, 56743, 54846, 22848}}},
+      {workload::Distribution::kUniform,
+       3,
+       {{87981, 118861, 55157, 54428, 32768},
+        {81906, 16106, 61324, 54428, 170880},
+        {108185, 9466, 56800, 55022, 20928}}},
+  };
+  const Method methods[] = {Method::kMdeh, Method::kMehTree,
+                            Method::kBmehTree};
+  for (const Case& c : cases) {
+    for (int m = 0; m < 3; ++m) {
+      ExperimentConfig cfg;
+      cfg.method = methods[m];
+      cfg.workload.distribution = c.dist;
+      cfg.workload.dims = c.dims;
+      cfg.workload.seed = 1986;
+      cfg.n = 40000;
+      cfg.tail = 4000;
+      cfg.page_capacity = 8;
+      const ExperimentResult r = RunExperiment(cfg);
+      SCOPED_TRACE(std::string(workload::DistributionName(c.dist)) + " d=" +
+                   std::to_string(c.dims) + " " + r.method);
+      const Pinned& p = c.pinned[m];
+      EXPECT_EQ(r.total_io.dir_reads, p.dir_reads);
+      EXPECT_EQ(r.total_io.dir_writes, p.dir_writes);
+      EXPECT_EQ(r.total_io.data_reads, p.data_reads);
+      EXPECT_EQ(r.total_io.data_writes, p.data_writes);
+      EXPECT_EQ(r.sigma, p.sigma);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace metrics
 }  // namespace bmeh

@@ -3,8 +3,8 @@
 // with version validation while a writer mutates a small hot domain and
 // a splitter forces directory growth by streaming fresh keys into
 // capacity-4 pages.  The read plane's retry, fallback and degraded-tree
-// behaviour is checked through both of its owners, ConcurrentIndex and
-// BmehStore.
+// behaviour is checked through its owner, BmehStore, over a file and over
+// an in-memory device.
 //
 // Torn reads are detectable by construction: every record's payload is a
 // pure function of its key, so any payload mismatch on a successful read
@@ -32,10 +32,8 @@
 #include "src/common/backoff.h"
 #include "src/common/epoch.h"
 #include "src/common/random.h"
-#include "src/metrics/experiment.h"
 #include "src/pagestore/page_store.h"
 #include "src/store/bmeh_store.h"
-#include "src/store/concurrent_index.h"
 #include "tests/test_util.h"
 
 namespace bmeh {
@@ -54,28 +52,6 @@ uint64_t PayloadOf(const PseudoKey& key) {
   return PayloadFor(key.component(0), key.component(1));
 }
 
-// One read/write surface over both read-plane owners, so a scenario runs
-// unchanged against ConcurrentIndex and BmehStore.
-Status Put(ConcurrentIndex* c, const PseudoKey& k, uint64_t v) {
-  return c->Insert(k, v);
-}
-Status Put(BmehStore* s, const PseudoKey& k, uint64_t v) {
-  return s->Put(k, v);
-}
-Status Del(ConcurrentIndex* c, const PseudoKey& k) { return c->Delete(k); }
-Status Del(BmehStore* s, const PseudoKey& k) { return s->Delete(k); }
-Result<uint64_t> Get(ConcurrentIndex* c, const PseudoKey& k) {
-  return c->Search(k);
-}
-Result<uint64_t> Get(BmehStore* s, const PseudoKey& k) { return s->Get(k); }
-Status Scan(ConcurrentIndex* c, const RangePredicate& p,
-            std::vector<Record>* out) {
-  return c->RangeSearch(p, out);
-}
-Status Scan(BmehStore* s, const RangePredicate& p, std::vector<Record>* out) {
-  return s->Range(p, out);
-}
-
 // No-op sleeps: conflict backoff becomes a pure retry loop, so the
 // stress spends its whole budget racing instead of parked in nanosleep.
 class ScopedNoSleep {
@@ -86,24 +62,11 @@ class ScopedNoSleep {
   ~ScopedNoSleep() { SetSleepHookForTesting(nullptr); }
 };
 
-struct Harness {
-  explicit Harness(int page_capacity = 4) {
-    KeySchema schema(2, 31);
-    auto owned =
-        metrics::MakeIndex(metrics::Method::kBmehTree, schema, page_capacity);
-    tree = dynamic_cast<BmehTree*>(owned.get());
-    index = std::make_unique<ConcurrentIndex>(std::move(owned), &registry);
-  }
-
-  obs::MetricsRegistry registry;
-  BmehTree* tree = nullptr;  // borrowed; owned by index
-  std::unique_ptr<ConcurrentIndex> index;
-};
-
-// An in-memory BmehStore with capacity-4 pages, charging `registry`.
-std::unique_ptr<BmehStore> OpenMemStore(obs::MetricsRegistry* registry) {
+// An in-memory BmehStore with capacity-`b` pages, charging `registry`.
+std::unique_ptr<BmehStore> OpenMemStore(obs::MetricsRegistry* registry,
+                                        int b = 4) {
   StoreOptions opts;
-  opts.tree = TreeOptions::Make(2, 4);
+  opts.tree = TreeOptions::Make(2, b);
   opts.metrics = registry;
   return BmehStore::Open(std::make_unique<InMemoryPageStore>(), opts)
       .ValueOrDie();
@@ -111,13 +74,14 @@ std::unique_ptr<BmehStore> OpenMemStore(obs::MetricsRegistry* registry) {
 
 TEST(OlcReadStressTest, ReadersWritersSplitterNoTornReads) {
   ScopedNoSleep no_sleep;
-  Harness h;
-  ASSERT_NE(h.tree, nullptr);
-  ASSERT_TRUE(h.index->optimistic_reads_enabled());
+  obs::MetricsRegistry registry;
+  auto store = OpenMemStore(&registry);
+  BmehTree* tree = store->mutable_tree();
+  ASSERT_TRUE(store->optimistic_reads_enabled());
 
   // Widen each commit's publication window a little so readers actually
   // collide with in-flight commits on small machines.
-  h.tree->SetCommitHookForTesting([] { std::this_thread::yield(); });
+  tree->SetCommitHookForTesting([] { std::this_thread::yield(); });
 
   const uint64_t seed = StressSeed();
   SCOPED_TRACE("BMEH_STRESS_SEED=" + std::to_string(seed));
@@ -142,7 +106,7 @@ TEST(OlcReadStressTest, ReadersWritersSplitterNoTornReads) {
       while (!stop.load(std::memory_order_acquire)) {
         const uint32_t a = static_cast<uint32_t>(rng.Uniform(kHot));
         const uint32_t b = static_cast<uint32_t>(rng.Uniform(kHot));
-        auto got = h.index->Search(PseudoKey({a, b}));
+        auto got = store->Get(PseudoKey({a, b}));
         if (got.ok()) {
           if (*got != PayloadFor(a, b)) torn.fetch_add(1);
         } else if (!got.status().IsKeyError()) {
@@ -151,11 +115,11 @@ TEST(OlcReadStressTest, ReadersWritersSplitterNoTornReads) {
         reads_done.fetch_add(1, std::memory_order_relaxed);
 
         if ((reads_done.load(std::memory_order_relaxed) & 15u) == 0) {
-          RangePredicate pred(h.index->schema());
+          RangePredicate pred(store->schema());
           pred.Constrain(0, 0, kHot - 1);
           pred.Constrain(1, 0, kHot - 1);
           std::vector<Record> out;
-          Status st = h.index->RangeSearch(pred, &out);
+          Status st = store->Range(pred, &out);
           if (st.ok()) {
             for (const Record& rec : out) {
               if (rec.payload != PayloadFor(rec.key.component(0),
@@ -179,10 +143,10 @@ TEST(OlcReadStressTest, ReadersWritersSplitterNoTornReads) {
       const uint32_t b = static_cast<uint32_t>(rng.Uniform(kHot));
       const PseudoKey key({a, b});
       if (rng.NextDouble() < 0.65) {
-        Status st = h.index->Insert(key, PayloadFor(a, b));
+        Status st = store->Put(key, PayloadFor(a, b));
         if (!st.ok() && !st.IsAlreadyExists()) bad_status.fetch_add(1);
       } else {
-        Status st = h.index->Delete(key);
+        Status st = store->Delete(key);
         if (!st.ok() && !st.IsKeyError()) bad_status.fetch_add(1);
       }
     }
@@ -192,7 +156,7 @@ TEST(OlcReadStressTest, ReadersWritersSplitterNoTornReads) {
     for (uint32_t i = 0; i < kSplitterOps; ++i) {
       const uint32_t a = kSplitBase + i;
       const uint32_t b = kSplitBase ^ (i * 2654435761u) % (1u << 30);
-      Status st = h.index->Insert(PseudoKey({a, b}), PayloadFor(a, b));
+      Status st = store->Put(PseudoKey({a, b}), PayloadFor(a, b));
       if (!st.ok() && !st.IsAlreadyExists()) bad_status.fetch_add(1);
     }
   });
@@ -206,15 +170,15 @@ TEST(OlcReadStressTest, ReadersWritersSplitterNoTornReads) {
   EXPECT_EQ(bad_status.load(), 0u);
   EXPECT_GT(reads_done.load(), 0u);
   EXPECT_GT(ranges_done.load(), 0u);
-  EXPECT_TRUE(h.index->Validate().ok());
+  EXPECT_TRUE(store->tree().Validate().ok());
 
-  const auto snap = h.registry.Snapshot();
+  const auto snap = registry.Snapshot();
   // Retries + fallbacks both funnel through the retry counter first, so
   // "the retry machinery engaged" is observable from one counter.  The
   // commit hook makes conflicts overwhelmingly likely even single-core;
   // the deterministic test below guarantees one regardless.
-  EXPECT_GT(snap.counter("index_searches_total"), 0u);
-  EXPECT_GT(snap.counter("index_ranges_total"), 0u);
+  EXPECT_GT(snap.counter("store_gets_total"), 0u);
+  EXPECT_GT(snap.counter("store_ranges_total"), 0u);
 }
 
 // Deterministic conflict: the commit hook parks the writer mid-commit
@@ -222,14 +186,14 @@ TEST(OlcReadStressTest, ReadersWritersSplitterNoTornReads) {
 // optimistic attempt.  A seqlock-validated range read in that window MUST
 // conflict each time, so it ends in the shared-lock fallback — which
 // waits for the writer to finish and still returns a coherent answer.
-// `prefix` names the owner's retry counters ("index_" / "store_").
-template <typename Owner>
-void ParkedCommitForcesFallback(Owner* owner, BmehTree* tree,
-                                obs::MetricsRegistry* registry,
-                                const std::string& prefix) {
-  ASSERT_TRUE(Put(owner, PseudoKey({1u, 1u}), PayloadFor(1, 1)).ok());
+TEST(OlcReadStressTest, RetryCounterAdvancesOnGuaranteedConflict) {
+  ScopedNoSleep no_sleep;
+  obs::MetricsRegistry registry;
+  auto store = OpenMemStore(&registry);
+  BmehTree* tree = store->mutable_tree();
+  ASSERT_TRUE(store->Put(PseudoKey({1u, 1u}), PayloadFor(1, 1)).ok());
 
-  obs::Counter* retries = registry->GetCounter(prefix + "read_retries_total");
+  obs::Counter* retries = registry.GetCounter("store_read_retries_total");
   const auto attempts = static_cast<uint64_t>(ReadPlane::kOptimisticAttempts);
   std::atomic<bool> in_commit{false};
   tree->SetCommitHookForTesting([&] {
@@ -242,40 +206,23 @@ void ParkedCommitForcesFallback(Owner* owner, BmehTree* tree,
     while (!in_commit.load(std::memory_order_acquire)) {
       std::this_thread::yield();
     }
-    RangePredicate pred(owner->schema());
+    RangePredicate pred(store->schema());
     std::vector<Record> out;
-    ASSERT_TRUE(Scan(owner, pred, &out).ok());
+    ASSERT_TRUE(store->Range(pred, &out).ok());
     ASSERT_EQ(out.size(), 2u);
     for (const Record& rec : out) EXPECT_EQ(rec.payload, PayloadOf(rec.key));
   });
 
-  ASSERT_TRUE(Put(owner, PseudoKey({2u, 2u}), PayloadFor(2, 2)).ok());
+  ASSERT_TRUE(store->Put(PseudoKey({2u, 2u}), PayloadFor(2, 2)).ok());
   reader.join();
   tree->SetCommitHookForTesting(nullptr);
 
-  const auto snap = registry->Snapshot();
-  EXPECT_GE(snap.counter(prefix + "read_retries_total"), attempts);
-  EXPECT_GE(snap.counter(prefix + "read_fallbacks_total"), 1u);
+  const auto snap = registry.Snapshot();
+  EXPECT_GE(snap.counter("store_read_retries_total"), attempts);
+  EXPECT_GE(snap.counter("store_read_fallbacks_total"), 1u);
   // The fallback path (not a late success) served the read, so the
   // retried-success histogram may be empty; it must exist either way.
   ASSERT_NE(snap.histogram("range_retried_latency_ns"), nullptr);
-}
-
-TEST(OlcReadStressTest, RetryCounterAdvancesOnGuaranteedConflict) {
-  ScopedNoSleep no_sleep;
-  {
-    SCOPED_TRACE("ConcurrentIndex");
-    Harness h;
-    ASSERT_NE(h.tree, nullptr);
-    ParkedCommitForcesFallback(h.index.get(), h.tree, &h.registry, "index_");
-  }
-  {
-    SCOPED_TRACE("BmehStore");
-    obs::MetricsRegistry registry;
-    auto store = OpenMemStore(&registry);
-    ParkedCommitForcesFallback(store.get(), store->mutable_tree(), &registry,
-                               "store_");
-  }
 }
 
 // Runs `read` on a fresh thread while parked threads lease every slot of
@@ -337,27 +284,38 @@ TEST(OlcReadStressTest, UnpinnedGuardFallsBackOnStore) {
   EXPECT_EQ(snap.counter("store_read_retries_total"), 0u);
 }
 
+// As above, for the range walk.
 TEST(OlcReadStressTest, UnpinnedGuardFallsBackOnIndex) {
-  Harness h;
-  ASSERT_TRUE(h.index->optimistic_reads_enabled());
+  obs::MetricsRegistry registry;
+  auto store = OpenMemStore(&registry);
+  ASSERT_TRUE(store->optimistic_reads_enabled());
   const PseudoKey key({3u, 4u});
-  ASSERT_TRUE(h.index->Insert(key, PayloadOf(key)).ok());
+  ASSERT_TRUE(store->Put(key, PayloadOf(key)).ok());
 
   WithEpochSlotsExhausted([&] {
-    RangePredicate pred(h.index->schema());
+    RangePredicate pred(store->schema());
     std::vector<Record> out;
-    ASSERT_TRUE(h.index->RangeSearch(pred, &out).ok());
+    ASSERT_TRUE(store->Range(pred, &out).ok());
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].key, key);
     EXPECT_EQ(out[0].payload, PayloadOf(key));
   });
 
-  const auto snap = h.registry.Snapshot();
-  EXPECT_EQ(snap.counter("index_read_fallbacks_total"), 1u);
-  EXPECT_EQ(snap.counter("index_read_retries_total"), 0u);
+  const auto snap = registry.Snapshot();
+  EXPECT_EQ(snap.counter("store_read_fallbacks_total"), 1u);
+  EXPECT_EQ(snap.counter("store_read_retries_total"), 0u);
 }
 
 constexpr int kDegradedPageSize = 512;
+
+// The 300 keys of the degraded fixtures (payload = PayloadOf(key)).
+std::vector<PseudoKey> DegradedKeys() {
+  std::vector<PseudoKey> keys;
+  for (uint32_t i = 1; i <= 300; ++i) {
+    keys.push_back(PseudoKey({(i * 2654435761u) & 0x7fffffffu, i}));
+  }
+  return keys;
+}
 
 StoreOptions DegradedOpts() {
   StoreOptions o;
@@ -371,24 +329,22 @@ StoreOptions DegradedOpts() {
 // rot, as in the corruption matrix's
 // ImageTailCorruptionQuarantinesOnlyLostBuckets: the tail lies deep in
 // the serialized pages section, so the directory survives and a tolerant
-// load quarantines only the buckets whose records sat on that page.  `keys` receives every stored key (payload =
-// PayloadOf(key)); `image_head` the image chain's first page.
+// load quarantines only the buckets whose records sat on that page.
+// `keys` receives every stored key (payload = PayloadOf(key)).
 void BuildDegradedStoreFile(const std::string& path,
-                            std::vector<PseudoKey>* keys,
-                            PageId* image_head) {
+                            std::vector<PseudoKey>* keys) {
   std::remove(path.c_str());
   {
     auto store = BmehStore::Open(path, DegradedOpts());
     ASSERT_TRUE(store.ok()) << store.status();
-    for (uint32_t i = 1; i <= 300; ++i) {
-      keys->push_back(PseudoKey({(i * 2654435761u) & 0x7fffffffu, i}));
-      ASSERT_TRUE((*store)->Put(keys->back(), PayloadOf(keys->back())).ok());
+    *keys = DegradedKeys();
+    for (const PseudoKey& k : *keys) {
+      ASSERT_TRUE((*store)->Put(k, PayloadOf(k)).ok());
     }
     ASSERT_TRUE((*store)->Checkpoint().ok());
   }
   auto info = BmehStore::Inspect(path);
   ASSERT_TRUE(info.ok()) << info.status();
-  *image_head = info->image_head;
   PageId victim = kInvalidPageId;
   {
     auto file = FilePageStore::Open(path);
@@ -420,13 +376,12 @@ void BuildDegradedStoreFile(const std::string& path,
 // answer DataLoss, keys present throughout always answer their payload,
 // and Range answers DataLoss with only genuine records, every key present
 // throughout among them.
-template <typename Owner>
-void DegradedReadsStayExact(Owner* owner, BmehTree* tree,
+void DegradedReadsStayExact(BmehStore* store,
                             const std::vector<PseudoKey>& keys) {
   ScopedNoSleep no_sleep;
   std::vector<PseudoKey> stable, churn, lost;
   for (size_t i = 0; i < keys.size(); ++i) {
-    auto got = Get(owner, keys[i]);
+    auto got = store->Get(keys[i]);
     if (got.ok()) {
       ASSERT_EQ(*got, PayloadOf(keys[i]));
       (i % 4 == 0 ? churn : stable).push_back(keys[i]);
@@ -441,6 +396,7 @@ void DegradedReadsStayExact(Owner* owner, BmehTree* tree,
   const std::set<PseudoKey> genuine(keys.begin(), keys.end());
 
   // Widen each commit's publication window so readers collide with it.
+  BmehTree* tree = store->mutable_tree();
   tree->SetCommitHookForTesting([] { std::this_thread::yield(); });
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> wrong{0};
@@ -449,23 +405,23 @@ void DegradedReadsStayExact(Owner* owner, BmehTree* tree,
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
-      const RangePredicate all(owner->schema());
+      const RangePredicate all(store->schema());
       do {
         for (const PseudoKey& k : stable) {
-          auto got = Get(owner, k);
+          auto got = store->Get(k);
           if (!got.ok() || *got != PayloadOf(k)) wrong.fetch_add(1);
         }
         for (const PseudoKey& k : lost) {
-          if (!Get(owner, k).status().IsDataLoss()) wrong.fetch_add(1);
+          if (!store->Get(k).status().IsDataLoss()) wrong.fetch_add(1);
         }
         for (const PseudoKey& k : churn) {
-          auto got = Get(owner, k);
+          auto got = store->Get(k);
           if (got.ok() ? *got != PayloadOf(k) : !got.status().IsKeyError()) {
             wrong.fetch_add(1);
           }
         }
         std::vector<Record> out;
-        if (!Scan(owner, all, &out).IsDataLoss()) wrong.fetch_add(1);
+        if (!store->Range(all, &out).IsDataLoss()) wrong.fetch_add(1);
         std::set<PseudoKey> seen;
         for (const Record& rec : out) {
           if (genuine.count(rec.key) == 0 ||
@@ -485,8 +441,8 @@ void DegradedReadsStayExact(Owner* owner, BmehTree* tree,
   std::thread writer([&] {
     for (int round = 0; round < 3; ++round) {
       for (const PseudoKey& k : churn) {
-        if (!Del(owner, k).ok()) write_errors.fetch_add(1);
-        if (!Put(owner, k, PayloadOf(k)).ok()) write_errors.fetch_add(1);
+        if (!store->Delete(k).ok()) write_errors.fetch_add(1);
+        if (!store->Put(k, PayloadOf(k)).ok()) write_errors.fetch_add(1);
       }
     }
   });
@@ -504,8 +460,7 @@ TEST(OlcReadStressTest, DegradedStoreReadsLockFree) {
   const std::string path =
       ::testing::TempDir() + "/bmeh_olc_degraded_store.db";
   std::vector<PseudoKey> keys;
-  PageId head = kInvalidPageId;
-  ASSERT_NO_FATAL_FAILURE(BuildDegradedStoreFile(path, &keys, &head));
+  ASSERT_NO_FATAL_FAILURE(BuildDegradedStoreFile(path, &keys));
   {
     auto opened = BmehStore::Open(path, DegradedOpts());
     ASSERT_TRUE(opened.ok()) << opened.status();
@@ -513,32 +468,67 @@ TEST(OlcReadStressTest, DegradedStoreReadsLockFree) {
     ASSERT_TRUE(store->degraded());
     ASSERT_GT(store->recovery_report().quarantined_buckets, 0u);
     ASSERT_TRUE(store->optimistic_reads_enabled());
-    DegradedReadsStayExact(store.get(), store->mutable_tree(), keys);
+    DegradedReadsStayExact(store.get(), keys);
   }
   std::remove(path.c_str());
 }
 
-TEST(OlcReadStressTest, DegradedIndexReadsLockFree) {
-  const std::string path =
-      ::testing::TempDir() + "/bmeh_olc_degraded_index.db";
-  std::vector<PseudoKey> keys;
-  PageId head = kInvalidPageId;
-  ASSERT_NO_FATAL_FAILURE(BuildDegradedStoreFile(path, &keys, &head));
-  std::unique_ptr<BmehTree> loaded;
-  {
-    auto file = FilePageStore::Open(path);
-    ASSERT_TRUE(file.ok()) << file.status();
-    TreeLoadReport report;
-    auto tree = BmehTree::LoadFromTolerant(file->get(), head, &report);
-    ASSERT_TRUE(tree.ok()) << tree.status();
-    loaded = std::move(tree).ValueOrDie();
+// An in-memory device whose one rotten page fails every read with
+// DataLoss, as a page that fails its checksum does on a file.
+class RottenPageStore : public InMemoryPageStore {
+ public:
+  using InMemoryPageStore::InMemoryPageStore;
+  Status Read(PageId id, std::span<uint8_t> out) override {
+    if (id == rotten) {
+      return Status::DataLoss("page " + std::to_string(id) +
+                              " failed verification");
+    }
+    return InMemoryPageStore::Read(id, out);
   }
-  std::remove(path.c_str());
-  ASSERT_TRUE(loaded->degraded());
-  BmehTree* tree = loaded.get();
-  ConcurrentIndex index(std::move(loaded));
-  ASSERT_TRUE(index.optimistic_reads_enabled());
-  DegradedReadsStayExact(&index, tree, keys);
+  PageId rotten = kInvalidPageId;
+};
+
+// DegradedStoreReadsLockFree over an in-memory device: a checkpointed
+// store's pages are copied to a device whose last image page is rotten,
+// and the store opened over the copy quarantines that page's buckets.
+TEST(OlcReadStressTest, DegradedIndexReadsLockFree) {
+  const std::vector<PseudoKey> keys = DegradedKeys();
+  auto device = std::make_unique<RottenPageStore>(kDegradedPageSize);
+  {
+    auto source = BmehStore::Open(
+        std::make_unique<InMemoryPageStore>(kDegradedPageSize),
+        DegradedOpts());
+    ASSERT_TRUE(source.ok()) << source.status();
+    for (const PseudoKey& k : keys) {
+      ASSERT_TRUE((*source)->Put(k, PayloadOf(k)).ok());
+    }
+    ASSERT_TRUE((*source)->Checkpoint().ok());
+    auto snap = (*source)->BeginBackup();
+    ASSERT_TRUE(snap.ok()) << snap.status();
+    ASSERT_FALSE(snap->image_pages.empty());
+    device->rotten = snap->image_pages.back();
+    (*source)->EndBackup();
+    PageStore* from = (*source)->mutable_page_store();
+    std::vector<uint8_t> buf(kDegradedPageSize);
+    std::vector<PageId> unused;
+    for (PageId id = 0; id < from->total_page_count(); ++id) {
+      auto fresh = device->Allocate();
+      ASSERT_TRUE(fresh.ok() && *fresh == id);
+      if (from->Read(id, buf).ok()) {
+        ASSERT_TRUE(device->Write(id, buf).ok());
+      } else {
+        unused.push_back(id);  // A freed page of the source.
+      }
+    }
+    for (PageId id : unused) ASSERT_TRUE(device->Free(id).ok());
+  }
+  auto opened = BmehStore::Open(std::move(device), DegradedOpts());
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  auto store = std::move(opened).ValueOrDie();
+  ASSERT_TRUE(store->degraded());
+  ASSERT_GT(store->recovery_report().quarantined_buckets, 0u);
+  ASSERT_TRUE(store->optimistic_reads_enabled());
+  DegradedReadsStayExact(store.get(), keys);
 }
 
 TEST(OlcReadStressTest, MidPublishPageSplitConflictsInsteadOfKeyError) {
@@ -551,26 +541,27 @@ TEST(OlcReadStressTest, MidPublishPageSplitConflictsInsteadOfKeyError) {
   // definitive KeyError.  Both halves now take fresh ids and the old id
   // is tombstoned, so the stale pairing hits a null slot and surfaces as
   // a conflict (retry) instead of a wrong answer.
-  Harness h(/*page_capacity=*/2);
-  ASSERT_NE(h.tree, nullptr);
+  obs::MetricsRegistry registry;
+  auto store = OpenMemStore(&registry, /*b=*/2);
+  BmehTree* tree = store->mutable_tree();
 
   const uint32_t kHighBit = 1u << 30;  // MSB of a width-31 component.
   const PseudoKey low({0u, 0u});
   const PseudoKey high({kHighBit, 0u});
-  ASSERT_TRUE(h.index->Insert(low, PayloadFor(0, 0)).ok());
-  ASSERT_TRUE(h.index->Insert(high, PayloadFor(kHighBit, 0)).ok());
+  ASSERT_TRUE(store->Put(low, PayloadFor(0, 0)).ok());
+  ASSERT_TRUE(store->Put(high, PayloadFor(kHighBit, 0)).ok());
 
   // The third insert overflows the capacity-2 page and splits it.  The
   // hook runs on the writer thread inside the exact hazard window: page
   // slots published, node slots still pre-split.
   std::atomic<int> windows{0};
-  h.tree->SetMidPublishHookForTesting([&] {
+  tree->SetMidPublishHookForTesting([&] {
     windows.fetch_add(1, std::memory_order_relaxed);
     for (const PseudoKey* key : {&low, &high}) {
       epoch::Guard g(epoch::EpochManager::Global());
       ASSERT_TRUE(g.pinned());
       bool conflict = false;
-      auto got = h.tree->SearchOptimistic(*key, &conflict);
+      auto got = tree->SearchOptimistic(*key, &conflict);
       // A present key may conflict mid-publish but must never read as a
       // clean miss.
       EXPECT_TRUE(conflict || got.ok())
@@ -581,38 +572,39 @@ TEST(OlcReadStressTest, MidPublishPageSplitConflictsInsteadOfKeyError) {
       }
     }
   });
-  ASSERT_TRUE(h.index->Insert(PseudoKey({1u, 1u}), PayloadFor(1, 1)).ok());
-  h.tree->SetMidPublishHookForTesting(nullptr);
+  ASSERT_TRUE(store->Put(PseudoKey({1u, 1u}), PayloadFor(1, 1)).ok());
+  tree->SetMidPublishHookForTesting(nullptr);
   ASSERT_GE(windows.load(), 1) << "split commit never hit the hook window";
 
   // Post-commit, everything is found through the public read path.
   for (const auto& [a, b] : std::vector<std::pair<uint32_t, uint32_t>>{
            {0u, 0u}, {kHighBit, 0u}, {1u, 1u}}) {
-    auto got = h.index->Search(PseudoKey({a, b}));
+    auto got = store->Get(PseudoKey({a, b}));
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(*got, PayloadFor(a, b));
   }
 }
 
 TEST(OlcReadStressTest, MetricsSnapshotRacesLockFreeReadersAndWriter) {
-  // Regression for the stat-sampling race: the registry source used to
-  // read tree shape through writer-view accessors, racing the writer's
-  // copy-on-write scope.  It now samples the published structure under
-  // an epoch guard with version validation; TSan enforces that here.
+  // Regression for the stat-sampling race: the registry source once read
+  // tree shape through writer-view accessors without excluding the
+  // writer, racing its copy-on-write scope.  It now holds the operation
+  // lock shared, which every tree mutation excludes; TSan enforces that
+  // here.
   ScopedNoSleep no_sleep;
-  Harness h;
-  ASSERT_NE(h.tree, nullptr);
+  obs::MetricsRegistry registry;
+  auto store = OpenMemStore(&registry);
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> bad_gauge{0};
 
   std::thread sampler([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      const auto snap = h.registry.Snapshot();
+      const auto snap = registry.Snapshot();
       // Shape gauges must always be internally coherent — a torn sample
       // shows up as e.g. nodes without entries.
-      if (snap.gauge("index_directory_nodes") < 1) bad_gauge.fetch_add(1);
-      if (snap.gauge("index_records") < 0) bad_gauge.fetch_add(1);
+      if (snap.gauge("tree_directory_nodes") < 1) bad_gauge.fetch_add(1);
+      if (snap.gauge("tree_records") < 0) bad_gauge.fetch_add(1);
     }
   });
 
@@ -620,7 +612,7 @@ TEST(OlcReadStressTest, MetricsSnapshotRacesLockFreeReadersAndWriter) {
     Rng rng(StressSeed() + 7);
     while (!stop.load(std::memory_order_acquire)) {
       const uint32_t a = static_cast<uint32_t>(rng.Uniform(128));
-      (void)h.index->Search(PseudoKey({a, a}));
+      (void)store->Get(PseudoKey({a, a}));
     }
   });
 
@@ -629,9 +621,9 @@ TEST(OlcReadStressTest, MetricsSnapshotRacesLockFreeReadersAndWriter) {
     const uint32_t a = static_cast<uint32_t>(rng.Uniform(128));
     const uint32_t b = static_cast<uint32_t>(rng.Uniform(128));
     if (rng.NextDouble() < 0.7) {
-      (void)h.index->Insert(PseudoKey({a, b}), PayloadFor(a, b));
+      (void)store->Put(PseudoKey({a, b}), PayloadFor(a, b));
     } else {
-      (void)h.index->Delete(PseudoKey({a, b}));
+      (void)store->Delete(PseudoKey({a, b}));
     }
   }
   stop.store(true, std::memory_order_release);
@@ -639,9 +631,9 @@ TEST(OlcReadStressTest, MetricsSnapshotRacesLockFreeReadersAndWriter) {
   reader.join();
 
   EXPECT_EQ(bad_gauge.load(), 0u);
-  const auto final_snap = h.registry.Snapshot();
-  EXPECT_EQ(final_snap.gauge("index_records"),
-            static_cast<int64_t>(h.index->Stats().records));
+  const auto final_snap = registry.Snapshot();
+  EXPECT_EQ(final_snap.gauge("tree_records"),
+            static_cast<int64_t>(store->tree().Stats().records));
 }
 
 // A leader parked inside its WAL fsync holds the operation lock

@@ -223,5 +223,53 @@ TEST(RangeQueryTest, SharedPointersAreVisitedOnce) {
   EXPECT_EQ(stats.pages_visited, tree.Stats().data_pages);
 }
 
+
+// Theorem 4's counts and the logical I/O of a fixed, seeded query set
+// (boxes and one-dimension slabs), pinned exactly: a change in how the
+// range walk charges an access fails here.
+TEST(RangeQueryTest, WalkCountsDoNotChange) {
+  KeySchema schema(2, 31);
+  BmehTree tree(schema, TreeOptions::Make(2, 8));
+  auto keys =
+      workload::GenerateKeys(workload::WorkloadSpec{.seed = 79}, 5000);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(tree.Insert(keys[i], i).ok());
+  }
+  Rng rng(80);
+  const IoStats before = tree.io()->stats();
+  hashdir::RangeWalkStats total;
+  uint64_t results = 0;
+  for (int q = 0; q < 40; ++q) {
+    RangePredicate pred(schema);
+    for (int j = 0; j < 2; ++j) {
+      if (q % 4 == 3 && j == 1) continue;  // A slab: dimension 1 open.
+      uint32_t a = static_cast<uint32_t>(rng.Uniform(1u << 31));
+      const uint32_t len = static_cast<uint32_t>(rng.Uniform(1u << 28));
+      const uint32_t b = a > (1u << 31) - 1 - len ? (1u << 31) - 1 : a + len;
+      pred.Constrain(j, a, b);
+    }
+    std::vector<Record> got;
+    hashdir::RangeWalkStats stats;
+    ASSERT_TRUE(tree.RangeSearchWithStats(pred, &got, &stats).ok());
+    results += got.size();
+    total.nodes_visited += stats.nodes_visited;
+    total.cells_scanned += stats.cells_scanned;
+    total.leaf_groups += stats.leaf_groups;
+    total.pages_visited += stats.pages_visited;
+    total.max_level += stats.max_level;
+  }
+  const IoStats io = tree.io()->stats() - before;
+  EXPECT_EQ(results, 3874u);
+  EXPECT_EQ(total.nodes_visited, 153u);
+  EXPECT_EQ(total.cells_scanned, 2127u);
+  EXPECT_EQ(total.leaf_groups, 1125u);
+  EXPECT_EQ(total.pages_visited, 1125u);
+  EXPECT_EQ(total.max_level, 80u);
+  EXPECT_EQ(io.dir_reads, 113u);
+  EXPECT_EQ(io.dir_writes, 0u);
+  EXPECT_EQ(io.data_reads, 1125u);
+  EXPECT_EQ(io.data_writes, 0u);
+}
+
 }  // namespace
 }  // namespace bmeh
